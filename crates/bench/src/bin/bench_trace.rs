@@ -8,7 +8,10 @@
 //! A/A comparison: the same disabled loop timed twice, with the relative
 //! delta bounding the hook cost within measurement noise. The enabled
 //! path is measured against the disabled one directly. A third section
-//! times raw sink emission (disabled vs. ring-buffered).
+//! times raw sink emission (disabled vs. ring-buffered) and sizes the
+//! always-on ring on the served event mix: `ring_emit_ns` per event into
+//! a full default ring, and `ring_bytes_per_event`, the full ring's
+//! resident bytes over the events it holds.
 //!
 //! A fourth section bounds the serve observability plane the same way:
 //! the plane (request tracing, phase attribution, metering, flight ring)
@@ -20,19 +23,25 @@
 //! Writes `BENCH_trace.json` at the repository root; the acceptance gates
 //! are `max_off_overhead_pct <= 2`, plane idle ≤ 2%, and plane disabled
 //! ≤ 0.15% — warnings by default, process failure under
-//! `CASCADE_BENCH_ASSERT=1`. Set `CASCADE_BENCH_SECS` to trade precision
-//! for runtime.
+//! `CASCADE_BENCH_ASSERT=1`. `ring_bytes_per_event <= 64` (a full default
+//! ring within 1 MiB) is a size, not a timing, so it fails the process
+//! at any window. Set `CASCADE_BENCH_SECS` to trade precision for
+//! runtime.
 
 use cascade_bench::harness::{fmt_si, measure};
+use cascade_bench::{emit_served_cycle, SERVED_CYCLE_EVENTS};
 use cascade_netlist::{synthesize, NetlistSim};
 use cascade_serve::{InProcClient, ServeConfig, Server};
 use cascade_sim::{elaborate, library_from_source, CompiledSim};
-use cascade_trace::{Arg, TraceSink};
+use cascade_trace::{Arg, TraceSink, DEFAULT_RING_CAPACITY};
 use cascade_workloads::sha256::{miner_verilog, Flavor, MinerConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 const BATCH: u64 = 256;
+
+/// A full default ring must fit in 1 MiB: 1 MiB / 16 384 events.
+const RING_BYTES_PER_EVENT_MAX: f64 = 64.0;
 
 struct Row {
     hot_loop: &'static str,
@@ -133,6 +142,28 @@ fn main() {
     });
     println!("sink emission: disabled {disabled_ns:.1} ns/event, ring {ring_ns:.1} ns/event");
 
+    // The always-on ring at its default size, on the events a served
+    // edit loop records: filled past capacity first, so the timing is of
+    // a full ring (every emit also drops the oldest record) and the size
+    // is the steady-state footprint the server carries.
+    let served = TraceSink::ring(DEFAULT_RING_CAPACITY);
+    let mut cycle = 0u64;
+    let mut emit_cycle = || {
+        emit_served_cycle(&served, cycle);
+        cycle += 1;
+    };
+    for _ in 0..2 * DEFAULT_RING_CAPACITY as u64 / SERVED_CYCLE_EVENTS {
+        emit_cycle();
+    }
+    let ring_emit_ns = measure(&mut emit_cycle) / SERVED_CYCLE_EVENTS as f64;
+    let ring_bytes_per_event = served.bytes() as f64 / served.len() as f64;
+    println!(
+        "served mix: {ring_emit_ns:.1} ns/event into a full ring of {} events, \
+         {ring_bytes_per_event:.1} B/event resident ({} KiB)",
+        served.len(),
+        served.bytes() / 1024
+    );
+
     // Serve plane, idle: one server with the telemetry plane active but
     // no subscribers, bounded A/A — the same run loop timed twice. Zero
     // fabrics keeps the session in software so no mid-measurement
@@ -228,6 +259,12 @@ fn main() {
     .unwrap();
     writeln!(
         out,
+        "  \"served_mix\": {{\"ring_emit_ns\": {ring_emit_ns:.2}, \
+         \"ring_bytes_per_event\": {ring_bytes_per_event:.2}}},"
+    )
+    .unwrap();
+    writeln!(
+        out,
         "  \"plane\": {{\"idle_a_rps\": {idle_a_rps:.1}, \"idle_b_rps\": {idle_b_rps:.1}, \
          \"idle_overhead_pct\": {plane_idle_pct:.3}, \
          \"disabled_overhead_pct\": {plane_disabled_pct:.3}}},"
@@ -240,6 +277,13 @@ fn main() {
     std::fs::write(path, &out).expect("write BENCH_trace.json");
     println!("\nwrote {path}");
 
+    if ring_bytes_per_event > RING_BYTES_PER_EVENT_MAX {
+        eprintln!(
+            "FAIL: {ring_bytes_per_event:.1} B/event in a full default ring \
+             > {RING_BYTES_PER_EVENT_MAX} (1 MiB / {DEFAULT_RING_CAPACITY} events)"
+        );
+        std::process::exit(1);
+    }
     if std::env::var("CASCADE_BENCH_ASSERT").as_deref() == Ok("1") {
         let mut failed = false;
         if max_off > 2.0 {

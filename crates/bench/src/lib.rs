@@ -13,6 +13,7 @@ pub use harness::{git_describe, schema_header};
 
 use cascade_core::{JitConfig, Runtime};
 use cascade_fpga::Board;
+use cascade_trace::{Arg, SpanRef, TraceSink};
 
 /// A sampled performance curve: `(modeled seconds, cumulative work)`.
 #[derive(Debug, Clone, Default)]
@@ -109,4 +110,74 @@ pub fn print_series(name: &str, series: &[(f64, f64)]) {
         println!("{t:.3} {r:.1}");
     }
     println!();
+}
+
+/// Events one served edit cycle records into the shared trace ring.
+pub const SERVED_CYCLE_EVENTS: u64 = 6;
+
+/// Emits what a served session records for one edit cycle — an `eval`
+/// request (software compile, background submit, eval span, host
+/// breakdown, request root with its eight phase columns) and the `run`
+/// request that follows it — with values the size real traffic carries.
+/// `bench_trace` and the zero-allocation test share it so the ring is
+/// sized and timed on the mix the server actually produces.
+pub fn emit_served_cycle(sink: &TraceSink, cycle: u64) {
+    let track = 1 + cycle % 16;
+    let virt_ns = cycle.wrapping_mul(515_199);
+    let vary = |base: u64| base + cycle % 97;
+    for req in [2 * cycle + 1, 2 * cycle + 2] {
+        // Span ids as `RequestCtx` derives them, without its allocation.
+        let root = req << 16;
+        let at = |child: u64| SpanRef {
+            tenant: track,
+            req,
+            span: root | child,
+        };
+        let mut name = "run";
+        if req % 2 == 1 {
+            name = "eval";
+            let version = [("version", Arg::U64(cycle))];
+            sink.span_ctx(
+                track,
+                "jit",
+                "software_compile",
+                virt_ns,
+                0,
+                at(1),
+                root,
+                &[version[0], ("bytecode", Arg::Bool(true))],
+            );
+            sink.instant_ctx(track, "compile", "submit", virt_ns, at(2), root, &version);
+            sink.span_ctx(track, "jit", "eval", virt_ns, 0, at(3), root, &version);
+            sink.host_instant(
+                track,
+                "jit",
+                "eval_host",
+                &[
+                    ("parse_ns", Arg::U64(vary(5_400))),
+                    ("elaborate_ns", Arg::U64(vary(46_000))),
+                    ("total_ns", Arg::U64(vary(172_000))),
+                ],
+            );
+        }
+        sink.host_span_ctx(
+            track,
+            "req",
+            name,
+            sink.host_ns(),
+            vary(480_000),
+            at(0),
+            0,
+            &[
+                ("queue_us", Arg::U64(vary(15))),
+                ("wake_us", Arg::U64(0)),
+                ("compile_us", Arg::U64(0)),
+                ("eval_sw_us", Arg::U64(vary(300))),
+                ("eval_hw_us", Arg::U64(0)),
+                ("flush_us", Arg::U64(0)),
+                ("journal_us", Arg::U64(vary(4))),
+                ("other_us", Arg::U64(vary(60))),
+            ],
+        );
+    }
 }

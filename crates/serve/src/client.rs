@@ -3,55 +3,59 @@
 //! serialize through the same protocol lines, so an in-process test
 //! exercises exactly what a socket client would send.
 
+use crate::frame::{self, Frame, MAX_REPLY_BYTES};
 use crate::json::Json;
 use crate::protocol::Request;
 use crate::session::Server;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Error, ErrorKind};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 /// A blocking line transport: one request line in, one reply line out.
 pub trait Transport {
-    /// Sends `line` and returns the reply line.
+    /// Sends `line` and returns the reply line, which lives in the
+    /// transport's own buffer until the next call.
     ///
     /// # Errors
     ///
     /// Returns an IO error if the transport fails.
-    fn round_trip(&mut self, line: &str) -> std::io::Result<String>;
+    fn round_trip(&mut self, line: &str) -> std::io::Result<&str>;
 }
 
 /// In-process transport: calls the server directly.
 pub struct InProc {
     server: Arc<Server>,
+    reply: String,
 }
 
 impl Transport for InProc {
-    fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
-        Ok(self.server.handle_line(line))
+    fn round_trip(&mut self, line: &str) -> std::io::Result<&str> {
+        self.reply = self.server.handle_line(line);
+        Ok(&self.reply)
     }
 }
 
-/// TCP transport: newline-delimited JSON over a socket.
+/// TCP transport: newline-delimited JSON over a socket, framed by the
+/// rules in [`crate::frame`] (one write per request, `TCP_NODELAY`).
 pub struct Tcp {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing frame and the incoming reply, reused across calls.
+    frame: Vec<u8>,
+    reply: String,
 }
 
 impl Transport for Tcp {
-    fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+    fn round_trip(&mut self, line: &str) -> std::io::Result<&str> {
+        frame::write_frame(&mut self.writer, &mut self.frame, line)?;
+        match frame::read_frame(&mut self.reader, &mut self.reply, MAX_REPLY_BYTES)? {
+            Frame::Line => Ok(&self.reply),
+            Frame::Eof => Err(Error::new(
+                ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            ));
+            )),
+            Frame::TooLong => Err(Error::new(ErrorKind::InvalidData, "reply line too long")),
         }
-        while reply.ends_with('\n') || reply.ends_with('\r') {
-            reply.pop();
-        }
-        Ok(reply)
     }
 }
 
@@ -97,6 +101,7 @@ impl InProcClient {
         Client {
             transport: InProc {
                 server: Arc::clone(server),
+                reply: String::new(),
             },
             session: None,
             token: None,
@@ -112,12 +117,13 @@ impl TcpClient {
     ///
     /// Returns the connect error.
     pub fn connect(addr: std::net::SocketAddr) -> std::io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        let (reader, writer) = frame::split(TcpStream::connect(addr)?)?;
         Ok(Client {
             transport: Tcp {
                 reader,
-                writer: stream,
+                writer,
+                frame: Vec::new(),
+                reply: String::new(),
             },
             session: None,
             token: None,
@@ -139,7 +145,7 @@ impl<T: Transport> Client<T> {
             .transport
             .round_trip(&line)
             .map_err(|e| format!("transport: {e}"))?;
-        Json::parse(&reply).map_err(|e| format!("bad reply `{reply}`: {e}"))
+        Json::parse(reply).map_err(|e| format!("bad reply `{reply}`: {e}"))
     }
 
     fn expect_ok(&mut self, req: &Request) -> Result<Json, String> {
@@ -661,4 +667,16 @@ fn string_array(reply: &Json, key: &str) -> Vec<String> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connect_sets_nodelay() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpClient::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.transport.writer.nodelay().unwrap());
+    }
 }

@@ -34,6 +34,7 @@
 //! ```
 
 mod client;
+mod frame;
 pub mod json;
 pub mod protocol;
 mod server;

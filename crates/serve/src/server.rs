@@ -1,13 +1,14 @@
 //! The TCP front end: newline-delimited JSON over a socket.
 //!
 //! Each accepted connection gets its own thread reading request lines and
-//! writing reply lines; all protocol work happens in
-//! [`Server::handle_line`], so TCP and the in-process client share one
-//! code path.
+//! writing reply lines (framed by the rules in [`crate::frame`]); all
+//! protocol work happens in [`Server::handle_line`], so TCP and the
+//! in-process client share one code path.
 
+use crate::frame::{self, Frame, MAX_REQUEST_BYTES};
+use crate::protocol::err;
 use crate::session::Server;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,20 +67,30 @@ impl Drop for TcpServer {
 }
 
 fn connection_loop(server: &Server, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok((mut reader, mut writer)) = frame::split(stream) else {
         return;
     };
-    let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut reply = server.handle_line(&line);
-        reply.push('\n');
-        if writer.write_all(reply.as_bytes()).is_err() {
-            break;
+    let (mut line, mut out) = (String::new(), Vec::new());
+    loop {
+        match frame::read_frame(&mut reader, &mut line, MAX_REQUEST_BYTES) {
+            Ok(Frame::Line) if line.trim().is_empty() => continue,
+            Ok(Frame::Line) => {
+                let reply = server.handle_line(&line);
+                if frame::write_frame(&mut writer, &mut out, &reply).is_err() {
+                    return;
+                }
+            }
+            Ok(Frame::TooLong) => {
+                let reply = err("request line too long").to_string();
+                let _ = frame::write_frame(&mut writer, &mut out, &reply);
+                // Closing with input unread resets the connection, and the
+                // reset can overtake the reply: stop sending, then read
+                // the rest of what the peer has to say into nothing.
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut reader, &mut std::io::sink());
+                return;
+            }
+            Ok(Frame::Eof) | Err(_) => return,
         }
     }
 }

@@ -1659,6 +1659,16 @@ impl Server {
                     "Trace events dropped by the bounded ring",
                     s.trace.dropped(),
                 ),
+                gauge(
+                    "serve_trace_ring_events",
+                    "Trace events held by the shared ring",
+                    s.trace.len() as f64,
+                ),
+                gauge(
+                    "serve_trace_ring_bytes",
+                    "Heap bytes held by the shared trace ring",
+                    s.trace.bytes() as f64,
+                ),
                 counter(
                     "serve_recovery_sessions_total",
                     "Sessions rehydrated from write-ahead journals at recovery",

@@ -58,7 +58,7 @@ pub enum Arg<'a> {
     Bool(bool),
 }
 
-/// An owned argument value, stored in the ring buffer.
+/// An owned argument value, as [`TraceEvent`] carries it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// Unsigned integer.
@@ -69,18 +69,6 @@ pub enum ArgValue {
     Str(String),
     /// Boolean.
     Bool(bool),
-}
-
-impl Arg<'_> {
-    /// Converts to the owned representation.
-    pub fn to_owned_value(self) -> ArgValue {
-        match self {
-            Arg::U64(v) => ArgValue::U64(v),
-            Arg::F64(v) => ArgValue::F64(v),
-            Arg::Str(s) => ArgValue::Str(s.to_string()),
-            Arg::Bool(b) => ArgValue::Bool(b),
-        }
-    }
 }
 
 /// One recorded trace event.
@@ -130,14 +118,5 @@ mod tests {
             assert_eq!(Phase::from_code(ph.code()), Some(ph));
         }
         assert_eq!(Phase::from_code("Z"), None);
-    }
-
-    #[test]
-    fn arg_to_owned() {
-        assert_eq!(Arg::U64(7).to_owned_value(), ArgValue::U64(7));
-        assert_eq!(
-            Arg::Str("hi").to_owned_value(),
-            ArgValue::Str("hi".to_string())
-        );
     }
 }

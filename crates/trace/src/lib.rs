@@ -39,6 +39,7 @@ mod ctx;
 mod event;
 mod export;
 mod metrics;
+mod ring;
 mod sink;
 mod timeline;
 

@@ -11,23 +11,25 @@
 
 use crate::ctx::SpanRef;
 use crate::event::{Arg, Phase, TraceEvent};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use crate::ring::{Emit, Ring};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Default ring capacity (events) for [`TraceSink::ring`].
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
-
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    seq: u64,
-    dropped: u64,
-}
+/// Default ring capacity (events) for [`TraceSink::ring`]: with the
+/// packed record layout a full default ring stays under 1 MiB.
+pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 
 struct SinkInner {
     ring: Mutex<Ring>,
     epoch: Instant,
+}
+
+impl SinkInner {
+    /// Poison is ignored: the ring's counters move after the bytes they
+    /// count, so a ring abandoned mid-push is still readable.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A cloneable, thread-safe handle to a shared trace ring buffer.
@@ -61,12 +63,7 @@ impl TraceSink {
     pub fn ring(capacity: usize) -> Self {
         TraceSink {
             inner: Some(Arc::new(SinkInner {
-                ring: Mutex::new(Ring {
-                    events: VecDeque::with_capacity(capacity.min(4096)),
-                    capacity: capacity.max(1),
-                    seq: 0,
-                    dropped: 0,
-                }),
+                ring: Mutex::new(Ring::new(capacity)),
                 epoch: Instant::now(),
             })),
         }
@@ -85,19 +82,6 @@ impl TraceSink {
             Some(inner) => inner.epoch.elapsed().as_nanos() as u64,
             None => 0,
         }
-    }
-
-    fn push(&self, mut ev: TraceEvent) {
-        let Some(inner) = &self.inner else { return };
-        ev.host_ns = inner.epoch.elapsed().as_nanos() as u64;
-        let mut ring = inner.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        ev.seq = ring.seq;
-        ring.seq += 1;
-        if ring.events.len() >= ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(ev);
     }
 
     /// Emits a complete span on the virtual clock.
@@ -142,19 +126,20 @@ impl TraceSink {
         if self.inner.is_none() {
             return;
         }
-        self.push(self.build(
+        self.record(Emit {
             track,
             cat,
             name,
-            Phase::Span,
+            ph: Phase::Span,
             virt_ns,
             virt_dur_ns,
-            true,
-            at,
+            vclock: true,
+            req: at.req,
+            span_id: at.span,
             parent,
-            0,
+            link: 0,
             args,
-        ));
+        });
     }
 
     /// Emits a host-clock span (`vclock = false`): `virt_ns`/`virt_dur_ns`
@@ -177,19 +162,20 @@ impl TraceSink {
         if self.inner.is_none() {
             return;
         }
-        self.push(self.build(
+        self.record(Emit {
             track,
             cat,
             name,
-            Phase::Span,
-            start_ns,
-            dur_ns,
-            false,
-            at,
+            ph: Phase::Span,
+            virt_ns: start_ns,
+            virt_dur_ns: dur_ns,
+            vclock: false,
+            req: at.req,
+            span_id: at.span,
             parent,
-            0,
+            link: 0,
             args,
-        ));
+        });
     }
 
     /// Emits an instant event on the virtual clock.
@@ -222,19 +208,20 @@ impl TraceSink {
         if self.inner.is_none() {
             return;
         }
-        self.push(self.build(
+        self.record(Emit {
             track,
             cat,
             name,
-            Phase::Instant,
+            ph: Phase::Instant,
             virt_ns,
-            0,
-            true,
-            at,
+            virt_dur_ns: 0,
+            vclock: true,
+            req: at.req,
+            span_id: at.span,
             parent,
-            0,
+            link: 0,
             args,
-        ));
+        });
     }
 
     /// Emits a counter sample on the virtual clock. `args` should carry
@@ -251,19 +238,20 @@ impl TraceSink {
         if self.inner.is_none() {
             return;
         }
-        self.push(self.build(
+        self.record(Emit {
             track,
             cat,
             name,
-            Phase::Counter,
+            ph: Phase::Counter,
             virt_ns,
-            0,
-            true,
-            SpanRef::default(),
-            0,
-            0,
+            virt_dur_ns: 0,
+            vclock: true,
+            req: 0,
+            span_id: 0,
+            parent: 0,
+            link: 0,
             args,
-        ));
+        });
     }
 
     /// Emits a host-clock-only instant (session lifecycle, sweeper
@@ -292,79 +280,42 @@ impl TraceSink {
         if self.inner.is_none() {
             return;
         }
-        self.push(self.build(
+        self.record(Emit {
             track,
             cat,
             name,
-            Phase::Instant,
-            0,
-            0,
-            false,
-            at,
-            parent,
-            link,
-            args,
-        ));
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &self,
-        track: u64,
-        cat: &'static str,
-        name: &str,
-        ph: Phase,
-        virt_ns: u64,
-        virt_dur_ns: u64,
-        vclock: bool,
-        at: SpanRef,
-        parent: u64,
-        link: u64,
-        args: &[(&str, Arg)],
-    ) -> TraceEvent {
-        TraceEvent {
-            seq: 0,     // assigned under the ring lock
-            host_ns: 0, // assigned in push()
-            track,
-            cat,
-            name: name.to_string(),
-            ph,
-            virt_ns,
-            virt_dur_ns,
-            vclock,
+            ph: Phase::Instant,
+            virt_ns: 0,
+            virt_dur_ns: 0,
+            vclock: false,
             req: at.req,
             span_id: at.span,
             parent,
             link,
-            args: args
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_owned_value()))
-                .collect(),
-        }
+            args,
+        });
+    }
+
+    /// Stamps the host clock and packs the event into the ring; nothing
+    /// is allocated for an event on a warm ring. The emit methods test
+    /// for a disabled sink themselves, before they build `ev`, which keeps
+    /// that path to one branch.
+    fn record(&self, ev: Emit) {
+        let Some(inner) = &self.inner else { return };
+        let host_ns = inner.epoch.elapsed().as_nanos() as u64;
+        inner.ring().push(&ev, host_ns);
     }
 
     /// A copy of the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(inner) => {
-                let ring = inner.ring.lock().unwrap_or_else(PoisonError::into_inner);
-                ring.events.iter().cloned().collect()
-            }
-            None => Vec::new(),
-        }
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.ring().snapshot())
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner
-                .ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .events
-                .len(),
-            None => 0,
-        }
+        self.inner.as_ref().map_or(0, |i| i.ring().len())
     }
 
     /// True when no events are buffered.
@@ -372,41 +323,28 @@ impl TraceSink {
         self.len() == 0
     }
 
+    /// Heap bytes the ring holds: its record buffer as allocated plus the
+    /// symbol table. This is what the always-on tracer costs in memory.
+    pub fn bytes(&self) -> usize {
+        self.inner.as_ref().map_or(0, |i| i.ring().bytes())
+    }
+
     /// Events dropped to ring overflow since creation (or last `clear`).
     pub fn dropped(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => {
-                inner
-                    .ring
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .dropped
-            }
-            None => 0,
-        }
+        self.inner.as_ref().map_or(0, |i| i.ring().dropped)
     }
 
     /// Total events ever emitted into this sink.
     pub fn emitted(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => {
-                inner
-                    .ring
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .seq
-            }
-            None => 0,
-        }
+        self.inner.as_ref().map_or(0, |i| i.ring().seq)
     }
 
-    /// Discards all buffered events and resets the drop counter (the
-    /// sequence counter keeps running so `seq` stays unique).
+    /// Discards all buffered events, releases their memory, and resets
+    /// the drop counter (the sequence counter keeps running so `seq`
+    /// stays unique).
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
-            let mut ring = inner.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.events.clear();
-            ring.dropped = 0;
+            inner.ring().clear();
         }
     }
 }
@@ -414,6 +352,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ArgValue;
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -464,5 +403,170 @@ mod tests {
         s.instant(0, "t", "b", 0, &[]);
         let snap = s.snapshot();
         assert!(snap[0].host_ns <= snap[1].host_ns);
+    }
+
+    /// xorshift64*: the crate has no dependencies to borrow a PRNG from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Values on both sides of every varint length boundary.
+        fn int(&mut self) -> u64 {
+            match self.below(5) {
+                0 => 0,
+                1 => u64::MAX,
+                2 => self.next(),
+                3 => (1u64 << self.below(64)).wrapping_sub(self.below(2)),
+                _ => self.below(300),
+            }
+        }
+
+        /// Interned, inline (too many, too long), empty and non-ASCII.
+        fn text(&mut self) -> String {
+            match self.below(6) {
+                0 => String::new(),
+                1 => "x".repeat(4096),
+                2 => "h\u{e9}llo \u{2713} \u{65e5}\u{672c}\u{8a9e}".to_string(),
+                3 => format!("dyn{}", self.below(3000)),
+                4 => "k".repeat(65),
+                _ => ["mode", "version", "queue_us"][self.below(3) as usize].to_string(),
+            }
+        }
+    }
+
+    /// `==` on the exchange type, except that floats compare by bits
+    /// (NaN payloads and the sign of zero must survive the ring).
+    fn assert_same(got: &TraceEvent, want: &TraceEvent) {
+        let float_bits = |e: &TraceEvent| {
+            let mut e = e.clone();
+            for (_, v) in &mut e.args {
+                if let ArgValue::F64(f) = v {
+                    *v = ArgValue::Str(format!("f64 bits {:#018x}", f.to_bits()));
+                }
+            }
+            e
+        };
+        assert_eq!(float_bits(got), float_bits(want));
+    }
+
+    /// The ring's codec is lossless: whatever goes in through `record`
+    /// comes out of `snapshot` field for field, across overflow, with
+    /// more distinct names than the symbol table holds.
+    #[test]
+    fn ring_round_trips_random_events_field_for_field() {
+        const CAP: usize = 257;
+        for seed in [1u64, 2, 3] {
+            let mut r = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let sink = TraceSink::ring(CAP);
+            let mut want: Vec<TraceEvent> = Vec::new();
+            for i in 0..4000u64 {
+                let nargs = [0, 1, 3, 8, 32][r.below(5) as usize];
+                let args: Vec<(String, ArgValue)> = (0..nargs)
+                    .map(|_| {
+                        let value = match r.below(7) {
+                            0 => ArgValue::U64(r.int()),
+                            1 => ArgValue::F64(f64::from_bits(r.next())),
+                            2 => ArgValue::F64(f64::NAN),
+                            3 => ArgValue::F64(-0.0),
+                            4 => ArgValue::Str(r.text()),
+                            _ => ArgValue::Bool(r.below(2) == 0),
+                        };
+                        (r.text(), value)
+                    })
+                    .collect();
+                // Ids: absent, request-relative (the common case, which
+                // the codec shortens), and unrelated (which must wrap).
+                let req = [0, i + 1, r.int()][r.below(3) as usize];
+                let id = |r: &mut Rng| match r.below(3) {
+                    0 => 0,
+                    1 => (req << 16) | r.below(1 << 16),
+                    _ => r.int(),
+                };
+                let ev = TraceEvent {
+                    seq: i,
+                    track: r.int(),
+                    cat: ["jit", "compile", "serve", "req"][r.below(4) as usize],
+                    name: r.text(),
+                    ph: [Phase::Span, Phase::Instant, Phase::Counter][r.below(3) as usize],
+                    virt_ns: r.int(),
+                    virt_dur_ns: r.int(),
+                    host_ns: 0,
+                    vclock: r.below(2) == 0,
+                    req,
+                    span_id: id(&mut r),
+                    parent: id(&mut r),
+                    link: id(&mut r),
+                    args,
+                };
+                let borrowed: Vec<(&str, Arg)> = ev
+                    .args
+                    .iter()
+                    .map(|(k, v)| {
+                        let v = match v {
+                            ArgValue::U64(v) => Arg::U64(*v),
+                            ArgValue::F64(v) => Arg::F64(*v),
+                            ArgValue::Str(v) => Arg::Str(v),
+                            ArgValue::Bool(v) => Arg::Bool(*v),
+                        };
+                        (k.as_str(), v)
+                    })
+                    .collect();
+                sink.record(Emit {
+                    track: ev.track,
+                    cat: ev.cat,
+                    name: &ev.name,
+                    ph: ev.ph,
+                    virt_ns: ev.virt_ns,
+                    virt_dur_ns: ev.virt_dur_ns,
+                    vclock: ev.vclock,
+                    req: ev.req,
+                    span_id: ev.span_id,
+                    parent: ev.parent,
+                    link: ev.link,
+                    args: &borrowed,
+                });
+                want.push(ev);
+
+                assert_eq!(sink.emitted(), i + 1);
+                assert_eq!(sink.len() as u64 + sink.dropped(), sink.emitted());
+                assert_eq!(sink.len(), want.len().min(CAP));
+            }
+            let got = sink.snapshot();
+            assert_eq!(got.len(), CAP);
+            for (g, w) in got.iter().zip(&mut want[4000 - CAP..]) {
+                // The one field the sink, not the caller, supplies.
+                w.host_ns = g.host_ns;
+                assert_same(g, w);
+            }
+            assert!(got.windows(2).all(|w| w[0].host_ns <= w[1].host_ns));
+            assert!(got[CAP - 1].host_ns <= sink.host_ns());
+        }
+    }
+
+    #[test]
+    fn clear_releases_bytes_as_well_as_events() {
+        let s = TraceSink::ring(64);
+        let empty = s.bytes();
+        for i in 0..100u64 {
+            s.instant(0, "t", "e", i, &[("note", Arg::Str(&"n".repeat(500)))]);
+        }
+        let full = s.bytes();
+        assert!(full > empty + 64 * 500, "{full} bytes for 64 events");
+        s.clear();
+        assert_eq!((s.len(), s.dropped(), s.emitted()), (0, 0, 100));
+        // What is left is the symbol table, not the records.
+        assert!(s.bytes() < empty + 4096, "{} bytes after clear", s.bytes());
+        s.instant(0, "t", "e", 100, &[]);
+        assert_eq!(s.snapshot()[0].seq, 100);
     }
 }

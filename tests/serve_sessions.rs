@@ -77,6 +77,90 @@ fn tcp_and_inproc_share_one_protocol() {
     assert!(inproc.probe("x").is_err(), "closed session must be gone");
 }
 
+/// A round trip over the socket costs what the request costs, not a
+/// kernel timer: a request sent as two writes on a default socket waits
+/// ~40 ms on every call for the peer's delayed ACK to release Nagle's
+/// hold on the second, and a reply of several segments can wait the same
+/// way for its last one. 250 round trips took ≥ 8.8 s that way and take
+/// ~0.1 s now, so the 2 s line is a 20× margin on both sides.
+#[test]
+fn tcp_round_trips_do_not_wait_on_delayed_ack() {
+    let server = Server::new(ServeConfig::quick());
+    let tcp = TcpServer::bind(server.clone(), "127.0.0.1:0").expect("bind");
+    let mut c = TcpClient::connect(tcp.addr()).expect("connect");
+    c.open().expect("open");
+    c.eval("reg [7:0] x = 3;").expect("eval");
+
+    let started = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(c.probe("x").expect("probe"), Some(3));
+    }
+    for _ in 0..50 {
+        let text = c.server_metrics().expect("metrics");
+        assert!(text.len() > 4096, "metrics reply should span segments");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "250 round trips took {took:?}"
+    );
+}
+
+/// Resident set of this process, from `/proc` (absent elsewhere).
+fn rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    kb.trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<u64>()
+        .ok()
+        .map(|kb| kb * 1024)
+}
+
+/// Hostile bytes: a peer that never sends a newline gets an error reply
+/// once it passes the request bound, costs the server a bounded buffer
+/// however much more it sends, and takes nothing from the next client.
+#[test]
+fn oversized_request_line_is_refused_and_bounded() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = Server::new(ServeConfig::quick());
+    let tcp = TcpServer::bind(server, "127.0.0.1:0").expect("bind");
+
+    let mut hostile = std::net::TcpStream::connect(tcp.addr()).expect("connect");
+    let chunk = vec![b'a'; 64 << 10];
+    let before = rss_bytes();
+    // 8 MiB is twice the bound; the other 56 are there to show that the
+    // server's memory follows the bound, not the line.
+    for _ in 0..(64 << 20) / chunk.len() {
+        hostile.write_all(&chunk).expect("server keeps reading");
+    }
+    let mut reply = String::new();
+    BufReader::new(&hostile)
+        .read_line(&mut reply)
+        .expect("reply");
+    let reply = Json::parse(reply.trim_end()).expect("reply is JSON");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("request line too long")
+    );
+    if let (Some(before), Some(after)) = (before, rss_bytes()) {
+        let grew = after.saturating_sub(before);
+        assert!(grew < 32 << 20, "64 MiB line grew the process by {grew} B");
+    }
+    // The server has stopped talking to this peer.
+    let mut rest = String::new();
+    let n = BufReader::new(&hostile).read_line(&mut rest).expect("eof");
+    assert_eq!(n, 0, "unexpected second reply: {rest}");
+    drop(hostile);
+
+    let mut c = TcpClient::connect(tcp.addr()).expect("connect after");
+    c.open().expect("open");
+    c.eval("reg [7:0] x = 3;").expect("eval");
+    assert_eq!(c.probe("x").expect("probe"), Some(3));
+}
+
 #[test]
 fn concurrent_pow_and_regex_sessions_make_progress() {
     let mut config = ServeConfig::quick();

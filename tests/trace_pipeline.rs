@@ -3,16 +3,19 @@
 //! faults whose exported trace shows the full JIT lifecycle in order),
 //! virtual-time determinism (byte-identical exports across two runs with
 //! the same fault seed), zero-allocation emission when tracing is
-//! disabled, ring-buffer overflow accounting, JSONL schema round-trips
-//! through the serve JSON parser, metrics-exposition completeness, counter
-//! monotonicity across checkpoint restores, and a VCD smoke test.
+//! disabled and into a full ring, ring-buffer overflow accounting, JSONL
+//! schema round-trips through the serve JSON parser, metrics-exposition
+//! completeness, counter monotonicity across checkpoint restores, and a
+//! VCD smoke test.
 
+use cascade_bench::{emit_served_cycle, SERVED_CYCLE_EVENTS};
 use cascade_core::{JitConfig, Runtime};
 use cascade_fpga::{Board, FaultPlan};
 use cascade_serve::{InProcClient, Json, ServeConfig, Server};
 use cascade_trace::{export_jsonl, Arg, TimeMode, TraceSink, SCHEMA_REQUIRED_FIELDS};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// A counter packaged as a single user module so that eval'ing it submits
@@ -210,10 +213,15 @@ fn serve_chaos_trace_shows_full_jit_lifecycle_in_order() {
     // Drop accounting is first-class too: the trace ring's drop counter
     // and every session's bounded-output drop counter (a labeled series
     // per tenant), not just server-stats fields.
-    assert!(
-        server_metrics.contains("serve_trace_events_dropped_total"),
-        "missing trace-ring drop counter"
-    );
+    // The ring's own footprint rides along, so what the always-on tracer
+    // costs is on the same dashboard as what it saw.
+    for name in [
+        "serve_trace_events_dropped_total",
+        "serve_trace_ring_events",
+        "serve_trace_ring_bytes",
+    ] {
+        assert!(server_metrics.contains(name), "missing trace-ring {name}");
+    }
     assert!(
         server_metrics.contains("serve_session_output_dropped_total{session="),
         "missing per-session output drop series"
@@ -339,22 +347,38 @@ fn virtual_time_trace_is_byte_identical_across_runs() {
     }
 }
 
-/// A counting allocator so the disabled-tracer test can assert that
-/// emission performs no heap work at all.
+/// A counting allocator so the emission tests can assert that a trace
+/// call performs no heap work at all. The count is per thread: sibling
+/// tests allocate freely on theirs while this one is measured.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations (and reallocations) made by the calling thread in `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -369,17 +393,42 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn disabled_sink_emission_allocates_nothing() {
     let sink = TraceSink::disabled();
     assert!(!sink.enabled());
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for i in 0..1_000u64 {
-        sink.span(1, "jit", "eval", i, 10, &[("version", Arg::U64(i))]);
-        sink.instant(1, "jit", "scrub", i, &[("ok", Arg::Bool(true))]);
-        sink.counter(1, "jit", "ticks_per_s", i, &[("value", Arg::F64(1.0))]);
-        sink.host_instant(1, "serve", "sweep", &[]);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "disabled sink emission allocated");
+    let allocs = allocations_in(|| {
+        for i in 0..1_000u64 {
+            sink.span(1, "jit", "eval", i, 10, &[("version", Arg::U64(i))]);
+            sink.instant(1, "jit", "scrub", i, &[("ok", Arg::Bool(true))]);
+            sink.counter(1, "jit", "ticks_per_s", i, &[("value", Arg::F64(1.0))]);
+            sink.host_instant(1, "serve", "sweep", &[]);
+        }
+    });
+    assert_eq!(allocs, 0, "disabled sink emission allocated");
     assert_eq!(sink.len(), 0);
     assert_eq!(sink.dropped(), 0);
+}
+
+/// The always-on ring is nearly free too: once it has wrapped and has
+/// seen every name, emitting the events a served edit loop records
+/// allocates nothing — each record is packed into a reused buffer and
+/// copied over the space the oldest one gave up.
+#[test]
+fn full_ring_emission_allocates_nothing() {
+    let sink = TraceSink::ring(1024);
+    // Warm up on later (so wider) ids than the measured cycles carry:
+    // the buffer then already has room for whatever follows, even when
+    // the host clock crosses a varint boundary mid-test.
+    for cycle in 0..1024 {
+        emit_served_cycle(&sink, u64::MAX / 4 + cycle);
+    }
+    assert_eq!(sink.len(), 1024);
+    let before = sink.emitted();
+    let allocs = allocations_in(|| {
+        for cycle in 0..10_000 / SERVED_CYCLE_EVENTS + 1 {
+            emit_served_cycle(&sink, cycle);
+        }
+    });
+    assert!(sink.emitted() - before >= 10_000);
+    assert_eq!(allocs, 0, "emission into a full ring allocated");
+    assert_eq!(sink.len(), 1024);
 }
 
 /// The bounded ring drops oldest-first and counts what it dropped.
