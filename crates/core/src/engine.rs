@@ -11,10 +11,13 @@
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
 use cascade_sim::SimError;
+pub use cascade_stdlib::PortId;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 
 pub mod clock;
+mod forward;
 pub mod hw;
 pub mod native;
 pub mod peripheral;
@@ -93,7 +96,9 @@ impl From<SimError> for EngineError {
 
 /// The engine ABI (paper Fig. 7). This is not a user-exposed interface;
 /// implementing it is how Cascade gains support for a new backend target.
-pub trait Engine: Send {
+/// `Any` lets the runtime recover the concrete engine it built (it moves
+/// peripherals in and out of engines during forwarding transitions).
+pub trait Engine: Send + Any {
     /// Where this engine executes.
     fn kind(&self) -> EngineKind;
 
@@ -104,13 +109,21 @@ pub trait Engine: Send {
     /// (they belong to code that no longer exists).
     fn set_state(&mut self, state: &EngineState);
 
+    /// Resolves a port (or, for probes, any readable signal) name to the
+    /// handle `read` and `output` take. Called when engines are wired,
+    /// never per tick; a handle is valid for the life of this engine
+    /// only. Unknown names resolve to [`PortId::NONE`].
+    fn port(&self, name: &str) -> PortId;
+
     /// Notifies the engine that one of its input ports changed (`read` in
-    /// the paper's ABI: the engine discovers input changes).
-    fn read(&mut self, port: &str, value: &Bits);
+    /// the paper's ABI: the engine discovers input changes). Handles that
+    /// do not name an input are ignored.
+    fn read(&mut self, port: PortId, value: &Bits);
 
     /// The current value of an output port (`write`: the engine broadcasts
-    /// outputs — the runtime polls and diffs).
-    fn output(&mut self, port: &str) -> Bits;
+    /// outputs — the runtime polls and diffs). Zero-width for
+    /// [`PortId::NONE`].
+    fn output(&mut self, port: PortId) -> Bits;
 
     /// Whether evaluation events are pending.
     fn there_are_evals(&self) -> bool;
@@ -158,13 +171,6 @@ pub trait Engine: Send {
     fn is_finished(&self) -> bool {
         false
     }
-
-    /// Downcast support (the runtime moves peripherals in and out of
-    /// concrete engine types during forwarding transitions).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
-    /// Consuming downcast support.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }
 
 impl fmt::Debug for dyn Engine {

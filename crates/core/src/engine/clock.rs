@@ -4,9 +4,12 @@
 //! via `end_step`, so every two scheduler iterations make one virtual clock
 //! cycle — the rate Cascade's performance is measured in.
 
-use crate::engine::{Engine, EngineError, EngineKind, EngineState, TaskEvent};
+use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
+
+/// The handle of the clock's one port, `val`.
+pub(crate) const VAL: PortId = PortId(0);
 
 /// The tick source driving `clk.val`.
 #[derive(Debug)]
@@ -54,10 +57,18 @@ impl Engine for ClockEngine {
         }
     }
 
-    fn read(&mut self, _port: &str, _value: &Bits) {}
+    fn port(&self, name: &str) -> PortId {
+        if name == "val" {
+            VAL
+        } else {
+            PortId::NONE
+        }
+    }
 
-    fn output(&mut self, port: &str) -> Bits {
-        if port == "val" {
+    fn read(&mut self, _port: PortId, _value: &Bits) {}
+
+    fn output(&mut self, port: PortId) -> Bits {
+        if port == VAL {
             Bits::from_bool(self.val)
         } else {
             Bits::default()
@@ -95,13 +106,5 @@ impl Engine for ClockEngine {
 
     fn take_cost_ns(&mut self, _costs: &CostModel) -> f64 {
         0.0
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }

@@ -3,38 +3,29 @@
 //! forwarding for absorbed standard-library components (Sec. 4.3) and
 //! open-loop scheduling (Sec. 4.4).
 
-use crate::engine::{Engine, EngineError, EngineKind, EngineState, TaskEvent};
+use crate::engine::forward::ForwardTable;
+pub use crate::engine::forward::Forwarded;
+use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::{CostModel, MmioCore};
 use cascade_netlist::{Netlist, TaskFire, TaskKind};
-use cascade_stdlib::Peripheral;
 use cascade_verilog::ast::Edge;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A standard-library component absorbed into this engine (forwarding):
-/// its ports are connected directly instead of across the data plane.
-pub struct Forwarded {
-    pub instance: String,
-    pub peripheral: Box<dyn Peripheral>,
-    /// engine output port → peripheral input port.
-    pub drives: Vec<(String, String)>,
-    /// peripheral output port → engine input port.
-    pub feeds: Vec<(String, String)>,
-}
-
-/// A compiled subprogram executing behind the MMIO register file.
+/// A compiled subprogram executing behind the MMIO register file. Port
+/// handles are MMIO data addresses.
 pub struct HwEngine {
     core: MmioCore,
-    /// Clock domains: domain index → (input port, edge).
-    clock_inputs: Vec<(String, Edge)>,
+    /// Clock domains: domain index → (input port, edge). A clock net the
+    /// address map does not reach has no port.
+    clock_inputs: Vec<(PortId, Edge)>,
     /// Last seen value of each clock input.
     clock_last: Vec<bool>,
     /// Clock domains with a pending edge.
     pending: Vec<u32>,
     /// Whether non-clock inputs changed since the last evaluate.
     dirty: bool,
-    forwarded: Vec<Forwarded>,
+    forwarded: ForwardTable,
     tasks: Vec<TaskEvent>,
     /// Runtime-visible bus messages (the data/control-plane traffic the
     /// cost model charges; internal forwarded peripheral exchanges are
@@ -56,20 +47,18 @@ impl HwEngine {
     ///
     /// Returns [`EngineError`] when the netlist cannot be levelized.
     pub fn new(netlist: Arc<Netlist>) -> Result<Self, EngineError> {
+        let golden_crc = cascade_netlist::readback_crc(&netlist, 0);
+        let core = MmioCore::new(Arc::clone(&netlist))
+            .map_err(|e| EngineError::Internal(format!("levelization failed: {e}")))?;
         let clock_inputs = netlist
             .clocks
             .iter()
             .map(|&(net, edge)| {
-                let name = netlist.nets[net.0 as usize]
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| format!("n{}", net.0));
-                (name, edge)
+                let name = netlist.nets[net.0 as usize].name.as_deref();
+                let port = name.and_then(|n| core.map().addr(n));
+                (port.map_or(PortId::NONE, PortId), edge)
             })
             .collect::<Vec<_>>();
-        let golden_crc = cascade_netlist::readback_crc(&netlist, 0);
-        let core = MmioCore::new(netlist)
-            .map_err(|e| EngineError::Internal(format!("levelization failed: {e}")))?;
         let clock_last = vec![false; clock_inputs.len()];
         Ok(HwEngine {
             core,
@@ -77,7 +66,7 @@ impl HwEngine {
             clock_last,
             pending: Vec::new(),
             dirty: true,
-            forwarded: Vec::new(),
+            forwarded: ForwardTable::default(),
             tasks: Vec::new(),
             bus_msgs: 0,
             last_cycles: 0,
@@ -134,16 +123,16 @@ impl HwEngine {
         self.dirty = true;
     }
 
-    /// Absorbs standard-library components (ABI forwarding, Fig. 9.4).
+    /// Absorbs standard-library components (ABI forwarding, Fig. 9.4),
+    /// resolving their bindings against the address map. The exchange
+    /// itself is on-fabric, so it addresses nets rather than the bus.
     pub fn absorb(&mut self, forwarded: Vec<Forwarded>) {
-        self.forwarded = forwarded;
+        let core = &self.core;
+        self.forwarded = ForwardTable::new(forwarded, |port| {
+            core.map().addr(port).and_then(|addr| core.net(addr))
+        });
         // Establish initial peripheral-driven inputs.
-        self.exchange_with_peripherals();
-    }
-
-    /// Releases absorbed components (the engine is about to be replaced).
-    pub fn release(&mut self) -> Vec<Forwarded> {
-        std::mem::take(&mut self.forwarded)
+        self.forwarded.exchange(self.core.sim());
     }
 
     /// Whether this engine has absorbed peripherals.
@@ -173,43 +162,13 @@ impl HwEngine {
         }
     }
 
-    /// Two-round combinational exchange between the engine and absorbed
-    /// peripherals (enough for the request/ready handshakes the stdlib
-    /// uses).
-    fn exchange_with_peripherals(&mut self) {
-        for _ in 0..2 {
-            for fi in 0..self.forwarded.len() {
-                let feeds = self.forwarded[fi].feeds.clone();
-                let outs = self.forwarded[fi].peripheral.outputs();
-                for (periph_port, engine_port) in &feeds {
-                    if let Some((_, v)) = outs.iter().find(|(n, _)| n == periph_port) {
-                        if let Some(addr) = self.core.map().addr(engine_port) {
-                            self.core.write(addr, v.clone());
-                        }
-                    }
-                }
-            }
-            for fi in 0..self.forwarded.len() {
-                let drives = self.forwarded[fi].drives.clone();
-                for (engine_port, periph_port) in &drives {
-                    if let Some(addr) = self.core.map().addr(engine_port) {
-                        let v = self.core.read(addr);
-                        self.forwarded[fi].peripheral.set_input(periph_port, &v);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One full clock cycle including absorbed peripherals.
+    /// One full cycle of clock domain 0, including absorbed peripherals.
     fn cycle(&mut self) {
-        self.exchange_with_peripherals();
+        self.forwarded.exchange(self.core.sim());
         self.core
             .ctrl_write(cascade_fpga::Ctrl::Latch, Bits::from_u64(1, 1));
-        for f in &mut self.forwarded {
-            f.peripheral.posedge();
-        }
-        self.exchange_with_peripherals();
+        self.forwarded.posedge();
+        self.forwarded.exchange(self.core.sim());
         let fires = self.core.drain_tasks();
         self.collect_fires(fires);
     }
@@ -241,11 +200,7 @@ impl Engine for HwEngine {
                 .collect();
             state.mems.insert(name, words);
         }
-        for f in &self.forwarded {
-            for (k, v) in f.peripheral.get_state() {
-                state.mems.insert(format!("{}::{k}", f.instance), v);
-            }
-        }
+        self.forwarded.get_state(&mut state.mems);
         state
     }
 
@@ -271,32 +226,26 @@ impl Engine for HwEngine {
                 }
             }
         }
-        for f in &mut self.forwarded {
-            let prefix = format!("{}::", f.instance);
-            let sub: BTreeMap<String, Vec<Bits>> = state
-                .mems
-                .iter()
-                .filter_map(|(k, v)| {
-                    k.strip_prefix(&prefix)
-                        .map(|rest| (rest.to_string(), v.clone()))
-                })
-                .collect();
-            if !sub.is_empty() {
-                f.peripheral.set_state(&sub);
-            }
-        }
+        self.forwarded.set_state(&state.mems);
         self.core.sim().settle();
         self.dirty = true;
     }
 
-    fn read(&mut self, port: &str, value: &Bits) {
+    fn port(&self, name: &str) -> PortId {
+        self.core.map().addr(name).map_or(PortId::NONE, PortId)
+    }
+
+    fn read(&mut self, port: PortId, value: &Bits) {
         self.bus_msgs += 1;
+        if port == PortId::NONE {
+            return;
+        }
         // Clock inputs are edges, not data. One physical clock may drive
         // several domains (posedge and negedge logic), so every matching
         // domain gets edge-detected.
         let mut is_clock = false;
-        for (i, (name, edge)) in self.clock_inputs.iter().enumerate() {
-            if name == port {
+        for (i, &(clock, edge)) in self.clock_inputs.iter().enumerate() {
+            if clock == port {
                 is_clock = true;
                 let now = value.to_bool();
                 let was = self.clock_last[i];
@@ -310,20 +259,18 @@ impl Engine for HwEngine {
                 }
             }
         }
-        if let Some(addr) = self.core.map().addr(port) {
-            self.core.write(addr, value.clone());
-            if !is_clock {
-                self.dirty = true;
-            }
+        self.core.write(port.0, value.clone());
+        if !is_clock {
+            self.dirty = true;
         }
     }
 
-    fn output(&mut self, port: &str) -> Bits {
+    fn output(&mut self, port: PortId) -> Bits {
         self.bus_msgs += 1;
-        match self.core.map().addr(port) {
-            Some(addr) => self.core.read(addr),
-            None => Bits::default(),
+        if port == PortId::NONE {
+            return Bits::default();
         }
+        self.core.read(port.0)
     }
 
     fn there_are_evals(&self) -> bool {
@@ -334,9 +281,7 @@ impl Engine for HwEngine {
         self.bus_msgs += 1;
         // Combinational settling happened on write; just refresh absorbed
         // peripherals and clear the flag.
-        if self.is_forwarding() {
-            self.exchange_with_peripherals();
-        }
+        self.forwarded.exchange(self.core.sim());
         self.dirty = false;
         Ok(())
     }
@@ -347,27 +292,25 @@ impl Engine for HwEngine {
 
     fn update(&mut self) -> Result<(), EngineError> {
         self.bus_msgs += 1;
-        let pending = std::mem::take(&mut self.pending);
-        for domain in pending {
-            if domain == 0 && self.is_forwarding() {
-                self.cycle();
-            } else {
-                self.core.sim().step_clock(domain);
-                let fires = self.core.sim().drain_tasks();
-                self.collect_fires(fires);
+        // Indexed, not taken: the buffer keeps its capacity across ticks.
+        for i in 0..self.pending.len() {
+            match self.pending[i] {
+                0 => self.cycle(),
+                domain => {
+                    self.core.sim().step_clock(domain);
+                    let fires = self.core.drain_tasks();
+                    self.collect_fires(fires);
+                }
             }
         }
+        self.pending.clear();
         self.dirty = true;
         Ok(())
     }
 
     fn end_step(&mut self) {
-        for f in &mut self.forwarded {
-            f.peripheral.end_step();
-        }
-        if self.is_forwarding() {
-            self.exchange_with_peripherals();
-        }
+        self.forwarded.end_step();
+        self.forwarded.exchange(self.core.sim());
     }
 
     fn drain_tasks(&mut self) -> Vec<TaskEvent> {
@@ -393,10 +336,8 @@ impl Engine for HwEngine {
         }
         // Sample external inputs at batch start: the runtime hands over
         // control at an observable state, which is when boards get polled.
-        for f in &mut self.forwarded {
-            f.peripheral.end_step();
-        }
-        self.exchange_with_peripherals();
+        self.forwarded.end_step();
+        self.forwarded.exchange(self.core.sim());
         let mut done = 0u64;
         while done < steps {
             self.cycle();
@@ -406,22 +347,16 @@ impl Engine for HwEngine {
             }
         }
         // Peripherals poll external inputs when control returns.
-        for f in &mut self.forwarded {
-            f.peripheral.end_step();
-        }
-        self.exchange_with_peripherals();
+        self.forwarded.end_step();
+        self.forwarded.exchange(self.core.sim());
         self.dirty = true;
         done
     }
 
     fn take_cost_ns(&mut self, costs: &CostModel) -> f64 {
-        let mut msgs = self.bus_msgs;
-        self.bus_msgs = 0;
         // Host-coupled peripherals (the FIFO) move data over the same bus
         // even when absorbed.
-        for f in &mut self.forwarded {
-            msgs += f.peripheral.take_bus_words();
-        }
+        let msgs = std::mem::take(&mut self.bus_msgs) + self.forwarded.take_bus_words();
         let cycles = self.core.sim_ref().cycles() - self.last_cycles;
         self.last_cycles = self.core.sim_ref().cycles();
         msgs as f64 * costs.abi_message_ns + cycles as f64 * costs.hw_cycle_ns
@@ -429,13 +364,5 @@ impl Engine for HwEngine {
 
     fn is_finished(&self) -> bool {
         self.core.is_finished()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }

@@ -2,17 +2,18 @@
 //! with no MMIO wrapper, no `get_state`/`set_state` muxing, and no system
 //! task support. Interactivity is sacrificed for full native performance.
 
-use crate::engine::hw::Forwarded;
-use crate::engine::{Engine, EngineError, EngineKind, EngineState, TaskEvent};
+use crate::engine::forward::{ForwardTable, Forwarded};
+use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
-use cascade_netlist::{Netlist, NetlistSim};
+use cascade_netlist::{NetId, Netlist, NetlistSim};
 use std::sync::Arc;
 
 /// A wrapper-free compiled program with direct peripheral connections.
+/// Port handles are net ids.
 pub struct NativeEngine {
     sim: NetlistSim,
-    peripherals: Vec<Forwarded>,
+    peripherals: ForwardTable,
     last_cycles: u64,
 }
 
@@ -34,6 +35,7 @@ impl NativeEngine {
                 "native mode supports a single clock domain".to_string(),
             ));
         }
+        let peripherals = ForwardTable::new(peripherals, |port| netlist.net_by_name(port));
         let sim = NetlistSim::new(netlist)
             .map_err(|e| EngineError::Internal(format!("levelization failed: {e}")))?;
         Ok(NativeEngine {
@@ -43,33 +45,9 @@ impl NativeEngine {
         })
     }
 
-    fn exchange(&mut self) {
-        for _ in 0..2 {
-            for fi in 0..self.peripherals.len() {
-                let feeds = self.peripherals[fi].feeds.clone();
-                let outs = self.peripherals[fi].peripheral.outputs();
-                for (periph_port, engine_port) in &feeds {
-                    if let Some((_, v)) = outs.iter().find(|(n, _)| n == periph_port) {
-                        if let Some(net) = self.sim.netlist().net_by_name(engine_port) {
-                            self.sim.set_input(net, v.clone());
-                        }
-                    }
-                }
-            }
-            for fi in 0..self.peripherals.len() {
-                let drives = self.peripherals[fi].drives.clone();
-                for (engine_port, periph_port) in &drives {
-                    if let Some(v) = self.sim.get_by_name(engine_port) {
-                        self.peripherals[fi].peripheral.set_input(periph_port, &v);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Releases the peripherals (leaving native mode).
-    pub fn release(&mut self) -> Vec<Forwarded> {
-        std::mem::take(&mut self.peripherals)
+    /// The net behind a handle (`None` for [`PortId::NONE`]).
+    fn net(&self, port: PortId) -> Option<NetId> {
+        ((port.0 as usize) < self.sim.netlist().nets.len()).then_some(NetId(port.0))
     }
 }
 
@@ -87,14 +65,20 @@ impl Engine for NativeEngine {
 
     fn set_state(&mut self, _state: &EngineState) {}
 
-    fn read(&mut self, port: &str, value: &Bits) {
-        if let Some(net) = self.sim.netlist().net_by_name(port) {
+    fn port(&self, name: &str) -> PortId {
+        let net = self.sim.netlist().net_by_name(name);
+        net.map_or(PortId::NONE, |n| PortId(n.0))
+    }
+
+    fn read(&mut self, port: PortId, value: &Bits) {
+        if let Some(net) = self.net(port) {
             self.sim.set_input(net, value.clone());
         }
     }
 
-    fn output(&mut self, port: &str) -> Bits {
-        self.sim.get_by_name(port).unwrap_or_default()
+    fn output(&mut self, port: PortId) -> Bits {
+        self.net(port)
+            .map_or_else(Bits::default, |net| self.sim.get(net))
     }
 
     fn there_are_evals(&self) -> bool {
@@ -125,36 +109,20 @@ impl Engine for NativeEngine {
         }
         let mut done = 0;
         while done < steps {
-            self.exchange();
+            self.peripherals.exchange(&mut self.sim);
             self.sim.step_clock(0);
-            for f in &mut self.peripherals {
-                f.peripheral.posedge();
-            }
+            self.peripherals.posedge();
             done += 1;
         }
-        for f in &mut self.peripherals {
-            f.peripheral.end_step();
-        }
-        self.exchange();
+        self.peripherals.end_step();
+        self.peripherals.exchange(&mut self.sim);
         done
     }
 
     fn take_cost_ns(&mut self, costs: &CostModel) -> f64 {
         let cycles = self.sim.cycles() - self.last_cycles;
         self.last_cycles = self.sim.cycles();
-        let bus: u64 = self
-            .peripherals
-            .iter_mut()
-            .map(|f| f.peripheral.take_bus_words())
-            .sum();
+        let bus = self.peripherals.take_bus_words();
         cycles as f64 * costs.hw_cycle_ns + bus as f64 * costs.abi_message_ns
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }

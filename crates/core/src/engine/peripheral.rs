@@ -5,13 +5,16 @@
 //! the global clock to `__clk` so synchronous components (FIFO pops, memory
 //! writes) commit on the virtual rising edge.
 
-use crate::engine::{Engine, EngineError, EngineKind, EngineState, TaskEvent};
+use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
 use cascade_stdlib::Peripheral;
 
 /// The implicit clock input port wired to every peripheral engine.
 pub const PERIPHERAL_CLOCK_PORT: &str = "__clk";
+
+/// Its handle, past the end of every component's own port table.
+const CLOCK: PortId = PortId(u32::MAX - 1);
 
 /// Wraps a [`Peripheral`] as an [`Engine`].
 pub struct PeripheralEngine {
@@ -54,9 +57,17 @@ impl Engine for PeripheralEngine {
         self.peripheral.set_state(&state.mems);
     }
 
-    fn read(&mut self, port: &str, value: &Bits) {
+    fn port(&self, name: &str) -> PortId {
+        if name == PERIPHERAL_CLOCK_PORT {
+            CLOCK
+        } else {
+            self.peripheral.port(name)
+        }
+    }
+
+    fn read(&mut self, port: PortId, value: &Bits) {
         self.msgs += 1;
-        if port == PERIPHERAL_CLOCK_PORT {
+        if port == CLOCK {
             let now = value.to_bool();
             if !self.clk_last && now {
                 self.edge_pending = true;
@@ -67,13 +78,8 @@ impl Engine for PeripheralEngine {
         }
     }
 
-    fn output(&mut self, port: &str) -> Bits {
-        self.peripheral
-            .outputs()
-            .into_iter()
-            .find(|(n, _)| n == port)
-            .map(|(_, v)| v)
-            .unwrap_or_default()
+    fn output(&mut self, port: PortId) -> Bits {
+        self.peripheral.output(port)
     }
 
     fn there_are_evals(&self) -> bool {
@@ -111,13 +117,5 @@ impl Engine for PeripheralEngine {
         let msgs = self.msgs + self.peripheral.take_bus_words();
         self.msgs = 0;
         msgs as f64 * costs.abi_message_ns
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }

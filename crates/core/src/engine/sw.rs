@@ -8,12 +8,11 @@
 //! rising-edge clock domain also support open-loop scheduling — the runtime
 //! hands over a cycle budget and the whole batch runs inside the evaluator.
 
-use crate::engine::{Engine, EngineError, EngineKind, EngineState, TaskEvent};
+use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
 use cascade_sim::{Design, Process, SimEvent, SwSim, VarClass, VarId};
 use cascade_verilog::ast::Edge;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The promoted name of the global clock input on a transformed root
@@ -24,10 +23,6 @@ const CLOCK_PORT: &str = "clk_val";
 pub struct SwEngine {
     sim: SwSim,
     design: Arc<Design>,
-    /// Output port name → var.
-    outputs: BTreeMap<String, VarId>,
-    /// Input port name → var.
-    inputs: BTreeMap<String, VarId>,
     /// The global clock input, when this subprogram's sequential logic is
     /// all posedge-of-it (the open-loop eligibility condition).
     open_loop_clock: Option<VarId>,
@@ -42,33 +37,11 @@ pub struct SwEngine {
 }
 
 impl SwEngine {
-    /// Builds and initializes a compiled-backend software engine (runs
-    /// `initial` blocks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if time-zero settlement fails.
-    pub fn new(design: Arc<Design>) -> Result<Self, EngineError> {
-        Self::with_options(design, None, true)
-    }
-
-    /// Builds a compiled-backend software engine, restoring `prior` state
+    /// Builds and initializes a software engine, restoring `prior` state
     /// *before* running `initial` blocks — newly eval'ed statements must
     /// observe the live program state they were typed against (paper
-    /// Sec. 3.5).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if time-zero settlement fails.
-    pub fn with_state(
-        design: Arc<Design>,
-        prior: Option<&EngineState>,
-    ) -> Result<Self, EngineError> {
-        Self::with_options(design, prior, true)
-    }
-
-    /// [`SwEngine::with_state`] with an explicit backend choice:
-    /// `compiled = false` selects the tree-walking oracle.
+    /// Sec. 3.5). `compiled = false` selects the tree-walking oracle over
+    /// the bytecode backend.
     ///
     /// # Errors
     ///
@@ -79,17 +52,6 @@ impl SwEngine {
         compiled: bool,
     ) -> Result<Self, EngineError> {
         let mut sim = SwSim::new(Arc::clone(&design), compiled);
-        let mut inputs = BTreeMap::new();
-        let mut outputs = BTreeMap::new();
-        for (name, id) in design.iter_vars() {
-            let info = design.info(id);
-            if info.is_input {
-                inputs.insert(name.to_string(), id);
-            }
-            if info.is_output {
-                outputs.insert(name.to_string(), id);
-            }
-        }
         if let Some(state) = prior {
             for (name, value) in &state.regs {
                 if let Some(id) = design.var(name) {
@@ -113,8 +75,6 @@ impl SwEngine {
         let mut engine = SwEngine {
             sim,
             design,
-            outputs,
-            inputs,
             open_loop_clock,
             pending_err: None,
             last_activations: 0,
@@ -126,17 +86,6 @@ impl SwEngine {
         Ok(engine)
     }
 
-    /// The underlying design (used by the runtime when compiling this
-    /// subprogram in the background).
-    pub fn design(&self) -> &Arc<Design> {
-        &self.design
-    }
-
-    /// `"compiled"` or `"tree"` (stats reporting).
-    pub fn backend_name(&self) -> &'static str {
-        self.sim.backend_name()
-    }
-
     /// Switches on execution profiling in the underlying simulator
     /// (compiled backend only).
     pub fn enable_profiling(&mut self) {
@@ -146,6 +95,11 @@ impl SwEngine {
     /// The collected execution profile, if profiling is enabled.
     pub fn profile_report(&self) -> Option<cascade_sim::SwProfileReport> {
         self.sim.profile_report()
+    }
+
+    /// The variable behind a handle (`None` for [`PortId::NONE`]).
+    fn var(&self, port: PortId) -> Option<VarId> {
+        ((port.0 as usize) < self.design.vars.len()).then_some(VarId(port.0))
     }
 
     fn collect_tasks(&mut self) {
@@ -225,19 +179,22 @@ impl Engine for SwEngine {
         let _ = self.sim.resettle();
     }
 
-    fn read(&mut self, port: &str, value: &Bits) {
-        if let Some(&id) = self.inputs.get(port) {
+    // A handle is the `VarId` of the named variable; any variable can be
+    // read (probes), only input ports can be written.
+    fn port(&self, name: &str) -> PortId {
+        self.design
+            .var(name)
+            .map_or(PortId::NONE, |id| PortId(id.0))
+    }
+
+    fn read(&mut self, port: PortId, value: &Bits) {
+        if let Some(id) = self.var(port).filter(|&id| self.design.info(id).is_input) {
             self.sim.poke_id(id, value.clone());
         }
     }
 
-    fn output(&mut self, port: &str) -> Bits {
-        match self
-            .outputs
-            .get(port)
-            .copied()
-            .or_else(|| self.sim.design().var(port))
-        {
+    fn output(&mut self, port: PortId) -> Bits {
+        match self.var(port) {
             Some(id) => self.sim.peek_id(id),
             None => Bits::default(),
         }
@@ -317,13 +274,5 @@ impl Engine for SwEngine {
 
     fn is_finished(&self) -> bool {
         self.sim.is_finished()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }

@@ -9,12 +9,12 @@
 
 use crate::compiler::{BackgroundCompiler, CompileQueue, CompilerMetrics, RetryPolicy};
 use crate::config::JitConfig;
-use crate::engine::clock::ClockEngine;
+use crate::engine::clock::{self, ClockEngine};
 use crate::engine::hw::{Forwarded, HwEngine};
 use crate::engine::native::NativeEngine;
 use crate::engine::peripheral::{PeripheralEngine, PERIPHERAL_CLOCK_PORT};
 use crate::engine::sw::SwEngine;
-use crate::engine::{Engine, EngineKind, EngineState, TaskEvent};
+use crate::engine::{Engine, EngineKind, EngineState, PortId, TaskEvent};
 use crate::error::{panic_message, CascadeError};
 use crate::transform::{transform_module, Externals, Wire};
 use cascade_bits::Bits;
@@ -27,6 +27,7 @@ use cascade_trace::{
 use cascade_verilog::ast::{Item, Module, ModuleItem};
 use cascade_verilog::typecheck::{check_module, const_eval, ModuleLibrary, ParamEnv};
 use cascade_verilog::Span;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -48,9 +49,28 @@ struct Slot {
     engine: Box<dyn Engine>,
 }
 
+/// One end of a data-plane wire. The tick path uses `slot` and `port`
+/// only; the name is kept to re-resolve the handle when the slot's engine
+/// is replaced (handles do not outlive the engine that issued them).
+struct Endpoint {
+    slot: usize,
+    port: PortId,
+    name: String,
+}
+
+impl Endpoint {
+    fn resolve(slot: usize, name: &str, slots: &[Slot]) -> Self {
+        Endpoint {
+            slot,
+            port: slots[slot].engine.port(name),
+            name: name.to_string(),
+        }
+    }
+}
+
 struct ResolvedWire {
-    from: (usize, String),
-    to: (usize, String),
+    from: Endpoint,
+    to: Endpoint,
     last: Option<Bits>,
 }
 
@@ -121,7 +141,11 @@ impl RuntimeMetrics {
 /// An active waveform dump: a VCD stream fed one sample per tick.
 struct VcdTap {
     writer: PortVcd<std::io::BufWriter<std::fs::File>>,
-    ports: Vec<String>,
+    /// The sampled main-engine signals, by name and by handle in the
+    /// current main engine. The clock is sampled ahead of them.
+    ports: Vec<(String, PortId)>,
+    /// Sample buffer, reused every tick: the clock, then `ports`.
+    values: Vec<Option<Bits>>,
     path: String,
 }
 
@@ -1122,6 +1146,7 @@ impl Runtime {
             .map_err(|e| CascadeError::NativeIneligible(e.to_string()))?;
         let main_idx = self.main_idx.expect("hw_design implies main");
         self.slots[main_idx].engine = Box::new(native);
+        self.rebind(main_idx);
         // Only the clock and the native engine remain.
         self.retain_clock_and_main();
         self.native = true;
@@ -1311,8 +1336,9 @@ impl Runtime {
     /// state.
     pub fn probe(&mut self, port: &str) -> Option<Bits> {
         self.verify_speculation().ok()?;
-        let idx = self.main_idx?;
-        Some(self.slots[idx].engine.output(port))
+        let engine = &mut self.slots[self.main_idx?].engine;
+        let port = engine.port(port);
+        Some(engine.output(port))
     }
 
     // ------------------------------------------------------------------
@@ -1340,8 +1366,8 @@ impl Runtime {
             let mut auto: Vec<String> = self
                 .wires
                 .iter()
-                .filter(|w| Some(w.from.0) == main_idx)
-                .map(|w| w.from.1.clone())
+                .filter(|w| Some(w.from.slot) == main_idx)
+                .map(|w| w.from.name.clone())
                 .collect();
             auto.sort();
             auto.dedup();
@@ -1350,33 +1376,31 @@ impl Runtime {
             ports.to_vec()
         };
         names.retain(|n| n != "clk");
-        names.insert(0, "clk".to_string());
-        // Resolve widths from live values; unknown ports fail fast.
-        let mut decls: Vec<(String, u32)> = Vec::new();
+        // Validate against the live engine (unknown ports fail fast) and
+        // take widths from live values.
+        let mut decls: Vec<(String, u32)> = vec![("clk".to_string(), 1)];
         for name in &names {
-            let width = if name == "clk" {
-                1
-            } else {
-                match self.probe(name) {
-                    Some(b) => b.width(),
-                    None => {
-                        return Err(CascadeError::Unsupported(format!(
-                            "vcd: unknown port `{name}`"
-                        )))
-                    }
-                }
-            };
+            let unknown = || CascadeError::Unsupported(format!("vcd: unknown port `{name}`"));
+            let width = self.probe(name).ok_or_else(unknown)?.width();
+            let main = self.main_idx.ok_or_else(unknown)?;
+            if self.slots[main].engine.port(name) == PortId::NONE {
+                return Err(unknown());
+            }
             decls.push((name.clone(), width));
         }
         let file = std::fs::File::create(path)
             .map_err(|e| CascadeError::Unsupported(format!("vcd: cannot create `{path}`: {e}")))?;
         let writer = PortVcd::new(std::io::BufWriter::new(file), ROOT, &decls)
             .map_err(|e| CascadeError::Unsupported(format!("vcd: write failed: {e}")))?;
+        // Handles are taken last: a probe above may have closed a corrupt
+        // speculation window, which replaces the engines.
         self.vcd = Some(VcdTap {
             writer,
-            ports: names,
+            values: Vec::with_capacity(decls.len()),
+            ports: names.into_iter().map(|n| (n, PortId::NONE)).collect(),
             path: path.to_string(),
         });
+        self.rebind_tap();
         // Record the starting values immediately.
         self.vcd_sample();
         Ok(())
@@ -1400,24 +1424,30 @@ impl Runtime {
     /// write failure stops the dump with a warning rather than killing
     /// the session.
     fn vcd_sample(&mut self) {
-        let Some(tap) = &self.vcd else {
-            return;
-        };
-        let names = tap.ports.clone();
-        let values: Vec<Option<Bits>> = names
-            .iter()
-            .map(|n| {
-                if n == "clk" {
-                    Some(self.slots[self.clock_idx].engine.output("val"))
-                } else {
-                    self.probe(n)
-                }
-            })
-            .collect();
         let Some(tap) = &mut self.vcd else {
             return;
         };
-        if let Err(e) = tap.writer.sample(&values) {
+        tap.values.clear();
+        tap.values
+            .push(Some(self.slots[self.clock_idx].engine.output(clock::VAL)));
+        for i in 0..tap.ports.len() {
+            // Verified like `probe`, signal by signal. A failed verify
+            // replaces the engines, which re-resolves the tap — so the
+            // handle is read only afterwards.
+            let verified = self.verify_speculation().is_ok();
+            let Some(tap) = &mut self.vcd else {
+                return;
+            };
+            let value = match self.main_idx {
+                Some(idx) if verified => Some(self.slots[idx].engine.output(tap.ports[i].1)),
+                _ => None,
+            };
+            tap.values.push(value);
+        }
+        let Some(tap) = &mut self.vcd else {
+            return;
+        };
+        if let Err(e) = tap.writer.sample(&tap.values) {
             self.warnings
                 .push(format!("vcd: write failed: {e}; dump stopped"));
             self.vcd = None;
@@ -1594,16 +1624,16 @@ impl Runtime {
                 continue; // wire to an unused peripheral
             };
             resolved.push(ResolvedWire {
-                from: (f, w.from.1.clone()),
-                to: (t, w.to.1.clone()),
+                from: Endpoint::resolve(f, &w.from.1, &slots),
+                to: Endpoint::resolve(t, &w.to.1, &slots),
                 last: None,
             });
         }
         for (i, slot) in slots.iter().enumerate() {
             if slot.engine.kind() == EngineKind::Peripheral {
                 resolved.push(ResolvedWire {
-                    from: (clock_idx, "val".to_string()),
-                    to: (i, PERIPHERAL_CLOCK_PORT.to_string()),
+                    from: Endpoint::resolve(clock_idx, "val", &slots),
+                    to: Endpoint::resolve(i, PERIPHERAL_CLOCK_PORT, &slots),
                     last: None,
                 });
             }
@@ -1623,6 +1653,7 @@ impl Runtime {
         self.clock_idx = clock_idx;
         self.main_idx = main_idx;
         self.hw_design = hw_design;
+        self.rebind_tap();
 
         // 5. Mark one-shot items executed (they ran during engine init) and
         // surface their output.
@@ -1764,21 +1795,48 @@ impl Runtime {
     /// anything moved.
     fn propagate(&mut self) -> bool {
         // Field-level split borrow: wires are walked mutably while slots
-        // are indexed — port names stay borrowed, not cloned, because this
-        // runs several times per scheduler iteration.
+        // are indexed. This runs several times per scheduler iteration, so
+        // it touches handles only — no name is looked up here.
         let mut moved = false;
         for w in &mut self.wires {
-            let (from_idx, from_port) = &w.from;
-            let value = self.slots[*from_idx].engine.output(from_port);
+            let value = self.slots[w.from.slot].engine.output(w.from.port);
             if w.last.as_ref() == Some(&value) {
                 continue;
             }
-            let (to_idx, to_port) = &w.to;
-            self.slots[*to_idx].engine.read(to_port, &value);
+            self.slots[w.to.slot].engine.read(w.to.port, &value);
             w.last = Some(value);
             moved = true;
         }
         moved
+    }
+
+    /// Re-resolves every handle naming a port of slot `idx`, whose engine
+    /// was just replaced: the wire ends there, and the waveform tap when
+    /// it is the main engine.
+    fn rebind(&mut self, idx: usize) {
+        let engine = self.slots[idx].engine.as_ref();
+        for w in &mut self.wires {
+            for end in [&mut w.from, &mut w.to] {
+                if end.slot == idx {
+                    end.port = engine.port(&end.name);
+                }
+            }
+        }
+        if self.main_idx == Some(idx) {
+            self.rebind_tap();
+        }
+    }
+
+    /// Re-resolves the waveform tap's names against the current main
+    /// engine. A signal that engine cannot see resolves to
+    /// [`PortId::NONE`] and samples zero-width.
+    fn rebind_tap(&mut self) {
+        if let (Some(tap), Some(idx)) = (&mut self.vcd, self.main_idx) {
+            let main = &self.slots[idx].engine;
+            for (name, port) in &mut tap.ports {
+                *port = main.port(name);
+            }
+        }
     }
 
     fn collect_interrupts(&mut self) {
@@ -1817,9 +1875,8 @@ impl Runtime {
     }
 
     fn charge_costs(&mut self) {
-        let costs = self.config.costs.clone();
         for slot in &mut self.slots {
-            let ns = slot.engine.take_cost_ns(&costs);
+            let ns = slot.engine.take_cost_ns(&self.config.costs);
             self.wall.advance_ns(ns);
         }
     }
@@ -2183,10 +2240,11 @@ impl Runtime {
             hw.set_eval_threads(self.config.eval_threads);
         }
         self.slots[main_idx].engine = Box::new(hw);
+        self.rebind(main_idx);
         // Reset wire caches so current values are re-broadcast into the new
         // engine.
         for w in &mut self.wires {
-            if w.to.0 == main_idx {
+            if w.to.slot == main_idx {
                 w.last = None;
             }
         }
@@ -2252,11 +2310,11 @@ impl Runtime {
             let mut drives = Vec::new();
             let mut feeds = Vec::new();
             for w in &self.wires {
-                if w.from.0 == main_idx && w.to.0 == pi {
-                    drives.push((w.from.1.clone(), w.to.1.clone()));
+                if w.from.slot == main_idx && w.to.slot == pi {
+                    drives.push((w.from.name.clone(), w.to.name.clone()));
                 }
-                if w.from.0 == pi && w.to.0 == main_idx {
-                    feeds.push((w.from.1.clone(), w.to.1.clone()));
+                if w.from.slot == pi && w.to.slot == main_idx {
+                    feeds.push((w.from.name.clone(), w.to.name.clone()));
                 }
             }
             // Replace the slot's engine with a placeholder and take the
@@ -2301,10 +2359,10 @@ impl Runtime {
             ));
         }
         self.wires
-            .retain(|w| remap.contains_key(&w.from.0) && remap.contains_key(&w.to.0));
+            .retain(|w| remap.contains_key(&w.from.slot) && remap.contains_key(&w.to.slot));
         for w in &mut self.wires {
-            w.from.0 = remap[&w.from.0];
-            w.to.0 = remap[&w.to.0];
+            w.from.slot = remap[&w.from.slot];
+            w.to.slot = remap[&w.to.slot];
         }
         self.slots = new_slots;
         self.clock_idx = 0;
@@ -2525,16 +2583,15 @@ fn root_externals(
 // ---------------------------------------------------------------------
 
 fn as_hw(engine: &mut Box<dyn Engine>) -> Option<&mut HwEngine> {
-    engine.as_any_mut().downcast_mut::<HwEngine>()
+    (engine.as_mut() as &mut dyn Any).downcast_mut()
 }
 
 fn as_sw(engine: &mut Box<dyn Engine>) -> Option<&mut SwEngine> {
-    engine.as_any_mut().downcast_mut::<SwEngine>()
+    (engine.as_mut() as &mut dyn Any).downcast_mut()
 }
 
 fn into_peripheral(engine: Box<dyn Engine>) -> Option<Box<dyn cascade_stdlib::Peripheral>> {
-    engine
-        .into_any()
+    (engine as Box<dyn Any>)
         .downcast::<PeripheralEngine>()
         .ok()
         .map(|p| p.into_peripheral())

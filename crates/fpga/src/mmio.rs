@@ -9,7 +9,7 @@
 //! spatial overhead (2.9× for proof-of-work, Sec. 6.1).
 
 use cascade_bits::Bits;
-use cascade_netlist::{Netlist, NetlistSim, RegId, TaskFire, TaskKind};
+use cascade_netlist::{NetId, Netlist, NetlistSim, RegId, TaskFire, TaskKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -30,15 +30,17 @@ pub enum Ctrl {
     Tasks,
 }
 
-/// What a data address refers to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a data address refers to. Slots carry the evaluator handle they
+/// stand for — names are resolved once, when the map is built — so a bus
+/// access is an index, not a lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slot {
     /// A top-level input net (writable).
-    Input(String),
+    Input(NetId),
     /// A readable net (outputs, display arguments).
-    Output(String),
+    Output(NetId),
     /// A register (readable and writable — `get_state`/`set_state`).
-    State(RegId, String),
+    State(RegId),
 }
 
 /// The memory map of a wrapped subprogram.
@@ -50,7 +52,7 @@ pub struct AddressMap {
 
 impl AddressMap {
     /// Builds the canonical map for a netlist: inputs, then state, then
-    /// outputs.
+    /// outputs. When two signals share a name the first mapped wins.
     pub fn for_netlist(nl: &Netlist) -> AddressMap {
         let mut map = AddressMap::default();
         for &input in &nl.inputs {
@@ -58,35 +60,32 @@ impl AddressMap {
                 .name
                 .clone()
                 .unwrap_or_else(|| format!("in{}", input.0));
-            map.push(Slot::Input(name));
+            map.push(name, Slot::Input(input));
         }
         for (i, reg) in nl.regs.iter().enumerate() {
             let name = reg.name.clone().unwrap_or_else(|| format!("reg{i}"));
-            map.push(Slot::State(RegId(i as u32), name));
+            map.push(name, Slot::State(RegId(i as u32)));
         }
-        for (name, _) in &nl.outputs {
-            map.push(Slot::Output(name.clone()));
+        for (name, net) in &nl.outputs {
+            map.push(name.clone(), Slot::Output(*net));
         }
         map
     }
 
-    fn push(&mut self, slot: Slot) {
-        let name = match &slot {
-            Slot::Input(n) | Slot::Output(n) => n.clone(),
-            Slot::State(_, n) => n.clone(),
-        };
+    fn push(&mut self, name: String, slot: Slot) {
         self.by_name.entry(name).or_insert(self.slots.len() as u32);
         self.slots.push(slot);
     }
 
-    /// The address of a named signal.
+    /// The address of a named signal. Wiring-time only: callers keep the
+    /// address and use it for every later access.
     pub fn addr(&self, name: &str) -> Option<u32> {
         self.by_name.get(name).copied()
     }
 
     /// The slot at an address.
-    pub fn slot(&self, addr: u32) -> Option<&Slot> {
-        self.slots.get(addr as usize)
+    pub fn slot(&self, addr: u32) -> Option<Slot> {
+        self.slots.get(addr as usize).copied()
     }
 
     /// Number of mapped addresses.
@@ -97,14 +96,6 @@ impl AddressMap {
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Iterates over all state slots.
-    pub fn state_slots(&self) -> impl Iterator<Item = (u32, RegId, &str)> {
-        self.slots.iter().enumerate().filter_map(|(a, s)| match s {
-            Slot::State(r, n) => Some((a as u32, *r, n.as_str())),
-            _ => None,
-        })
     }
 }
 
@@ -178,15 +169,21 @@ impl MmioCore {
         self.transactions
     }
 
+    /// The net behind a data address (a state slot's register output),
+    /// for on-fabric connections that bypass the bus.
+    pub fn net(&self, addr: u32) -> Option<NetId> {
+        Some(match self.map.slot(addr)? {
+            Slot::Input(net) | Slot::Output(net) => net,
+            Slot::State(reg) => self.sim.netlist().regs[reg.0 as usize].q,
+        })
+    }
+
     /// Reads a data address.
     pub fn read(&mut self, addr: u32) -> Bits {
         self.transactions += 1;
         match self.map.slot(addr) {
-            Some(Slot::Input(name)) | Some(Slot::Output(name)) => {
-                let name = name.clone();
-                self.sim.get_by_name(&name).unwrap_or_default()
-            }
-            Some(Slot::State(reg, _)) => self.sim.read_reg(*reg),
+            Some(Slot::Input(net) | Slot::Output(net)) => self.sim.get(net),
+            Some(Slot::State(reg)) => self.sim.read_reg(reg),
             None => Bits::zero(32),
         }
     }
@@ -194,9 +191,9 @@ impl MmioCore {
     /// Writes a data address.
     pub fn write(&mut self, addr: u32, value: Bits) {
         self.transactions += 1;
-        match self.map.slot(addr).cloned() {
-            Some(Slot::Input(name)) => self.sim.set_by_name(&name, value),
-            Some(Slot::State(reg, _)) => {
+        match self.map.slot(addr) {
+            Some(Slot::Input(net)) => self.sim.set_input(net, value),
+            Some(Slot::State(reg)) => {
                 self.sim.write_reg(reg, value);
                 self.sim.settle();
             }

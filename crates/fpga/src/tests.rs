@@ -304,3 +304,43 @@ fn cost_model_defaults_are_sane() {
         "reprogramming takes less than a millisecond"
     );
 }
+
+/// An output (or input) is its `NetId`, not whatever net happens to carry
+/// its name: the output net here is unnamed, an earlier unrelated net bears
+/// the output's name, and the input net is unnamed too.
+#[test]
+fn mmio_addresses_resolve_through_net_ids_not_names() {
+    use cascade_netlist::{Cell, CellOp, Def, NetId, NetInfo, Netlist};
+    let net = |width, name: Option<&str>, def| NetInfo {
+        width,
+        name: name.map(str::to_string),
+        def,
+    };
+    let nl = Netlist {
+        nets: vec![
+            net(8, Some("o"), Def::Const(Bits::from_u64(8, 0xee))), // decoy
+            net(8, None, Def::Input),
+            net(8, None, Def::Const(Bits::from_u64(8, 1))),
+            net(
+                8,
+                None,
+                Def::Cell(Cell {
+                    op: CellOp::Add,
+                    inputs: vec![NetId(1), NetId(2)],
+                }),
+            ),
+        ],
+        inputs: vec![NetId(1)],
+        outputs: vec![("o".to_string(), NetId(3))],
+        name: "Inc".to_string(),
+        ..Netlist::default()
+    };
+    let mut core = MmioCore::new(Arc::new(nl)).expect("acyclic");
+    let i = core.map().addr("in1").expect("unnamed input mapped");
+    let o = core.map().addr("o").expect("output mapped");
+    core.write(i, Bits::from_u64(8, 41));
+    let v = core.read(o);
+    assert_eq!((v.width(), v.to_u64()), (8, 42));
+    assert_eq!(core.read(i).to_u64(), 41);
+    assert_eq!(core.net(o), Some(NetId(3)));
+}

@@ -1,6 +1,10 @@
 //! Concrete standard-library components.
+//!
+//! The handles `output` and `set_input` match on are indices into the
+//! component's `ports()` table, which lists its ports in the order
+//! `STDLIB_DECLARATIONS` declares them.
 
-use crate::Peripheral;
+use crate::{Peripheral, PortId};
 use cascade_bits::Bits;
 use cascade_fpga::Board;
 use std::collections::BTreeMap;
@@ -26,11 +30,18 @@ impl Peripheral for Pad {
         "Pad"
     }
 
-    fn outputs(&self) -> Vec<(String, Bits)> {
-        vec![("val".to_string(), self.val.clone())]
+    fn ports(&self) -> &'static [&'static str] {
+        &["val"]
     }
 
-    fn set_input(&mut self, _port: &str, _value: &Bits) {}
+    fn output(&self, port: PortId) -> Bits {
+        match port.0 {
+            0 => self.val.clone(),
+            _ => Bits::default(),
+        }
+    }
+
+    fn set_input(&mut self, _port: PortId, _value: &Bits) {}
 
     fn end_step(&mut self) {
         self.val = self.board.buttons().resize(self.width);
@@ -61,12 +72,16 @@ impl Peripheral for Led {
         "Led"
     }
 
-    fn outputs(&self) -> Vec<(String, Bits)> {
-        Vec::new()
+    fn ports(&self) -> &'static [&'static str] {
+        &["val"]
     }
 
-    fn set_input(&mut self, port: &str, value: &Bits) {
-        if port == "val" {
+    fn output(&self, _port: PortId) -> Bits {
+        Bits::default()
+    }
+
+    fn set_input(&mut self, port: PortId, value: &Bits) {
+        if port.0 == 0 {
             self.val = value.resize(self.width);
             self.board.write_leds(self.val.clone());
         }
@@ -93,11 +108,18 @@ impl Peripheral for Reset {
         "Reset"
     }
 
-    fn outputs(&self) -> Vec<(String, Bits)> {
-        vec![("val".to_string(), Bits::from_bool(self.val))]
+    fn ports(&self) -> &'static [&'static str] {
+        &["val"]
     }
 
-    fn set_input(&mut self, _port: &str, _value: &Bits) {}
+    fn output(&self, port: PortId) -> Bits {
+        match port.0 {
+            0 => Bits::from_bool(self.val),
+            _ => Bits::default(),
+        }
+    }
+
+    fn set_input(&mut self, _port: PortId, _value: &Bits) {}
 
     fn end_step(&mut self) {
         self.val = self.board.reset();
@@ -129,12 +151,19 @@ impl Peripheral for Gpio {
         "GPIO"
     }
 
-    fn outputs(&self) -> Vec<(String, Bits)> {
-        vec![("in".to_string(), self.in_val.clone())]
+    fn ports(&self) -> &'static [&'static str] {
+        &["out", "in"]
     }
 
-    fn set_input(&mut self, port: &str, value: &Bits) {
-        if port == "out" {
+    fn output(&self, port: PortId) -> Bits {
+        match port.0 {
+            1 => self.in_val.clone(),
+            _ => Bits::default(),
+        }
+    }
+
+    fn set_input(&mut self, port: PortId, value: &Bits) {
+        if port.0 == 0 {
             self.board.write_gpio(value.resize(self.width));
         }
     }
@@ -177,21 +206,27 @@ impl Peripheral for Memory {
         "Memory"
     }
 
-    fn outputs(&self) -> Vec<(String, Bits)> {
-        let rdata = self
-            .words
-            .get(self.raddr as usize)
-            .cloned()
-            .unwrap_or_else(|| Bits::zero(self.width));
-        vec![("rdata".to_string(), rdata)]
+    fn ports(&self) -> &'static [&'static str] {
+        &["raddr", "rdata", "wen", "waddr", "wdata"]
     }
 
-    fn set_input(&mut self, port: &str, value: &Bits) {
-        match port {
-            "raddr" => self.raddr = value.to_u64() & ((1 << self.addr_width.min(63)) - 1),
-            "wen" => self.wen = value.to_bool(),
-            "waddr" => self.waddr = value.to_u64() & ((1 << self.addr_width.min(63)) - 1),
-            "wdata" => self.wdata = value.resize(self.width),
+    fn output(&self, port: PortId) -> Bits {
+        match port.0 {
+            1 => self
+                .words
+                .get(self.raddr as usize)
+                .cloned()
+                .unwrap_or_else(|| Bits::zero(self.width)),
+            _ => Bits::default(),
+        }
+    }
+
+    fn set_input(&mut self, port: PortId, value: &Bits) {
+        match port.0 {
+            0 => self.raddr = value.to_u64() & ((1 << self.addr_width.min(63)) - 1),
+            2 => self.wen = value.to_bool(),
+            3 => self.waddr = value.to_u64() & ((1 << self.addr_width.min(63)) - 1),
+            4 => self.wdata = value.resize(self.width),
             _ => {}
         }
     }
@@ -252,22 +287,24 @@ impl Peripheral for Fifo {
         "FIFO"
     }
 
-    fn outputs(&self) -> Vec<(String, Bits)> {
-        vec![
-            ("rdata".to_string(), self.rdata.clone()),
-            (
-                "empty".to_string(),
-                Bits::from_bool(!self.board.fifo_nonempty()),
-            ),
-            ("full".to_string(), Bits::from_bool(self.board.fifo_full())),
-        ]
+    fn ports(&self) -> &'static [&'static str] {
+        &["rreq", "rdata", "empty", "wreq", "wdata", "full"]
     }
 
-    fn set_input(&mut self, port: &str, value: &Bits) {
-        match port {
-            "rreq" => self.rreq = value.to_bool(),
-            "wreq" => self.wreq = value.to_bool(),
-            "wdata" => self.wdata = value.resize(self.width),
+    fn output(&self, port: PortId) -> Bits {
+        match port.0 {
+            1 => self.rdata.clone(),
+            2 => Bits::from_bool(!self.board.fifo_nonempty()),
+            5 => Bits::from_bool(self.board.fifo_full()),
+            _ => Bits::default(),
+        }
+    }
+
+    fn set_input(&mut self, port: PortId, value: &Bits) {
+        match port.0 {
+            0 => self.rreq = value.to_bool(),
+            3 => self.wreq = value.to_bool(),
+            4 => self.wdata = value.resize(self.width),
             _ => {}
         }
     }

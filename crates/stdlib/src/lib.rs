@@ -82,6 +82,18 @@ pub fn stdlib_modules() -> Vec<Module> {
         .collect()
 }
 
+/// An integer handle for one port of a component (or of an engine in the
+/// runtime's ABI): the port's name is resolved to it once, when engines
+/// are wired, and every per-tick exchange addresses the port by handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortId(pub u32);
+
+impl PortId {
+    /// What an unknown name resolves to: reads as a zero-width value,
+    /// writes are dropped.
+    pub const NONE: PortId = PortId(u32::MAX);
+}
+
 /// A standard-library component instance: Rust-implemented behaviour behind
 /// a Verilog port interface.
 ///
@@ -92,11 +104,24 @@ pub trait Peripheral: Send {
     /// The stdlib module type this instance implements.
     fn module_name(&self) -> &'static str;
 
-    /// Current values of all output ports.
-    fn outputs(&self) -> Vec<(String, Bits)>;
+    /// The component's fixed port table, in declaration order: a port's
+    /// index here is its [`PortId`].
+    fn ports(&self) -> &'static [&'static str];
 
-    /// Drives one input port.
-    fn set_input(&mut self, port: &str, value: &Bits);
+    /// Resolves a port name to its handle ([`PortId::NONE`] when the
+    /// component has no such port). Wiring-time only.
+    fn port(&self, name: &str) -> PortId {
+        self.ports()
+            .iter()
+            .position(|p| *p == name)
+            .map_or(PortId::NONE, |i| PortId(i as u32))
+    }
+
+    /// Current value of one output port (zero-width for anything else).
+    fn output(&self, port: PortId) -> Bits;
+
+    /// Drives one input port (anything else is ignored).
+    fn set_input(&mut self, port: PortId, value: &Bits);
 
     /// Called at each rising edge of the virtual clock (synchronous
     /// behaviour such as FIFO pops).

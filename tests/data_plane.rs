@@ -1,0 +1,525 @@
+//! The data plane is index-addressed: names are resolved when engines are
+//! wired, and a tick touches integer handles only. Three properties pin
+//! that down — a tick allocates nothing, the *modeled* machine is the one
+//! the by-name data plane simulated (same virtual clock, same counters,
+//! same trace), and a name that cannot be resolved is dealt with at the
+//! wiring site, never on the tick path.
+
+use cascade_bits::{Bits, Prng};
+use cascade_core::{ExecMode, JitConfig, Runtime};
+use cascade_fpga::{Board, FaultPlan};
+use cascade_serve::{InProcClient, ServeConfig, Server};
+use cascade_workloads::regex::{compile, matcher_verilog, Flavor as RegexFlavor};
+use cascade_workloads::sha256::{miner_verilog, Flavor as MinerFlavor, MinerConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+// ---------------------------------------------------------------------
+// A per-thread counting allocator (the `tests/trace_pipeline.rs` pattern:
+// sibling tests allocate freely on their own threads).
+// ---------------------------------------------------------------------
+
+struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations (and reallocations) made by the calling thread in `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+// ---------------------------------------------------------------------
+// Shared fixtures
+// ---------------------------------------------------------------------
+
+const PATTERN: &str = "GET |POST ";
+const STREAM: &[u8] = b"GET /index HTTP POST /x GET  PUT POST!POST ";
+
+/// The Fig. 12 matcher: tiny logic behind the board FIFO.
+fn matcher_src() -> String {
+    matcher_verilog(&compile(PATTERN).expect("pattern"), RegexFlavor::Cascade)
+}
+
+/// The Fig. 11 miner with a target no nonce in these windows meets, so
+/// `$finish` never cuts a window short.
+fn miner_src() -> String {
+    let cfg = MinerConfig {
+        data: 0x5eed_b10c,
+        target: 1,
+        start_nonce: 0,
+        announce: true,
+        use_functions: false,
+    };
+    miner_verilog(&cfg, MinerFlavor::Cascade)
+}
+
+fn push_stream(board: &Board, tokens: usize) {
+    for i in 0..tokens {
+        assert!(board.fifo_push(Bits::from_u64(8, STREAM[i % STREAM.len()] as u64)));
+    }
+}
+
+/// Lands the in-flight background compile: all waiting is in modeled
+/// time, so the promotion tick is the same on every host.
+fn promote(rt: &mut Runtime) {
+    rt.wait_for_compile_worker();
+    let ready = rt.compile_ready_at().expect("compile staged");
+    rt.advance_wall((ready - rt.wall_seconds()).max(0.0) + 1.0);
+    rt.run_ticks(1).expect("promotion tick");
+}
+
+// ---------------------------------------------------------------------
+// Modeled time is pinned
+// ---------------------------------------------------------------------
+
+/// Everything the modeled machine reports after a script. `wall_bits` is
+/// `wall_seconds().to_bits()`: the virtual clock is compared to the last
+/// bit, not to a tolerance.
+#[derive(Debug, PartialEq, Eq)]
+struct Modeled {
+    wall_bits: u64,
+    ticks: u64,
+    hw_promotions: u64,
+    scrubs: u64,
+    checkpoints_taken: u64,
+    checkpoints_restored: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    fifo_pops: u64,
+    leds: u64,
+    output_lines: usize,
+}
+
+fn modeled(rt: &mut Runtime, board: &Board) -> Modeled {
+    let s = rt.stats();
+    Modeled {
+        wall_bits: rt.wall_seconds().to_bits(),
+        ticks: rt.ticks(),
+        hw_promotions: s.hw_promotions,
+        scrubs: s.scrubs,
+        checkpoints_taken: s.checkpoints_taken,
+        checkpoints_restored: s.checkpoints_restored,
+        cache_hits: s.compile_cache_hits,
+        cache_misses: s.compile_cache_misses,
+        fifo_pops: board.fifo_pops(),
+        leds: board.leds().to_u64(),
+        output_lines: rt.drain_output().len(),
+    }
+}
+
+/// eval → software window → promote → hardware window (crossing a scrub
+/// boundary) → edit → software window → promote → hardware window.
+fn edit_loop_script(src: &str, edit: &str, feed: bool) -> Modeled {
+    let board = Board::new();
+    board.set_fifo_capacity(1 << 14);
+    let mut rt = Runtime::new(board.clone(), JitConfig::default()).expect("runtime");
+    rt.eval(src).expect("eval");
+    let feed = |n| {
+        if feed {
+            push_stream(&board, n)
+        }
+    };
+    feed(150);
+    rt.run_ticks(200).expect("software window");
+    assert_eq!(rt.mode(), ExecMode::Software);
+    promote(&mut rt);
+    assert_eq!(rt.mode(), ExecMode::HardwareForwarded);
+    feed(3000);
+    rt.run_ticks(5000).expect("hardware window");
+    rt.eval(edit).expect("edit");
+    assert_eq!(rt.mode(), ExecMode::Software);
+    feed(100);
+    rt.run_ticks(120).expect("software window after the edit");
+    promote(&mut rt);
+    assert_eq!(rt.mode(), ExecMode::HardwareForwarded);
+    feed(3000);
+    rt.run_ticks(5000).expect("hardware window after the edit");
+    assert!(!rt.is_finished());
+    modeled(&mut rt, &board)
+}
+
+const EDIT: &str = "reg [7:0] extra = 0;\n\
+                    always @(posedge clk.val) extra <= extra + 8'd3;";
+
+/// The simulator got faster; the simulated machine did not change. Both
+/// constants were captured at the parent commit (by-name data plane).
+#[test]
+fn modeled_machine_is_the_parents_across_an_edit_loop() {
+    let common = Modeled {
+        wall_bits: 0,
+        ticks: 10_322,
+        hw_promotions: 2,
+        scrubs: 7,
+        checkpoints_taken: 9,
+        checkpoints_restored: 0,
+        cache_hits: 0,
+        cache_misses: 2,
+        fifo_pops: 0,
+        leds: 0,
+        output_lines: 0,
+    };
+    assert_eq!(
+        edit_loop_script(&matcher_src(), EDIT, true),
+        Modeled {
+            wall_bits: 4646612836006068967,
+            fifo_pops: 6250,
+            leds: 69,
+            ..common
+        },
+        "regex matcher over the FIFO"
+    );
+    assert_eq!(
+        edit_loop_script(&miner_src(), EDIT, false),
+        Modeled {
+            wall_bits: 4653853822921614763,
+            leds: 156,
+            ..common
+        },
+        "SHA-256 miner"
+    );
+}
+
+// ---------------------------------------------------------------------
+// A faulted serve session's virtual-time trace
+// ---------------------------------------------------------------------
+
+const COUNTER_MODULE: &str = "module Counter(input wire c);\n\
+      reg [15:0] cnt = 0;\n\
+      always @(posedge c) cnt <= cnt + 1;\n\
+      always @(posedge c) if (cnt[2:0] == 3'd7) $display(\"c=%d\", cnt);\n\
+    endmodule";
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A seeded fault schedule of the kinds a session meets on its own
+/// thread: transient toolchain failures (retried with backoff) and soft
+/// errors at clean scrubs (rollback, replay, re-promotion). Lease
+/// revocations and fabric losses are left out — the sweeper thread
+/// services those between requests, so where they land in the trace
+/// depends on the host's scheduling, not on the data plane.
+fn seeded_faults(seed: u64) -> FaultPlan {
+    let mut rng = Prng::new(seed);
+    let mut plan = FaultPlan::builder().toolchain_transient(1 + rng.next_u64() % 2);
+    for occ in 1..=24 {
+        if rng.chance(1, 3) {
+            plan = plan.scrub_soft_error(occ, rng.next_u64());
+        }
+    }
+    plan.build()
+}
+
+/// One serve session under [`seeded_faults`], driven by a fixed command
+/// script; returns the `VirtualOnly` trace export. The background compile
+/// is settled before every tick so its outcome lands at a modeled time,
+/// not at whatever tick the host happened to finish the worker.
+fn faulted_serve_trace(seed: u64) -> String {
+    let mut config = ServeConfig::quick();
+    config.fabrics = 1;
+    config.workers = 1;
+    // No idle scans: the sweeper servicing a pending promotion between two
+    // requests would strip that event's request attribution.
+    config.sweeper_poll_ms = 3_600_000;
+    config.jit.scrub_interval_ticks = 8;
+    config.jit.faults = seeded_faults(seed);
+    let server = Server::new(config);
+    let mut c = InProcClient::connect(&server);
+    c.open().expect("open");
+    c.eval_all(COUNTER_MODULE).expect("eval module");
+    c.eval_all("Counter c0(.c(clk.val));").expect("eval inst");
+    for _ in 0..160 {
+        c.wait_compile().expect("wait compile");
+        c.run(1).expect("run");
+    }
+    let (jsonl, dropped) = c.trace_jsonl(true).expect("trace export");
+    assert_eq!(dropped, 0);
+    jsonl
+}
+
+/// `(seed, export length, FNV-1a of the export)` at the parent commit.
+const PARENT_TRACES: [(u64, usize, u64); 4] = [
+    (3, 31221, 0x892d_5a11_a04d_9470),
+    (11, 31221, 0xdec2_6ce2_f5e7_8b31),
+    (29, 33458, 0x4f2f_b2ed_b34a_3a9f),
+    (77, 34175, 0x177a_cfc7_6421_8677),
+];
+
+#[test]
+fn faulted_serve_trace_is_byte_identical_to_the_parents() {
+    for (seed, len, hash) in PARENT_TRACES {
+        let jsonl = faulted_serve_trace(seed);
+        assert!(jsonl.contains("\"name\":\"rollback\""), "seed {seed}");
+        assert_eq!(
+            (jsonl.len(), fnv1a(&jsonl)),
+            (len, hash),
+            "seed {seed}: virtual-time export differs from the parent commit's"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Allocation budget: a tick allocates nothing
+// ---------------------------------------------------------------------
+
+/// A configuration whose runs cross no checkpoint or scrub boundary (both
+/// snapshot every engine, which allocates by design).
+fn no_boundaries(open_loop: bool) -> JitConfig {
+    JitConfig {
+        open_loop,
+        scrub_interval_ticks: 0,
+        checkpoint_interval_ticks: 0,
+        ..JitConfig::default()
+    }
+}
+
+/// Warms `rt` up (buffers reach their steady capacity), then counts the
+/// allocations of a 2000-tick window. Tokens are queued beforehand: the
+/// host's pushes are not the data plane's.
+fn allocations_per_window(rt: &mut Runtime, board: &Board, feed: bool) -> u64 {
+    if feed {
+        push_stream(board, 3000);
+    }
+    rt.run_ticks(500).expect("warm-up");
+    let before = rt.ticks();
+    let allocs = allocations_in(|| {
+        rt.run_ticks(2000).expect("measured window");
+    });
+    assert_eq!(rt.ticks() - before, 2000);
+    if feed {
+        assert!(board.fifo_pops() >= 2400, "the FIFO was exercised");
+    }
+    allocs
+}
+
+/// (a) Software engines, the FIFO a peripheral engine on the data plane:
+/// every token crosses `propagate`.
+#[test]
+fn software_ticks_with_a_fifo_on_the_data_plane_allocate_nothing() {
+    let board = Board::new();
+    board.set_fifo_capacity(1 << 14);
+    let config = JitConfig {
+        auto_compile: false,
+        ..no_boundaries(true)
+    };
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(&matcher_src()).expect("eval");
+    assert_eq!(rt.mode(), ExecMode::Software);
+    assert_eq!(allocations_per_window(&mut rt, &board, true), 0);
+    assert_eq!(rt.mode(), ExecMode::Software);
+}
+
+/// (b) Hardware with the stdlib absorbed, in the miner's shape (`Led`)
+/// and the matcher's (`FIFO`), both through open-loop batches and through
+/// the scheduler's own tick.
+#[test]
+fn hardware_forwarded_ticks_allocate_nothing() {
+    for (what, src, feed) in [
+        ("miner", miner_src(), false),
+        ("matcher", matcher_src(), true),
+    ] {
+        for open_loop in [true, false] {
+            let board = Board::new();
+            board.set_fifo_capacity(1 << 14);
+            let mut rt = Runtime::new(board.clone(), no_boundaries(open_loop)).expect("runtime");
+            rt.eval(&src).expect("eval");
+            promote(&mut rt);
+            assert_eq!(rt.mode(), ExecMode::HardwareForwarded);
+            assert_eq!(
+                allocations_per_window(&mut rt, &board, feed),
+                0,
+                "{what}, open_loop {open_loop}"
+            );
+            assert_eq!(rt.stats().open_loop_active, open_loop, "{what}");
+        }
+    }
+}
+
+/// (c) Native mode with a peripheral wired straight to the netlist.
+#[test]
+fn native_ticks_with_a_peripheral_allocate_nothing() {
+    let board = Board::new();
+    board.set_fifo_capacity(1 << 14);
+    let mut config = no_boundaries(true);
+    config.auto_compile = false;
+    config.toolchain.time_scale = 1e-6;
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(&matcher_src()).expect("eval");
+    rt.enter_native().expect("native");
+    assert_eq!(rt.mode(), ExecMode::Native);
+    assert_eq!(allocations_per_window(&mut rt, &board, true), 0);
+}
+
+// ---------------------------------------------------------------------
+// Handle resolution is total: one case per wiring site
+// ---------------------------------------------------------------------
+
+const LED_COUNTER: &str = "reg [7:0] cnt = 0;\n\
+                           wire odd = cnt[0];\n\
+                           always @(posedge clk.val) cnt <= cnt + 1;\n\
+                           assign led.val = cnt;";
+
+fn scratch_file(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("data_plane_{}_{name}", std::process::id()));
+    path.to_str().expect("utf-8 temp dir").to_string()
+}
+
+/// `rebuild_from`: a wire to a port that does not exist never reaches the
+/// data plane — the eval that asks for it is refused and the program it
+/// would have extended keeps running.
+#[test]
+fn rebuild_rejects_a_wire_to_an_unknown_port() {
+    let board = Board::new();
+    let config = JitConfig {
+        auto_compile: false,
+        ..JitConfig::default()
+    };
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(LED_COUNTER).expect("eval");
+    assert!(rt.eval("assign led.ghost = cnt;").is_err());
+    assert!(rt.eval("assign gpio.out = ghost.val;").is_err());
+    rt.run_ticks(5).expect("run");
+    assert_eq!(board.leds().to_u64(), 5);
+    // A per-request probe of an unknown name reads zero-width, as ever.
+    assert_eq!(rt.probe("ghost").map_or(0, |b| b.width()), 0);
+    assert_eq!(rt.probe("cnt").map(|b| b.to_u64()), Some(5));
+}
+
+/// `vcd_start`: an unknown port is refused before any file is created.
+#[test]
+fn vcd_start_rejects_an_unknown_port() {
+    let mut rt = Runtime::new(Board::new(), JitConfig::default()).expect("runtime");
+    rt.eval(LED_COUNTER).expect("eval");
+    let path = scratch_file("ghost.vcd");
+    let err = rt
+        .vcd_start(&path, &["cnt".to_string(), "ghost".to_string()])
+        .expect_err("unknown port");
+    assert!(err.to_string().contains("unknown port `ghost`"), "{err}");
+    assert!(!rt.vcd_active());
+    assert!(!std::path::Path::new(&path).exists());
+    rt.run_ticks(3).expect("run");
+}
+
+/// `swap_to_hardware`, then `rebuild_from` again: a tapped name the new
+/// main engine cannot see (an internal wire has no MMIO address) goes
+/// stale at the swap and comes back at the rebuild; every tick in between
+/// samples it zero-width instead of chasing a handle the old engine issued.
+#[test]
+fn a_tapped_signal_going_stale_at_promotion_never_reaches_the_tick_path() {
+    let mut rt = Runtime::new(Board::new(), JitConfig::default()).expect("runtime");
+    rt.eval(LED_COUNTER).expect("eval");
+    let path = scratch_file("stale.vcd");
+    rt.vcd_start(&path, &["cnt".to_string(), "odd".to_string()])
+        .expect("both visible in software");
+    rt.run_ticks(4).expect("software");
+    promote(&mut rt);
+    assert_eq!(rt.mode(), ExecMode::HardwareForwarded);
+    assert_eq!(
+        rt.probe("odd").map_or(0, |b| b.width()),
+        0,
+        "stale in hardware"
+    );
+    rt.run_ticks(4).expect("hardware");
+    rt.eval(EDIT).expect("edit");
+    assert_eq!(rt.mode(), ExecMode::Software);
+    rt.run_ticks(4).expect("software again");
+    assert_eq!(rt.probe("cnt").map(|b| b.to_u64()), Some(13));
+    assert_eq!(rt.vcd_stop().as_deref(), Some(path.as_str()));
+    let vcd = std::fs::read_to_string(&path).expect("dump");
+    let _ = std::fs::remove_file(&path);
+    assert!(vcd.contains("$var wire 8 \" cnt $end"), "{vcd}");
+    assert!(vcd.contains("$var wire 1 # odd $end"), "{vcd}");
+    assert!(vcd.contains("b0 #"), "zero-width while stale:\n{vcd}");
+    assert!(
+        vcd.ends_with("#13\nb00001101 \"\n1#\n"),
+        "cnt = 13, odd:\n{vcd}"
+    );
+}
+
+/// `absorb` and `NativeEngine::new`: a forwarded binding either side
+/// cannot resolve — the engine port was optimised away, the component has
+/// no such port — is dropped when the table is built; the bindings that
+/// do resolve work, and no handle an engine did not issue can panic it.
+#[test]
+fn forwarded_bindings_to_missing_ports_are_skipped_when_absorbed() {
+    use cascade_core::engine::hw::{Forwarded, HwEngine};
+    use cascade_core::engine::native::NativeEngine;
+    use cascade_core::engine::PortId;
+    use cascade_core::Engine;
+    use std::sync::Arc;
+
+    let lib = cascade_sim::library_from_source(
+        "module Sub(input wire clk_val, output wire [7:0] led_val);\n\
+           reg [7:0] cnt = 0;\n\
+           always @(posedge clk_val) cnt <= cnt + 1;\n\
+           assign led_val = cnt;\n\
+         endmodule",
+    )
+    .expect("parse");
+    let design = cascade_sim::elaborate("Sub", &lib, &Default::default()).expect("elaborate");
+    let netlist = Arc::new(cascade_netlist::synthesize(&design).expect("synthesize"));
+    let name = |a: &str, b: &str| (a.to_string(), b.to_string());
+    let forwarded = |board: &Board| {
+        vec![Forwarded {
+            instance: "led".to_string(),
+            peripheral: Box::new(cascade_stdlib::Led::new(board.clone(), 8)),
+            drives: vec![
+                name("ghost", "val"),
+                name("led_val", "ghost"),
+                name("led_val", "val"),
+            ],
+            feeds: vec![name("val", "ghost_in"), name("ghost", "clk_val")],
+        }]
+    };
+
+    let board = Board::new();
+    let mut hw = HwEngine::new(Arc::clone(&netlist)).expect("hw engine");
+    hw.absorb(forwarded(&board));
+    assert_eq!(hw.open_loop(5), 5);
+    assert_eq!(board.leds().to_u64(), 5);
+
+    let board = Board::new();
+    let mut native = NativeEngine::new(netlist, forwarded(&board)).expect("native engine");
+    assert_eq!(native.open_loop(7), 7);
+    assert_eq!(board.leds().to_u64(), 7);
+
+    let engines: [&mut dyn Engine; 2] = [&mut hw, &mut native];
+    for engine in engines {
+        assert_eq!(engine.port("ghost"), PortId::NONE);
+        assert_ne!(engine.port("led_val"), PortId::NONE);
+        for stray in [PortId::NONE, PortId(1 << 20)] {
+            engine.read(stray, &Bits::from_u64(8, 1));
+            let _ = engine.output(stray);
+        }
+        assert_eq!(engine.output(PortId::NONE).width(), 0);
+    }
+}
