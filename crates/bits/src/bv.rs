@@ -91,10 +91,17 @@ impl Bits {
     /// ```
     #[inline]
     pub fn from_u64(width: u32, value: u64) -> Self {
-        let mut b = Bits::zero(width);
-        if width > 0 {
-            b.words_mut()[0] = value;
+        if width <= WORD_BITS {
+            // The common case (every port of the Fig. 11/12 designs) is
+            // one masked word; `top_mask(0)` is all ones, hence the guard.
+            let mask = if width == 0 { 0 } else { top_mask(width) };
+            return Bits {
+                width,
+                repr: Repr::Small(value & mask),
+            };
         }
+        let mut b = Bits::zero(width);
+        b.words_mut()[0] = value;
         b.canonicalize();
         b
     }

@@ -16,6 +16,32 @@ fn from_u64_truncates() {
     assert_eq!(Bits::from_u64(0, 99).to_u64(), 0);
 }
 
+/// The one-word fast path builds the value `from_words` canonicalizes
+/// its way to, field for field.
+#[test]
+fn from_u64_fast_path_equals_from_words() {
+    use std::hash::{Hash, Hasher};
+    let hash = |b: &Bits| {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    };
+    for width in 0..=64u32 {
+        let top = 1u64.checked_shl(width.wrapping_sub(1)).unwrap_or(0);
+        for value in [0, 1, u64::MAX, 0xdead_beef_cafe_f00d, top] {
+            let fast = Bits::from_u64(width, value);
+            let slow = Bits::from_words(width, &[value]);
+            assert_eq!(fast, slow, "width {width}, value {value:#x}");
+            assert_eq!(fast.width(), width);
+            assert_eq!(fast.to_u64(), slow.to_u64());
+            assert_eq!(hash(&fast), hash(&slow));
+        }
+    }
+    for value in [false, true] {
+        assert_eq!(Bits::from_bool(value), Bits::from_words(1, &[value as u64]));
+    }
+}
+
 #[test]
 fn from_words_wide() {
     let b = Bits::from_words(128, &[1, 2]);

@@ -125,6 +125,15 @@ pub trait Engine: Send + Any {
     /// [`PortId::NONE`].
     fn output(&mut self, port: PortId) -> Bits;
 
+    /// Accounts for `n` `output` polls the runtime spared this engine
+    /// because nothing had touched it since the wire was last polled. The
+    /// modeled protocol sends those messages regardless, so an engine
+    /// whose `output` has a modeled cost charges them here; for every
+    /// other engine a spared poll is free.
+    fn charge_polls(&mut self, n: u64) {
+        let _ = n;
+    }
+
     /// Whether evaluation events are pending.
     fn there_are_evals(&self) -> bool;
 

@@ -273,6 +273,10 @@ impl Engine for HwEngine {
         self.core.read(port.0)
     }
 
+    fn charge_polls(&mut self, n: u64) {
+        self.bus_msgs += n;
+    }
+
     fn there_are_evals(&self) -> bool {
         self.dirty
     }

@@ -47,6 +47,35 @@ struct RootEntry {
 struct Slot {
     name: String,
     engine: Box<dyn Engine>,
+    /// `engine.kind()`, cached: the tick path asks per wire and per step.
+    kind: EngineKind,
+    /// Output generation. Bumped wherever this engine's outputs can have
+    /// changed; a wire from this slot is polled only when it has not seen
+    /// the current value (see [`Runtime::propagate`]).
+    gen: u64,
+    /// Polls of a hardware engine that `propagate` skipped and has not
+    /// charged yet (each one is a modeled bus message).
+    spared: u64,
+}
+
+impl Slot {
+    fn new(name: String, engine: Box<dyn Engine>) -> Slot {
+        Slot {
+            name,
+            kind: engine.kind(),
+            engine,
+            gen: 1,
+            spared: 0,
+        }
+    }
+
+    /// Replaces the engine, returning the old one. Every wire from this
+    /// slot is polled again.
+    fn install(&mut self, engine: Box<dyn Engine>) -> Box<dyn Engine> {
+        self.kind = engine.kind();
+        self.gen += 1;
+        std::mem::replace(&mut self.engine, engine)
+    }
 }
 
 /// One end of a data-plane wire. The tick path uses `slot` and `port`
@@ -71,7 +100,22 @@ impl Endpoint {
 struct ResolvedWire {
     from: Endpoint,
     to: Endpoint,
+    /// The value last polled from `from` (and delivered to `to`).
     last: Option<Bits>,
+    /// The source slot's generation at that poll; 0 (below every slot's)
+    /// before the first.
+    seen: u64,
+}
+
+impl ResolvedWire {
+    fn new(from: Endpoint, to: Endpoint) -> Self {
+        ResolvedWire {
+            from,
+            to,
+            last: None,
+            seen: 0,
+        }
+    }
 }
 
 /// A consistent snapshot of every engine's state, taken at a verified
@@ -267,6 +311,10 @@ pub struct Runtime {
     wires: Vec<ResolvedWire>,
     clock_idx: usize,
     main_idx: Option<usize>,
+    /// `Engine::output` polls `propagate` has made, and the `read`s they
+    /// caused (see [`Runtime::data_plane_polls`]).
+    polls: u64,
+    reads: u64,
 
     output: Vec<String>,
     finished: bool,
@@ -385,6 +433,8 @@ impl Runtime {
             wires: Vec::new(),
             clock_idx: 0,
             main_idx: None,
+            polls: 0,
+            reads: 0,
             output: Vec::new(),
             finished: false,
             wall: VirtualWall::new(),
@@ -578,10 +628,7 @@ impl Runtime {
             engines: self
                 .slots
                 .iter()
-                .map(|s| {
-                    let kind = s.engine.kind();
-                    (s.name.clone(), kind)
-                })
+                .map(|s| (s.name.clone(), s.kind))
                 .collect(),
             open_loop_active: self.open_loop_last,
             compile_cache_hits: self.compiler.cache_hits(),
@@ -898,7 +945,7 @@ impl Runtime {
         }
         match self.main_idx {
             None => ExecMode::Idle,
-            Some(i) => match self.slots[i].engine.kind() {
+            Some(i) => match self.slots[i].kind {
                 EngineKind::Hardware => {
                     if self.slots.len() <= 2 {
                         ExecMode::HardwareForwarded
@@ -1067,6 +1114,7 @@ impl Runtime {
         // back, and the rolled-back ticks must be re-executed.
         let start = self.iterations;
         self.open_loop_last = false;
+        self.touch_all();
         loop {
             loop {
                 let done = self.iterations.saturating_sub(start) / 2;
@@ -1087,7 +1135,7 @@ impl Runtime {
                     self.trace_rate();
                     continue;
                 }
-                self.tick()?;
+                self.step_tick()?;
                 self.trace_rate();
             }
             // Never leave an unverified window at a command boundary: a
@@ -1108,12 +1156,41 @@ impl Runtime {
     ///
     /// Returns [`CascadeError`] on engine faults.
     pub fn tick(&mut self) -> Result<(), CascadeError> {
+        self.touch_all();
+        self.step_tick()
+    }
+
+    /// One tick inside a command (the boundary was crossed by the caller).
+    fn step_tick(&mut self) -> Result<(), CascadeError> {
         self.iteration()?;
         self.iteration()?;
         if self.vcd.is_some() {
             self.vcd_sample();
         }
         Ok(())
+    }
+
+    /// Command boundary: anything may have happened to the engines and
+    /// the board since the last one, so every wire is polled once more.
+    fn touch_all(&mut self) {
+        for slot in &mut self.slots {
+            slot.gen += 1;
+        }
+    }
+
+    /// `Engine::output` polls the data plane has made so far. The
+    /// poll-count guard in `tests/data_plane.rs` reads it; nothing else
+    /// should.
+    #[doc(hidden)]
+    pub fn data_plane_polls(&self) -> u64 {
+        self.polls
+    }
+
+    /// `Engine::read`s the data plane has delivered so far (see
+    /// [`Runtime::data_plane_polls`]).
+    #[doc(hidden)]
+    pub fn data_plane_reads(&self) -> u64 {
+        self.reads
     }
 
     /// Switches to native mode: the program is compiled exactly as written
@@ -1145,7 +1222,7 @@ impl Runtime {
         let native = NativeEngine::new(Arc::clone(&bitstream.netlist), forwarded)
             .map_err(|e| CascadeError::NativeIneligible(e.to_string()))?;
         let main_idx = self.main_idx.expect("hw_design implies main");
-        self.slots[main_idx].engine = Box::new(native);
+        self.slots[main_idx].install(Box::new(native));
         self.rebind(main_idx);
         // Only the clock and the native engine remain.
         self.retain_clock_and_main();
@@ -1538,10 +1615,7 @@ impl Runtime {
 
         // 3. Build engines.
         let mut slots: Vec<Slot> = Vec::new();
-        slots.push(Slot {
-            name: "clk".to_string(),
-            engine: Box::new(ClockEngine::new()),
-        });
+        slots.push(Slot::new("clk".to_string(), Box::new(ClockEngine::new())));
         let clock_idx = 0;
 
         // Peripherals that actually participate (wired), instantiated via
@@ -1565,10 +1639,7 @@ impl Runtime {
                     "`{module}` cannot be instantiated as a peripheral"
                 )));
             };
-            slots.push(Slot {
-                name: name.clone(),
-                engine: Box::new(PeripheralEngine::new(p)),
-            });
+            slots.push(Slot::new(name.clone(), Box::new(PeripheralEngine::new(p))));
         }
 
         // Child engines for non-inlined user instances (software only; the
@@ -1583,10 +1654,7 @@ impl Runtime {
                 self.config.sw_compile,
             )
             .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
-            slots.push(Slot {
-                name: inst_name.clone(),
-                engine: Box::new(engine),
-            });
+            slots.push(Slot::new(inst_name.clone(), Box::new(engine)));
         }
 
         // The main engine (if there is user logic).
@@ -1608,10 +1676,7 @@ impl Runtime {
             )
             .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
             main_idx = Some(slots.len());
-            slots.push(Slot {
-                name: ROOT.to_string(),
-                engine: Box::new(engine),
-            });
+            slots.push(Slot::new(ROOT.to_string(), Box::new(engine)));
             hw_design = Some(hw);
         }
 
@@ -1623,26 +1688,24 @@ impl Runtime {
             else {
                 continue; // wire to an unused peripheral
             };
-            resolved.push(ResolvedWire {
-                from: Endpoint::resolve(f, &w.from.1, &slots),
-                to: Endpoint::resolve(t, &w.to.1, &slots),
-                last: None,
-            });
+            resolved.push(ResolvedWire::new(
+                Endpoint::resolve(f, &w.from.1, &slots),
+                Endpoint::resolve(t, &w.to.1, &slots),
+            ));
         }
         for (i, slot) in slots.iter().enumerate() {
-            if slot.engine.kind() == EngineKind::Peripheral {
-                resolved.push(ResolvedWire {
-                    from: Endpoint::resolve(clock_idx, "val", &slots),
-                    to: Endpoint::resolve(i, PERIPHERAL_CLOCK_PORT, &slots),
-                    last: None,
-                });
+            if slot.kind == EngineKind::Peripheral {
+                resolved.push(ResolvedWire::new(
+                    Endpoint::resolve(clock_idx, "val", &slots),
+                    Endpoint::resolve(i, PERIPHERAL_CLOCK_PORT, &slots),
+                ));
             }
         }
 
         // Restore peripheral state (memories survive rebuilds).
         for slot in &mut slots {
             if let Some(prev) = saved.get(&slot.name) {
-                if slot.engine.kind() == EngineKind::Peripheral {
+                if slot.kind == EngineKind::Peripheral {
                     slot.engine.set_state(prev);
                 }
             }
@@ -1750,8 +1813,14 @@ impl Runtime {
         // while the runtime was idle) and re-arm recurring events like the
         // clock tick. This is the paper's "end step for all engines",
         // executed at the equivalent point before the next iteration.
+        // Only a peripheral samples the outside world here (buttons, pins,
+        // the host's side of the FIFO); every other engine's `end_step`
+        // leaves its outputs alone.
         for slot in &mut self.slots {
             slot.engine.end_step();
+            if slot.kind == EngineKind::Peripheral {
+                slot.gen += 1;
+            }
         }
         self.propagate();
         loop {
@@ -1761,6 +1830,7 @@ impl Runtime {
                 for slot in &mut self.slots {
                     if slot.engine.there_are_evals() {
                         slot.engine.evaluate().map_err(engine_err)?;
+                        slot.gen += 1;
                         any = true;
                     }
                 }
@@ -1774,6 +1844,7 @@ impl Runtime {
             for slot in &mut self.slots {
                 if slot.engine.there_are_updates() {
                     slot.engine.update().map_err(engine_err)?;
+                    slot.gen += 1;
                     updated = true;
                 }
             }
@@ -1793,19 +1864,57 @@ impl Runtime {
 
     /// Moves changed output values across data-plane wires. Returns whether
     /// anything moved.
+    ///
+    /// A wire is polled iff its source slot's generation moved since the
+    /// wire last polled it. Wires are walked in wiring order and a `read`
+    /// bumps its target at once, so a later wire out of that target is
+    /// still polled in the same pass: the value-moving polls, and the
+    /// `read`s they cause, are those of a walk that polls every wire.
     fn propagate(&mut self) -> bool {
         // Field-level split borrow: wires are walked mutably while slots
         // are indexed. This runs several times per scheduler iteration, so
         // it touches handles only — no name is looked up here.
         let mut moved = false;
         for w in &mut self.wires {
-            let value = self.slots[w.from.slot].engine.output(w.from.port);
+            let src = &mut self.slots[w.from.slot];
+            if w.seen == src.gen {
+                // The one poll with a modeled cost is still owed to the
+                // virtual clock (see `charge_costs`).
+                if src.kind == EngineKind::Hardware {
+                    src.spared += 1;
+                }
+                continue;
+            }
+            w.seen = src.gen;
+            self.polls += 1;
+            let value = src.engine.output(w.from.port);
             if w.last.as_ref() == Some(&value) {
                 continue;
             }
-            self.slots[w.to.slot].engine.read(w.to.port, &value);
+            let dst = &mut self.slots[w.to.slot];
+            dst.engine.read(w.to.port, &value);
+            dst.gen += 1;
+            self.reads += 1;
             w.last = Some(value);
             moved = true;
+        }
+        // Skipped must mean unchanged: every wire that is up to date with
+        // its source is polled anyway and compared. Hardware sources are
+        // left out because their `output` is a charged bus message — the
+        // check would move the virtual clock of debug builds.
+        #[cfg(debug_assertions)]
+        for w in &self.wires {
+            let src = &mut self.slots[w.from.slot];
+            if w.seen == src.gen && src.kind != EngineKind::Hardware {
+                debug_assert_eq!(
+                    Some(src.engine.output(w.from.port)),
+                    w.last,
+                    "stale wire {}.{} -> {}: a bump site is missing",
+                    src.name,
+                    w.from.name,
+                    w.to.name,
+                );
+            }
         }
         moved
     }
@@ -1876,6 +1985,9 @@ impl Runtime {
 
     fn charge_costs(&mut self) {
         for slot in &mut self.slots {
+            if slot.spared > 0 {
+                slot.engine.charge_polls(std::mem::take(&mut slot.spared));
+            }
             let ns = slot.engine.take_cost_ns(&self.config.costs);
             self.wall.advance_ns(ns);
         }
@@ -1889,7 +2001,7 @@ impl Runtime {
         !self.native
             && self
                 .main_idx
-                .map(|i| self.slots[i].engine.kind() == EngineKind::Hardware)
+                .map(|i| self.slots[i].kind == EngineKind::Hardware)
                 .unwrap_or(false)
     }
 
@@ -1980,8 +2092,10 @@ impl Runtime {
         self.take_checkpoint();
         match self.config.faults.next_scrub_fault() {
             Some(FabricFault::SoftError { salt }) => {
-                if let Some(hw) = as_hw(&mut self.slots[main_idx].engine) {
+                let slot = &mut self.slots[main_idx];
+                if let Some(hw) = as_hw(&mut slot.engine) {
                     hw.inject_soft_error(salt);
+                    slot.gen += 1;
                 }
             }
             Some(FabricFault::Loss) => {
@@ -2034,7 +2148,7 @@ impl Runtime {
         self.rollback_to_checkpoint()?;
         let replay_from = self.iterations;
         while self.iterations < target && !self.finished {
-            self.tick()?;
+            self.step_tick()?;
         }
         if self.trace.enabled() {
             let (at, parent) = self.req_at();
@@ -2239,13 +2353,14 @@ impl Runtime {
         if self.config.eval_threads > 1 {
             hw.set_eval_threads(self.config.eval_threads);
         }
-        self.slots[main_idx].engine = Box::new(hw);
+        self.slots[main_idx].install(Box::new(hw));
         self.rebind(main_idx);
         // Reset wire caches so current values are re-broadcast into the new
         // engine.
         for w in &mut self.wires {
             if w.to.slot == main_idx {
                 w.last = None;
+                w.seen = 0;
             }
         }
         self.propagate();
@@ -2303,7 +2418,7 @@ impl Runtime {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.engine.kind() == EngineKind::Peripheral)
+            .filter(|(_, s)| s.kind == EngineKind::Peripheral)
             .map(|(i, _)| i)
             .collect();
         for pi in peripheral_indices {
@@ -2320,10 +2435,7 @@ impl Runtime {
             // Replace the slot's engine with a placeholder and take the
             // peripheral out.
             let name = self.slots[pi].name.clone();
-            let old = std::mem::replace(
-                &mut self.slots[pi].engine,
-                Box::new(ClockEngine::new()) as Box<dyn Engine>,
-            );
+            let old = self.slots[pi].install(Box::new(ClockEngine::new()));
             // Downcast via the concrete wrapper: engines are built here, so
             // the type is known.
             let peripheral = match into_peripheral(old) {
@@ -2352,10 +2464,7 @@ impl Runtime {
             remap.insert(old_i, new_i);
             new_slots.push(std::mem::replace(
                 &mut self.slots[old_i],
-                Slot {
-                    name: String::new(),
-                    engine: Box::new(ClockEngine::new()),
-                },
+                Slot::new(String::new(), Box::new(ClockEngine::new())),
             ));
         }
         self.wires
@@ -2386,7 +2495,7 @@ impl Runtime {
         if self.slots.len() > 2 {
             return Ok(None); // peripherals still on the data plane
         }
-        let kind = self.slots[main_idx].engine.kind();
+        let kind = self.slots[main_idx].kind;
         if kind != EngineKind::Hardware
             && kind != EngineKind::Native
             && kind != EngineKind::Software
@@ -2421,7 +2530,9 @@ impl Runtime {
             budget = budget.min(until.max(1));
         }
         let w0 = self.wall.seconds();
-        let done = self.slots[main_idx].engine.open_loop(budget);
+        let main = &mut self.slots[main_idx];
+        let done = main.engine.open_loop(budget);
+        main.gen += 1;
         if done == 0 {
             return Ok(None);
         }

@@ -83,11 +83,11 @@ impl Board {
     /// Drives the LED bank (called by engines).
     pub fn write_leds(&self, value: Bits) {
         let mut st = self.inner.lock().expect("board mutex");
-        if st.leds != value.resize(st.leds.width()) {
+        let value = value.resize(st.leds.width());
+        if st.leds != value {
             st.led_writes += 1;
+            st.leds = value;
         }
-        let w = st.leds.width();
-        st.leds = value.resize(w);
     }
 
     /// Current LED bank state.
@@ -176,15 +176,21 @@ impl Board {
         st.fifo_in.iter().cloned().collect()
     }
 
+    /// The host FIFO's `(empty, full)` flags, read under one lock (the
+    /// FIFO component polls both every time it is touched).
+    pub fn fifo_flags(&self) -> (bool, bool) {
+        let st = self.inner.lock().expect("board mutex");
+        (st.fifo_in.is_empty(), st.fifo_in.len() >= st.fifo_capacity)
+    }
+
     /// Whether the host FIFO has data.
     pub fn fifo_nonempty(&self) -> bool {
-        !self.inner.lock().expect("board mutex").fifo_in.is_empty()
+        !self.fifo_flags().0
     }
 
     /// Whether the host FIFO is full.
     pub fn fifo_full(&self) -> bool {
-        let st = self.inner.lock().expect("board mutex");
-        st.fifo_in.len() >= st.fifo_capacity
+        self.fifo_flags().1
     }
 
     /// Tokens consumed from the host FIFO so far (the IO/s numerator of

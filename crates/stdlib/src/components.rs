@@ -294,8 +294,8 @@ impl Peripheral for Fifo {
     fn output(&self, port: PortId) -> Bits {
         match port.0 {
             1 => self.rdata.clone(),
-            2 => Bits::from_bool(!self.board.fifo_nonempty()),
-            5 => Bits::from_bool(self.board.fifo_full()),
+            2 => Bits::from_bool(self.board.fifo_flags().0),
+            5 => Bits::from_bool(self.board.fifo_flags().1),
             _ => Bits::default(),
         }
     }

@@ -7,7 +7,7 @@
 
 use cascade_bits::{Bits, Prng};
 use cascade_core::{ExecMode, JitConfig, Runtime};
-use cascade_fpga::{Board, FaultPlan};
+use cascade_fpga::{Board, FaultPlan, Fleet};
 use cascade_serve::{InProcClient, ServeConfig, Server};
 use cascade_workloads::regex::{compile, matcher_verilog, Flavor as RegexFlavor};
 use cascade_workloads::sha256::{miner_verilog, Flavor as MinerFlavor, MinerConfig};
@@ -102,7 +102,7 @@ fn promote(rt: &mut Runtime) {
 /// Everything the modeled machine reports after a script. `wall_bits` is
 /// `wall_seconds().to_bits()`: the virtual clock is compared to the last
 /// bit, not to a tolerance.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Modeled {
     wall_bits: u64,
     ticks: u64,
@@ -206,6 +206,120 @@ fn modeled_machine_is_the_parents_across_an_edit_loop() {
     );
 }
 
+/// The Fig. 12 phase script the benchmark's `jit_regex` runs (same
+/// `time_scale`, so the compile lands inside it): eval, let the compile
+/// worker finish, then 400 × (push 256 bytes, `run_ticks(256)`).
+fn phase_script(src: &str, mut config: JitConfig) -> (Modeled, ExecMode) {
+    config.toolchain.time_scale = 0.05;
+    let board = Board::new();
+    board.set_fifo_capacity(1 << 14);
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(src).expect("eval");
+    rt.wait_for_compile_worker();
+    run_fed_chunks(&mut rt, &board);
+    (modeled(&mut rt, &board), rt.mode())
+}
+
+/// 400 × (push 256 bytes, `run_ticks(256)`).
+fn run_fed_chunks(rt: &mut Runtime, board: &Board) {
+    for _ in 0..400 {
+        push_stream(board, 256);
+        assert_eq!(rt.run_ticks(256).expect("chunk"), 256);
+    }
+}
+
+/// The edit-loop pin above runs the default configuration only. These are
+/// the ones a data-plane change is likeliest to move: a hardware engine
+/// left on the data plane (`forwarding` off — every `output` poll of it is
+/// a modeled bus message), the scheduler's own tick in hardware
+/// (`open_loop` off), one engine per instance (`inline` off) and software
+/// for the whole script. Constants captured at the parent commit (every
+/// wire polled on every pass).
+#[test]
+fn modeled_machine_is_the_parents_with_each_stage_off() {
+    let common = Modeled {
+        wall_bits: 0,
+        ticks: 102_400,
+        hw_promotions: 1,
+        scrubs: 48,
+        checkpoints_taken: 71,
+        checkpoints_restored: 0,
+        cache_hits: 0,
+        cache_misses: 1,
+        fifo_pops: 102_400,
+        leds: 240,
+        output_lines: 0,
+    };
+    // Open-loop batching needs the peripherals absorbed, so with
+    // `forwarding` off it never engages and turning it off too changes
+    // nothing; the matcher instantiates no user module, so `inline` off
+    // only keeps it from compiling.
+    let on_the_data_plane = Modeled {
+        wall_bits: 4622855035237489309,
+        ..common
+    };
+    let software = Modeled {
+        wall_bits: 4623300265966168254,
+        hw_promotions: 0,
+        scrubs: 0,
+        checkpoints_taken: 24,
+        cache_misses: 0,
+        ..common
+    };
+    let d = JitConfig::default;
+    let cases = [
+        (
+            "forwarding off",
+            d().without("forwarding"),
+            (on_the_data_plane, ExecMode::Hardware),
+        ),
+        (
+            "open_loop off",
+            d().without("open_loop"),
+            (
+                Modeled {
+                    wall_bits: 4622522712144005845,
+                    ..common
+                },
+                ExecMode::HardwareForwarded,
+            ),
+        ),
+        (
+            "forwarding and open_loop off",
+            d().without("forwarding").without("open_loop"),
+            (on_the_data_plane, ExecMode::Hardware),
+        ),
+        (
+            "inline off",
+            d().without("inline"),
+            (software, ExecMode::Software),
+        ),
+        (
+            "auto_compile off",
+            d().without("auto_compile"),
+            (software, ExecMode::Software),
+        ),
+    ];
+    for (what, config, parent) in cases {
+        assert_eq!(phase_script(&matcher_src(), config), parent, "{what}");
+    }
+    // A program that does instantiate a user module: with `inline` off
+    // its value crosses main -> `r` -> main inside one pass.
+    assert_eq!(
+        phase_script(WIRED, d().without("inline")),
+        (
+            Modeled {
+                wall_bits: 4619726157369753825,
+                leds: 44,
+                output_lines: 12_800,
+                ..software
+            },
+            ExecMode::Software
+        ),
+        "inline off, one engine per instance"
+    );
+}
+
 // ---------------------------------------------------------------------
 // A faulted serve session's virtual-time trace
 // ---------------------------------------------------------------------
@@ -284,6 +398,217 @@ fn faulted_serve_trace_is_byte_identical_to_the_parents() {
             (len, hash),
             "seed {seed}: virtual-time export differs from the parent commit's"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The data plane is event-driven: a wire is polled when its source moved
+// ---------------------------------------------------------------------
+
+/// A software tick of the matcher walks its seven wires twelve times; of
+/// those 84 looks only the ones whose source engine was touched since the
+/// wire last looked are made, and every `read` an all-wires walk would
+/// have delivered still is. Both are counts, not timings: the reads are
+/// the parent commit's, to the unit.
+#[test]
+fn a_software_tick_polls_only_wires_whose_source_was_touched() {
+    let board = Board::new();
+    board.set_fifo_capacity(1 << 14);
+    let config = JitConfig::default().without("auto_compile");
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(&matcher_src()).expect("eval");
+    let (polls, reads) = (rt.data_plane_polls(), rt.data_plane_reads());
+    run_fed_chunks(&mut rt, &board);
+    let ticks = rt.ticks();
+    assert_eq!(ticks, 102_400);
+    let polls = rt.data_plane_polls() - polls;
+    let reads = rt.data_plane_reads() - reads;
+    assert!(
+        polls <= 28 * ticks,
+        "{:.2} polls per tick",
+        polls as f64 / ticks as f64
+    );
+    assert_eq!(reads, 722_799, "reads delivered (7.06 per tick)");
+}
+
+/// Every kind of data-plane wire in one program: a user module (its own
+/// engine when `inline` is off), the FIFO, the pad, the LEDs, and a
+/// `$display` that puts the running state on the transcript.
+const WIRED: &str = "module Rol(input wire [7:0] x, output wire [7:0] y);\n\
+      assign y = (x == 8'h80) ? 8'h1 : (x << 1);\n\
+    endmodule\n\
+    FIFO #(.WIDTH(8)) f();\n\
+    assign f.rreq = !f.empty;\n\
+    reg consuming = 0;\n\
+    reg [7:0] cnt = 1;\n\
+    reg [7:0] sum = 0;\n\
+    Rol r(.x(cnt));\n\
+    always @(posedge clk.val) begin\n\
+      consuming <= f.rreq;\n\
+      if (pad.val == 0) cnt <= r.y;\n\
+      if (consuming) sum <= sum + f.rdata;\n\
+      if (cnt[2:0] == 3'd4) $display(\"cnt=%d sum=%d\", cnt, sum);\n\
+    end\n\
+    assign led.val = cnt ^ sum;";
+
+/// What a run of [`wired_script`] can be compared on.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    transcript: Vec<String>,
+    leds: u64,
+    cnt: Option<u64>,
+    sum: Option<u64>,
+    ticks: u64,
+    fifo_pops: u64,
+}
+
+fn observe(rt: &mut Runtime, board: &Board) -> Observed {
+    // Close the open speculation window so quarantined output counts.
+    rt.checkpoint_now().expect("final verify");
+    Observed {
+        transcript: rt.drain_output(),
+        leds: board.leds().to_u64(),
+        cnt: rt.probe("cnt").map(|b| b.to_u64()),
+        sum: rt.probe("sum").map(|b| b.to_u64()),
+        ticks: rt.ticks(),
+        fifo_pops: board.fifo_pops(),
+    }
+}
+
+/// eval → a window → the compile lands (when there is one) → a window →
+/// `mid` → a window. Every window is one `run_ticks`: a command boundary
+/// re-polls every wire, so whatever `mid` does has to reach the data
+/// plane through its own bump site or the last window runs on stale
+/// wires.
+fn wired_script(mut config: JitConfig, mid: &dyn Fn(&mut Runtime, &Board)) -> (Observed, ExecMode) {
+    // Modeled compile latency, a cache hit's included, is far longer than
+    // any window here: when a compile lands is decided by `advance_wall`,
+    // never by how fast the host's worker thread was.
+    config.toolchain.time_scale = 0.05;
+    let board = Board::new();
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(WIRED).expect("eval");
+    push_stream(&board, 30);
+    rt.run_ticks(9).expect("first window");
+    rt.wait_for_compile_worker();
+    if let Some(ready) = rt.compile_ready_at() {
+        rt.advance_wall((ready - rt.wall_seconds()).max(0.0) + 1.0);
+    }
+    rt.run_ticks(12).expect("second window");
+    mid(&mut rt, &board);
+    rt.run_ticks(40).expect("last window");
+    let mode = rt.mode();
+    (observe(&mut rt, &board), mode)
+}
+
+/// The configurations that reach hardware: the default (stdlib absorbed,
+/// open loop), the hardware engine left on the data plane, and the
+/// scheduler's own tick in hardware.
+fn hardware_configs() -> [(&'static str, JitConfig); 3] {
+    let d = JitConfig::default;
+    [
+        ("default", d()),
+        ("forwarding off", d().without("forwarding")),
+        ("open_loop off", d().without("open_loop")),
+    ]
+}
+
+/// `mid` under each of [`hardware_configs`], against `interpreter_only()`
+/// (one software engine per instance, never compiled) running the same
+/// script.
+fn assert_matches_the_interpreter(what: &str, mid: &dyn Fn(&mut Runtime, &Board)) {
+    let (reference, mode) = wired_script(JitConfig::interpreter_only(), mid);
+    assert_eq!(mode, ExecMode::Software, "{what}");
+    assert!(reference.transcript.len() >= 5, "{what}: {reference:?}");
+    for (stage, config) in hardware_configs() {
+        let (observed, _) = wired_script(config, mid);
+        assert_eq!(observed, reference, "{what}, {stage}");
+    }
+}
+
+/// One case per site that bumps a generation from outside the scheduler
+/// loop: the engines are rebuilt (checkpoint restore, an edit), poked
+/// (`probe`, `vcd_start`), or the world they sample changes (`fifo_push`,
+/// a button) between two windows. Promotion and revocation follow below.
+#[test]
+fn every_bump_site_leaves_the_run_the_interpreters() {
+    assert_matches_the_interpreter("nothing in between", &|_, _| {});
+    // Restoring the checkpoint just taken changes nothing a program can
+    // see, in any mode — but every engine is rebuilt from the snapshot
+    // (`set_state`), in software.
+    assert_matches_the_interpreter("restore_checkpoint", &|rt, _| {
+        assert!(rt.checkpoint_now().expect("checkpoint"));
+        assert!(rt.restore_checkpoint().expect("restore"));
+        assert_eq!(rt.mode(), ExecMode::Software);
+    });
+    assert_matches_the_interpreter("probe", &|rt, _| {
+        assert!(rt.probe("cnt").is_some());
+        assert!(rt.probe("sum").is_some());
+    });
+    assert_matches_the_interpreter("fifo_push and a button", &|rt, board| {
+        push_stream(board, 25);
+        board.set_button(1, true);
+        rt.run_ticks(3).expect("held");
+        board.set_button(1, false);
+    });
+    assert_matches_the_interpreter("vcd_start", &|rt, _| {
+        let path = scratch_file("bump.vcd");
+        rt.vcd_start(&path, &["cnt".to_string()]).expect("tap");
+        rt.run_ticks(5).expect("tapped");
+        assert_eq!(rt.vcd_stop().as_deref(), Some(path.as_str()));
+        let _ = std::fs::remove_file(&path);
+    });
+    assert_matches_the_interpreter("an edit", &|rt, _| {
+        rt.eval(EDIT).expect("edit");
+    });
+}
+
+/// Promotion, and promotion revoked before the swap completes, landing
+/// inside a window rather than at its first tick.
+#[test]
+fn promotion_and_revocation_mid_window_leave_the_run_the_interpreters() {
+    // The script with the compile landing a few ticks into the last
+    // window instead of between two.
+    let script = |mut config: JitConfig, fleet: Option<&Fleet>| {
+        // As in `wired_script`: the re-submitted compile after the
+        // revocation (a cache hit) cannot land inside the window.
+        config.toolchain.time_scale = 0.05;
+        let board = Board::new();
+        let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+        if let Some(fleet) = fleet {
+            rt.attach_fleet(fleet.clone(), 7);
+        }
+        rt.eval(WIRED).expect("eval");
+        push_stream(&board, 60);
+        let w0 = rt.wall_seconds();
+        rt.run_ticks(10).expect("first window");
+        let tick_s = (rt.wall_seconds() - w0) / 10.0;
+        rt.wait_for_compile_worker();
+        if let Some(ready) = rt.compile_ready_at() {
+            // Five software ticks short of the compile's modeled second.
+            rt.advance_wall((ready - rt.wall_seconds() - 5.0 * tick_s).max(0.0));
+        }
+        assert_eq!(rt.mode(), ExecMode::Software);
+        rt.run_ticks(50).expect("the window it lands in");
+        let stats = rt.stats();
+        (observe(&mut rt, &board), stats)
+    };
+    let (reference, _) = script(JitConfig::interpreter_only(), None);
+    assert!(reference.transcript.len() >= 5, "{reference:?}");
+    for (stage, config) in hardware_configs() {
+        let (observed, stats) = script(config.clone(), None);
+        assert_eq!(stats.hw_promotions, 1, "{stage}");
+        assert_ne!(stats.mode, ExecMode::Software, "{stage}");
+        assert_eq!(observed, reference, "promotion, {stage}");
+
+        let revoked = JitConfig {
+            faults: FaultPlan::builder().migration_revoke(1).build(),
+            ..config
+        };
+        let (observed, stats) = script(revoked, Some(&Fleet::new(1)));
+        assert_eq!(stats.hw_promotions, 1, "{stage}");
+        assert_eq!(stats.lease_demotions, 1, "{stage}");
+        assert_eq!(observed, reference, "revocation, {stage}");
     }
 }
 
