@@ -1,20 +1,17 @@
 //! Compiled-evaluator throughput report: cycles/second of the word-arena
 //! [`NetlistSim`] against the interpretive [`ReferenceSim`] baseline on the
 //! SHA-256 proof-of-work miner and the regex-DFA matcher netlists, plus
-//! the data-parallel execution paths: bit-parallel batch simulation
-//! ([`BatchHarness`]) across a sweep of lane widths, and level-parallel
-//! multicore eval across a sweep of worker-thread counts.
+//! the data-parallel execution path: bit-parallel batch simulation
+//! ([`BatchHarness`]) across a sweep of lane widths.
 //!
 //! Prints one row per configuration and writes the machine-readable
 //! results to `BENCH_netlist.json` at the repository root. Knobs:
 //!
 //! - `CASCADE_BENCH_SECS`: seconds per point (default 0.25; CI smoke less)
 //! - `--batch-width 1,8,64` / `CASCADE_BENCH_BATCH_WIDTHS`: lane sweep
-//! - `--threads 1,2,4,8` / `CASCADE_BENCH_THREADS`: worker-pool sweep
-//!   (threads beyond the host's cores measure oversubscription, honestly)
 //! - `CASCADE_BENCH_ASSERT=1`: exit non-zero if the widest batch fails to
 //!   deliver at least 2x the aggregate vectors*cycles/s of batch width 1
-//!   on every netlist (the parallel-path CI gate; the local target is
+//!   on every netlist (the batch-path CI gate; the local target is
 //!   >= 4x at width 64)
 
 use cascade_bench::harness::{fmt_si, measure};
@@ -30,7 +27,6 @@ struct Row {
     netlist: &'static str,
     evaluator: &'static str,
     batch_width: u32,
-    threads: u32,
     /// Per-lane settled cycles per second.
     cycles_per_sec: f64,
     /// Aggregate throughput: `batch_width * cycles_per_sec` (the quantity
@@ -75,7 +71,6 @@ fn bench_pair(nl: &Arc<Netlist>, rows: &mut Vec<Row>, name: &'static str) {
         netlist: name,
         evaluator: "compiled",
         batch_width: 1,
-        threads: 1,
         cycles_per_sec: compiled,
         vectors_cycles_per_sec: compiled,
     });
@@ -90,7 +85,6 @@ fn bench_pair(nl: &Arc<Netlist>, rows: &mut Vec<Row>, name: &'static str) {
         netlist: name,
         evaluator: "reference",
         batch_width: 1,
-        threads: 1,
         cycles_per_sec: interp,
         vectors_cycles_per_sec: interp,
     });
@@ -125,47 +119,11 @@ fn bench_batch(
         netlist: name,
         evaluator: "batch",
         batch_width: width,
-        threads: 1,
         cycles_per_sec: per_lane,
         vectors_cycles_per_sec: aggregate,
     });
     println!(
         "{name:<10} batch  w={width:<4} {:>10}cyc/s/lane   aggregate {:>10}vec*cyc/s",
-        fmt_si(per_lane),
-        fmt_si(aggregate)
-    );
-}
-
-/// Measures the level-parallel multicore path at one thread count,
-/// composed with a batch of `width` lanes. The batch multiplies each
-/// level's work by the lane count, which is what pushes wide levels past
-/// the activity cutover — a scalar run of these netlists stays serial by
-/// design (no level carries enough work to amortize a hand-off).
-fn bench_threads(
-    nl: &Arc<Netlist>,
-    rows: &mut Vec<Row>,
-    name: &'static str,
-    width: u32,
-    threads: u32,
-) {
-    let mut h = BatchHarness::new(Arc::clone(nl), width).expect("levelize");
-    h.set_eval_threads(threads);
-    let ns = measure(&mut || {
-        h.run_cycles(BATCH);
-        h.drain_tasks();
-    });
-    let per_lane = BATCH as f64 * 1e9 / ns;
-    let aggregate = per_lane * width as f64;
-    rows.push(Row {
-        netlist: name,
-        evaluator: "parallel",
-        batch_width: width,
-        threads,
-        cycles_per_sec: per_lane,
-        vectors_cycles_per_sec: aggregate,
-    });
-    println!(
-        "{name:<10} pool   t={threads:<2} w={width:<4} {:>10}cyc/s/lane   aggregate {:>10}vec*cyc/s",
         fmt_si(per_lane),
         fmt_si(aggregate)
     );
@@ -179,7 +137,6 @@ fn main() {
         "CASCADE_BENCH_BATCH_WIDTHS",
         &[1, 8, 64],
     );
-    let threads = sweep(&args, "--threads", "CASCADE_BENCH_THREADS", &[1, 2, 4, 8]);
     let mut rows = Vec::new();
 
     let cfg = MinerConfig {
@@ -192,13 +149,6 @@ fn main() {
     bench_pair(&pow, &mut rows, "pow");
     for &w in &widths {
         bench_batch(&pow, &mut rows, "pow", w, &|_| {});
-    }
-    // The miner's wide levels are where the worker pool earns its keep;
-    // the thread sweep runs on pow only, at the widest batch in the sweep
-    // so each level carries enough lane-work to clear the cutover.
-    let pool_width = widths.iter().copied().max().unwrap_or(8);
-    for &t in &threads {
-        bench_threads(&pow, &mut rows, "pow", pool_width, t);
     }
 
     let dfa = compile("GET |POST |HEAD ").unwrap();
@@ -275,8 +225,8 @@ fn render_json(rows: &[Row]) -> String {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         writeln!(
             out,
-            "    {{\"netlist\": \"{}\", \"evaluator\": \"{}\", \"batch_width\": {}, \"threads\": {}, \"cycles_per_sec\": {:.1}, \"vectors_cycles_per_sec\": {:.1}}}{comma}",
-            r.netlist, r.evaluator, r.batch_width, r.threads, r.cycles_per_sec, r.vectors_cycles_per_sec
+            "    {{\"netlist\": \"{}\", \"evaluator\": \"{}\", \"batch_width\": {}, \"cycles_per_sec\": {:.1}, \"vectors_cycles_per_sec\": {:.1}}}{comma}",
+            r.netlist, r.evaluator, r.batch_width, r.cycles_per_sec, r.vectors_cycles_per_sec
         )
         .unwrap();
     }

@@ -67,19 +67,6 @@ pub struct JitConfig {
     /// share a single ring buffer, so a server can trace every session
     /// into one timeline. See [`cascade_trace::TraceSink`].
     pub trace: TraceSink,
-    /// Advertised batch width for data-parallel drivers: how many
-    /// independent stimulus lanes a `BatchHarness` built for this tenant
-    /// should carry (parameter sweeps, corpus grading). `1` (the default)
-    /// means scalar execution; the knob is a capability surfaced to
-    /// workloads and the serve protocol, not a change to the per-session
-    /// engines themselves.
-    pub batch_width: u32,
-    /// Worker threads for the compiled netlist engine's dense settles
-    /// (`1` = single-threaded, the default). When a session's design is
-    /// promoted to a hardware engine, wide combinational levels are split
-    /// across this many threads; narrow levels stay single-threaded via
-    /// the activity cutover.
-    pub eval_threads: u32,
 }
 
 impl Default for JitConfig {
@@ -103,8 +90,6 @@ impl Default for JitConfig {
             scrub_interval_ticks: 4096,
             checkpoint_interval_ticks: 4096,
             trace: TraceSink::disabled(),
-            batch_width: 1,
-            eval_threads: 1,
         }
     }
 }

@@ -85,12 +85,6 @@ impl HwEngine {
         self.core.sim_ref().profile_report()
     }
 
-    /// Attaches a worker pool of `n` total threads to the arena evaluator
-    /// for dense settles (`n <= 1` detaches).
-    pub fn set_eval_threads(&mut self, n: u32) {
-        self.core.sim().set_eval_threads(n);
-    }
-
     /// One readback scrub: re-derives the configuration CRC and compares
     /// it against the golden programming-time value. `true` means the
     /// fabric is intact. Charged as one request/response bus exchange.

@@ -785,33 +785,10 @@ impl Runtime {
         }
         if let Some(hw) = as_hw(engine) {
             let rep = hw.profile_report()?;
-            if rep.lanes > 1 || rep.threads > 1 {
-                let _ = writeln!(
-                    out,
-                    "profile (hardware engine, arena; lanes={}, threads={}):",
-                    rep.lanes, rep.threads
-                );
-            } else {
-                let _ = writeln!(out, "profile (hardware engine, arena):");
-            }
-            // Per-level thread utilization: share of the level's work that
-            // ran split across the pool (cutover observability).
-            let util: std::collections::BTreeMap<u32, f64> =
-                rep.level_util.iter().copied().collect();
+            let _ = writeln!(out, "profile (hardware engine, arena):");
             let _ = writeln!(out, "  instruction executions by level:");
             for (lvl, n) in rep.levels.iter().take(12) {
-                match util.get(lvl) {
-                    Some(share) => {
-                        let _ = writeln!(
-                            out,
-                            "    {n:>12}  level {lvl}  pool {:>3.0}%",
-                            share * 100.0
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "    {n:>12}  level {lvl}");
-                    }
-                }
+                let _ = writeln!(out, "    {n:>12}  level {lvl}");
             }
             // Per-kernel lane occupancy: share of evaluated lanes whose
             // output changed on the change-tracking paths.
@@ -835,31 +812,6 @@ impl Runtime {
             return Some(out);
         }
         None
-    }
-
-    /// Reconfigures the data-parallel knobs at runtime. `batch_width` is
-    /// the advertised lane count for batch drivers (parameter sweeps,
-    /// corpus grading); `eval_threads` sizes the worker pool of the
-    /// compiled netlist engine and is applied to a live hardware engine
-    /// immediately (software engines are unaffected). `None` leaves a
-    /// knob unchanged.
-    pub fn set_data_parallel(&mut self, batch_width: Option<u32>, eval_threads: Option<u32>) {
-        if let Some(w) = batch_width {
-            self.config.batch_width = w.clamp(1, cascade_netlist::MAX_BATCH_LANES);
-        }
-        if let Some(t) = eval_threads {
-            self.config.eval_threads = t.max(1);
-            if let Some(idx) = self.main_idx {
-                if let Some(hw) = as_hw(&mut self.slots[idx].engine) {
-                    hw.set_eval_threads(t);
-                }
-            }
-        }
-    }
-
-    /// The current `(batch_width, eval_threads)` knobs.
-    pub fn data_parallel(&self) -> (u32, u32) {
-        (self.config.batch_width, self.config.eval_threads)
     }
 
     /// Sets the track id stamped on this runtime's trace events (servers
@@ -2349,9 +2301,6 @@ impl Runtime {
         hw.set_state(&state);
         if self.trace.enabled() {
             hw.enable_profiling();
-        }
-        if self.config.eval_threads > 1 {
-            hw.set_eval_threads(self.config.eval_threads);
         }
         self.slots[main_idx].install(Box::new(hw));
         self.rebind(main_idx);

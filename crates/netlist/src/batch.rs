@@ -18,11 +18,6 @@
 //! semantics are preserved per lane — task firings sample pre-edge
 //! values, a lane's `$finish` edge discards that lane's pending commits
 //! and freezes its registers, and the remaining lanes keep running.
-//!
-//! Composability with the level-parallel pool: a [`BatchHarness`] can
-//! attach the same worker pool the scalar engine uses, in which case
-//! dense passes split wide levels across threads with each chunk
-//! processing all of its lanes.
 
 use crate::eval::{build_profile_report, NlProfileReport, TaskFire};
 use crate::exec::{
@@ -31,7 +26,6 @@ use crate::exec::{
 };
 use crate::ir::*;
 use crate::level::LevelError;
-use crate::par::{EvalPool, ParCtl};
 use cascade_bits::Bits;
 use std::sync::Arc;
 
@@ -54,7 +48,6 @@ struct BatchState {
     /// Register-sample buffer for two-phase commits, lane-major.
     scratch: Vec<u64>,
     profile: Option<Box<NlProfileState>>,
-    par: Option<ParCtl>,
 }
 
 impl BatchState {
@@ -75,7 +68,6 @@ impl BatchState {
                     * lanes
             ],
             profile: None,
-            par: None,
         };
         st.init(nl, prog);
         st
@@ -212,8 +204,7 @@ impl BatchState {
         }
     }
 
-    /// Dense settle: recomputes every instruction in topological order,
-    /// splitting wide levels across the pool when one is attached.
+    /// Dense settle: recomputes every instruction in topological order.
     fn settle_dense(&mut self, prog: &Program) {
         if let Some(p) = &mut self.profile {
             for (i, lvl) in prog.level.iter().enumerate() {
@@ -228,30 +219,7 @@ impl BatchState {
             }
             q.clear();
         }
-        let use_pool = match &mut self.par {
-            Some(ctl) => {
-                ctl.tick(prog, self.profile.as_deref());
-                ctl.any_par
-            }
-            None => false,
-        };
-        if use_pool {
-            let ctl = self.par.as_ref().expect("checked above");
-            if let Some(p) = &mut self.profile {
-                for (l, &(start, end)) in prog.level_ranges.iter().enumerate() {
-                    if ctl.par_level[l] {
-                        p.level_par_execs[l] += (end - start) as u64;
-                    }
-                }
-            }
-            ctl.pool.run(
-                prog,
-                &mut self.arena,
-                &self.mem_arena,
-                self.lanes,
-                &ctl.par_level,
-            );
-        } else if self.profile.is_some() {
+        if self.profile.is_some() {
             for i in 0..prog.instrs.len() as u32 {
                 // SAFETY: as in `settle`.
                 let changed = unsafe {
@@ -465,7 +433,6 @@ pub struct BatchHarness {
     lane_cycles: Vec<u64>,
     /// Harness edges executed (max over lanes).
     cycles: u64,
-    threads: u32,
 }
 
 impl BatchHarness {
@@ -489,7 +456,6 @@ impl BatchHarness {
             all_finished: false,
             lane_cycles: vec![0; lanes],
             cycles: 0,
-            threads: 1,
         })
     }
 
@@ -509,9 +475,9 @@ impl BatchHarness {
     }
 
     /// Resets every lane to power-on state (registers at init values,
-    /// memories zeroed, no pending tasks), keeping the compiled program
-    /// and the attached pool. Cheaper than rebuilding the harness when
-    /// grading a corpus chunk by chunk.
+    /// memories zeroed, no pending tasks), keeping the compiled program.
+    /// Cheaper than rebuilding the harness when grading a corpus chunk by
+    /// chunk.
     pub fn reset(&mut self) {
         let (nl, prog) = (Arc::clone(&self.nl), Arc::clone(&self.prog));
         self.st.init(&nl, &prog);
@@ -523,20 +489,6 @@ impl BatchHarness {
         self.cycles = 0;
     }
 
-    /// Attaches a worker pool of `n` total threads for dense settles
-    /// (`n <= 1` detaches). Composable with batching: each level chunk
-    /// processes all of its lanes.
-    pub fn set_eval_threads(&mut self, n: u32) {
-        if n <= 1 {
-            self.st.par = None;
-            self.threads = 1;
-        } else {
-            let pool = Arc::new(EvalPool::new(n as usize));
-            self.threads = pool.threads() as u32;
-            self.st.par = Some(ParCtl::new(&self.prog, pool, self.st.lanes as u32));
-        }
-    }
-
     /// Switches on activity profiling (see [`NetlistSim::enable_profiling`]).
     ///
     /// [`NetlistSim::enable_profiling`]: crate::NetlistSim::enable_profiling
@@ -545,7 +497,6 @@ impl BatchHarness {
             self.st.profile = Some(Box::new(NlProfileState {
                 level_execs: vec![0; self.prog.num_levels as usize],
                 instr_execs: vec![0; self.prog.instrs.len()],
-                level_par_execs: vec![0; self.prog.num_levels as usize],
                 instr_changes: vec![0; self.prog.instrs.len()],
                 instr_tracked: vec![0; self.prog.instrs.len()],
                 settles: 0,
@@ -555,11 +506,10 @@ impl BatchHarness {
     }
 
     /// Aggregated activity counters, or `None` when profiling was never
-    /// enabled. Includes per-kernel lane occupancy and per-level pool
-    /// shares.
+    /// enabled. Includes per-kernel lane occupancy.
     pub fn profile_report(&self) -> Option<NlProfileReport> {
         let p = self.st.profile.as_deref()?;
-        Some(build_profile_report(&self.nl, &self.prog, p, self.threads))
+        Some(build_profile_report(&self.nl, &self.prog, p))
     }
 
     /// Sets one lane of an input net. Propagation is deferred to the next

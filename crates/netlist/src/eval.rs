@@ -10,7 +10,6 @@
 use crate::exec::{kernel_name, NlProfileState, Program, ProgramStats, State};
 use crate::ir::*;
 use crate::level::LevelError;
-use crate::par::EvalPool;
 use cascade_bits::Bits;
 use cascade_verilog::ast::Edge;
 use std::cmp::Ordering;
@@ -36,18 +35,10 @@ pub struct NlProfileReport {
     /// Executions per output net, hottest first (top 16). Unnamed
     /// temporaries appear as `$n<id>`.
     pub hot_nets: Vec<(String, u64)>,
-    /// `(level, share)` of each level's executions that ran split across
-    /// the worker pool (thread utilization of the cutover heuristic).
-    /// Empty when no pool is attached or no level crossed the cutover.
-    pub level_util: Vec<(u32, f64)>,
     /// `(kernel, occupancy)`: the share of evaluated lanes whose output
     /// actually changed, per kernel kind, on the change-tracking paths.
     /// Low occupancy on a wide batch means lanes have diverged.
     pub kernel_occupancy: Vec<(&'static str, f64)>,
-    /// Lane count of the profiled evaluator (1 for the scalar engine).
-    pub lanes: u32,
-    /// Worker-pool threads attached (1 = single-threaded).
-    pub threads: u32,
 }
 
 /// Executes a synthesized [`Netlist`] cycle by cycle.
@@ -136,22 +127,7 @@ impl NetlistSim {
     /// the netlist kept them.
     pub fn profile_report(&self) -> Option<NlProfileReport> {
         let p = self.st.profile()?;
-        Some(build_profile_report(
-            &self.nl,
-            &self.prog,
-            p,
-            self.st.pool_threads(),
-        ))
-    }
-
-    /// Attaches a worker pool of `n` total threads for dense settles
-    /// (`n <= 1` detaches). Wide combinational levels are split into
-    /// contiguous chunks across the pool; narrow levels — statically, or
-    /// as observed by the activity histograms when profiling is on — stay
-    /// single-threaded.
-    pub fn set_eval_threads(&mut self, n: u32) {
-        let pool = (n > 1).then(|| Arc::new(EvalPool::new(n as usize)));
-        self.st.set_pool(&self.prog, pool);
+        Some(build_profile_report(&self.nl, &self.prog, p))
     }
 
     /// Whether a `$finish` task has fired.
@@ -408,7 +384,6 @@ pub(crate) fn build_profile_report(
     nl: &Netlist,
     prog: &Program,
     p: &NlProfileState,
-    threads: u32,
 ) -> NlProfileReport {
     let levels: Vec<(u32, u64)> = p
         .level_execs
@@ -416,13 +391,6 @@ pub(crate) fn build_profile_report(
         .enumerate()
         .filter(|(_, &n)| n > 0)
         .map(|(lvl, &n)| (lvl as u32, n))
-        .collect();
-    let level_util: Vec<(u32, f64)> = p
-        .level_par_execs
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n > 0)
-        .map(|(lvl, &n)| (lvl as u32, n as f64 / p.level_execs[lvl].max(1) as f64))
         .collect();
     let mut by_kernel: std::collections::BTreeMap<&'static str, u64> =
         std::collections::BTreeMap::new();
@@ -464,10 +432,7 @@ pub(crate) fn build_profile_report(
         levels,
         kernels,
         hot_nets,
-        level_util,
         kernel_occupancy,
-        lanes: p.lanes.max(1),
-        threads: threads.max(1),
     }
 }
 

@@ -16,9 +16,7 @@
 
 use crate::ir::*;
 use crate::level::{levelize, levels, LevelError};
-use crate::par::{EvalPool, ParCtl};
 use cascade_bits::Bits;
-use std::sync::Arc;
 
 /// One net's run of words in the arena.
 #[derive(Debug, Clone, Copy)]
@@ -344,10 +342,6 @@ pub(crate) struct Program {
     pub instrs: Vec<Instr>,
     /// Combinational level of each instruction (0-based).
     pub level: Vec<u32>,
-    /// Per-level `[start, end)` instruction ranges: instructions are
-    /// sorted by level, so every level is one contiguous run. Empty levels
-    /// (possible after DCE) are `(0, 0)`.
-    pub level_ranges: Vec<(u32, u32)>,
     pub num_levels: u32,
     /// Net → instructions consuming it (deduplicated).
     pub fanout: Vec<Box<[u32]>>,
@@ -375,9 +369,6 @@ pub(crate) struct State {
     /// default) keeps the settle paths branch-free apart from one check
     /// per settle call.
     profile: Option<Box<NlProfileState>>,
-    /// Worker pool + per-level split policy; `None` (the default) keeps
-    /// every settle single-threaded.
-    par: Option<ParCtl>,
 }
 
 /// Raw activity counters collected when profiling is enabled.
@@ -387,8 +378,6 @@ pub(crate) struct NlProfileState {
     pub level_execs: Vec<u64>,
     /// Executions per instruction (index-aligned with `Program::instrs`).
     pub instr_execs: Vec<u64>,
-    /// Instruction executions per level that ran split across the pool.
-    pub level_par_execs: Vec<u64>,
     /// Lanes whose output word(s) changed, per instruction — tracked on
     /// the change-detecting paths only (see `instr_tracked`).
     pub instr_changes: Vec<u64>,
@@ -827,22 +816,6 @@ impl Program {
         items.sort_by_key(|(l, _, ins)| (*l, kernel_rank(&ins.kernel)));
         let level: Vec<u32> = items.iter().map(|&(l, _, _)| l).collect();
 
-        // Contiguous instruction range of each level (the sort above makes
-        // levels runs); the parallel splitter chunks these directly.
-        let mut level_ranges: Vec<(u32, u32)> = vec![(u32::MAX, 0); num_levels as usize];
-        for (i, &l) in level.iter().enumerate() {
-            let r = &mut level_ranges[l as usize];
-            if r.0 == u32::MAX {
-                r.0 = i as u32;
-            }
-            r.1 = i as u32 + 1;
-        }
-        for r in &mut level_ranges {
-            if r.0 == u32::MAX {
-                *r = (0, 0);
-            }
-        }
-
         // Fan-out: net -> consuming instructions, memory -> readers.
         // Built from kernel operands rather than netlist cell inputs: the
         // passes above reroute reads, and sparse invalidation must follow
@@ -909,7 +882,6 @@ impl Program {
             slots,
             instrs,
             level,
-            level_ranges,
             num_levels,
             fanout: fanout.into_iter().map(Vec::into_boxed_slice).collect(),
             mem_fanout: mem_fanout.into_iter().map(Vec::into_boxed_slice).collect(),
@@ -1495,7 +1467,6 @@ impl State {
                     .unwrap_or(0) as usize
             ],
             profile: None,
-            par: None,
         };
         for (i, net) in nl.nets.iter().enumerate() {
             match &net.def {
@@ -1606,7 +1577,6 @@ impl State {
             self.profile = Some(Box::new(NlProfileState {
                 level_execs: vec![0; prog.num_levels as usize],
                 instr_execs: vec![0; prog.instrs.len()],
-                level_par_execs: vec![0; prog.num_levels as usize],
                 instr_changes: vec![0; prog.instrs.len()],
                 instr_tracked: vec![0; prog.instrs.len()],
                 settles: 0,
@@ -1618,18 +1588,6 @@ impl State {
     /// The collected activity counters, if profiling is enabled.
     pub fn profile(&self) -> Option<&NlProfileState> {
         self.profile.as_deref()
-    }
-
-    /// Attaches (or detaches, with `None`) a worker pool for dense
-    /// settles. The split policy is derived per level from the program
-    /// and refined from the activity histograms while profiling is on.
-    pub fn set_pool(&mut self, prog: &Program, pool: Option<Arc<EvalPool>>) {
-        self.par = pool.map(|p| ParCtl::new(prog, p, 1));
-    }
-
-    /// Total participating threads (1 when no pool is attached).
-    pub fn pool_threads(&self) -> u32 {
-        self.par.as_ref().map_or(1, |c| c.pool.threads() as u32)
     }
 
     /// Recomputes every instruction in topological order with no dirty
@@ -1653,28 +1611,8 @@ impl State {
             }
             q.clear();
         }
-        let use_pool = match &mut self.par {
-            Some(ctl) => {
-                ctl.tick(prog, self.profile.as_deref());
-                ctl.any_par
-            }
-            None => false,
-        };
-        if use_pool {
-            let ctl = self.par.as_ref().expect("checked above");
-            if let Some(p) = &mut self.profile {
-                for (l, &(start, end)) in prog.level_ranges.iter().enumerate() {
-                    if ctl.par_level[l] {
-                        p.level_par_execs[l] += (end - start) as u64;
-                    }
-                }
-            }
-            ctl.pool
-                .run(prog, &mut self.arena, &self.mem_arena, 1, &ctl.par_level);
-        } else {
-            for i in 0..prog.instrs.len() as u32 {
-                self.exec(prog, i, false);
-            }
+        for i in 0..prog.instrs.len() as u32 {
+            self.exec(prog, i, false);
         }
     }
 
@@ -1955,7 +1893,7 @@ impl State {
 // once and runs a tight per-lane loop — logic ops vectorize trivially and
 // the arithmetic/compare/select/Lookup loops are simple enough for the
 // compiler to auto-vectorize. With `lanes == 1` this is exactly the dense
-// scalar schedule, which is what the worker pool executes.
+// scalar schedule.
 
 /// Per-lane unary kernel loop. Returns the number of lanes whose output
 /// word changed.
@@ -2121,8 +2059,7 @@ pub(crate) unsafe fn write_slot_lane(
 /// `arena` must hold `lanes * prog.arena_words` words and `mem` must hold
 /// `lanes * prog.mem_arena_words` words, both lane-major; `i` must index
 /// `prog.instrs`. The caller must guarantee exclusive access to the
-/// destination slot (within a level, destinations are disjoint, so chunked
-/// parallel execution of one level satisfies this).
+/// destination slot.
 pub(crate) unsafe fn exec_lanes(
     prog: &Program,
     arena: *mut u64,

@@ -45,7 +45,6 @@ mod ir;
 mod level;
 mod lower;
 pub mod opt;
-mod par;
 pub mod stats;
 
 pub use batch::{BatchHarness, MAX_BATCH_LANES};

@@ -492,32 +492,6 @@ impl<T: Transport> Client<T> {
         Ok(text_member(&reply))
     }
 
-    /// Tunes this session's data-parallel knobs: advertised batch width
-    /// and netlist-engine worker threads. `None` leaves a knob unchanged;
-    /// the returned pair is the effective (clamped) `(batch_width,
-    /// eval_threads)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the server's error message.
-    pub fn configure(
-        &mut self,
-        batch_width: Option<u64>,
-        eval_threads: Option<u64>,
-    ) -> Result<(u64, u64), String> {
-        let reply = self.expect_ok(&Request::Configure {
-            session: self.session()?,
-            batch_width,
-            eval_threads,
-        })?;
-        let w = reply.get("batch_width").and_then(Json::as_u64).unwrap_or(1);
-        let t = reply
-            .get("eval_threads")
-            .and_then(Json::as_u64)
-            .unwrap_or(1);
-        Ok((w, t))
-    }
-
     /// Starts a VCD waveform dump into `path`. An empty `ports` list dumps
     /// the clock and every named wire port.
     ///

@@ -22,7 +22,6 @@
 //! | `trace`        | `session?`, `virtual_only?` | `{ok, trace, dropped}` Chrome-trace JSONL |
 //! | `timeline`     | `session?`             | `{ok, text}` human-readable JIT timeline     |
 //! | `profile`      | `session`              | `{ok, text}` engine execution profile        |
-//! | `configure`    | `session`, `batch_width?`, `eval_threads?` | `{ok, batch_width, eval_threads}` |
 //! | `vcd`          | `session`, `path?`, `ports?[]` | `{ok, active, path?}` start/stop dump |
 //! | `hibernate`    | `session`              | `{ok, hibernated, bytes?, reason?}`          |
 //! | `drain_server` |                        | `{ok, flushed, hibernated}` durable flush    |
@@ -98,15 +97,6 @@ pub enum Request {
     /// Execution profile of the session's active main engine (bytecode
     /// process/opcode counts, or netlist level/kernel/net activity).
     Profile { session: u64 },
-    /// Tunes the session's data-parallel knobs: the advertised batch
-    /// width for lane-parallel drivers and the netlist engine's worker
-    /// thread count. Omitted members are left unchanged; the reply
-    /// echoes the effective (clamped) values.
-    Configure {
-        session: u64,
-        batch_width: Option<u64>,
-        eval_threads: Option<u64>,
-    },
     /// Starts (`path` set) or stops (`path` absent) a VCD waveform dump
     /// of the session's main-engine ports. An empty `ports` list dumps
     /// the clock plus every named wire port.
@@ -248,11 +238,6 @@ impl Request {
             }),
             "profile" => Ok(Request::Profile {
                 session: session()?,
-            }),
-            "configure" => Ok(Request::Configure {
-                session: session()?,
-                batch_width: v.get("batch_width").and_then(Json::as_u64),
-                eval_threads: v.get("eval_threads").and_then(Json::as_u64),
             }),
             "vcd" => Ok(Request::Vcd {
                 session: session()?,
@@ -402,23 +387,6 @@ impl Request {
             Request::Profile { session } => {
                 Json::obj([("cmd", "profile".into()), ("session", (*session).into())])
             }
-            Request::Configure {
-                session,
-                batch_width,
-                eval_threads,
-            } => {
-                let mut pairs = vec![
-                    ("cmd", Json::from("configure")),
-                    ("session", (*session).into()),
-                ];
-                if let Some(w) = batch_width {
-                    pairs.push(("batch_width", (*w).into()));
-                }
-                if let Some(t) = eval_threads {
-                    pairs.push(("eval_threads", (*t).into()));
-                }
-                Json::obj(pairs)
-            }
             Request::Vcd {
                 session,
                 path,
@@ -548,16 +516,6 @@ mod tests {
             Request::Timeline { session: Some(3) },
             Request::Timeline { session: None },
             Request::Profile { session: 4 },
-            Request::Configure {
-                session: 4,
-                batch_width: Some(64),
-                eval_threads: Some(4),
-            },
-            Request::Configure {
-                session: 4,
-                batch_width: None,
-                eval_threads: None,
-            },
             Request::Vcd {
                 session: 5,
                 path: Some("/tmp/wave.vcd".to_string()),
@@ -593,6 +551,10 @@ mod tests {
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse("{}").is_err());
         assert!(Request::parse("{\"cmd\":\"warp\"}").is_err());
+        assert_eq!(
+            Request::parse("{\"cmd\":\"configure\",\"session\":1,\"batch_width\":4}"),
+            Err("unknown cmd `configure`".to_string())
+        );
         assert!(Request::parse("{\"cmd\":\"eval\",\"session\":1}").is_err());
         assert!(Request::parse("{\"cmd\":\"run\",\"session\":1,\"ticks\":\"x\"}").is_err());
         assert!(Request::parse("{\"cmd\":\"eval\",\"line\":\"x;\"}").is_err());

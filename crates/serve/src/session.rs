@@ -320,11 +320,6 @@ enum Cmd {
     Profile {
         tx: Sender<Json>,
     },
-    Configure {
-        batch_width: Option<u32>,
-        eval_threads: Option<u32>,
-        tx: Sender<Json>,
-    },
     Vcd {
         path: Option<String>,
         ports: Vec<String>,
@@ -357,7 +352,6 @@ impl Cmd {
             | Cmd::Stats { tx }
             | Cmd::Metrics { tx }
             | Cmd::Profile { tx }
-            | Cmd::Configure { tx, .. }
             | Cmd::Vcd { tx, .. } => Some(tx.clone()),
             Cmd::Service => None,
             Cmd::Hibernate { tx } | Cmd::Close { tx } => tx.clone(),
@@ -382,7 +376,6 @@ impl Cmd {
             Cmd::Stats { .. } => "stats",
             Cmd::Metrics { .. } => "metrics",
             Cmd::Profile { .. } => "profile",
-            Cmd::Configure { .. } => "configure",
             Cmd::Vcd { .. } => "vcd",
             Cmd::Service => "service",
             Cmd::Hibernate { .. } => "hibernate",
@@ -896,15 +889,6 @@ impl Server {
                 ok([("text", render_timeline(&events).into())])
             }
             Request::Profile { session } => self.submit(session, false, |tx| Cmd::Profile { tx }),
-            Request::Configure {
-                session,
-                batch_width,
-                eval_threads,
-            } => self.submit(session, false, |tx| Cmd::Configure {
-                batch_width: batch_width.map(|w| w.min(u32::MAX as u64) as u32),
-                eval_threads: eval_threads.map(|t| t.min(u32::MAX as u64) as u32),
-                tx,
-            }),
             Request::Vcd {
                 session,
                 path,
@@ -2968,7 +2952,6 @@ fn execute(
         Cmd::Stats { tx } => {
             let stats = repl.runtime().stats();
             let rt = repl.runtime();
-            let (batch_width, eval_threads) = rt.data_parallel();
             let out = session.output.lock_unpoisoned();
             let _ = tx.send(ok([
                 ("session", session.id.into()),
@@ -2999,8 +2982,6 @@ fn execute(
                 ("checkpoints_taken", stats.checkpoints_taken.into()),
                 ("checkpoints_restored", stats.checkpoints_restored.into()),
                 ("fabric_losses", stats.fabric_losses.into()),
-                ("batch_width", u64::from(batch_width).into()),
-                ("eval_threads", u64::from(eval_threads).into()),
             ]));
         }
         Cmd::Metrics { tx } => {
@@ -3012,19 +2993,6 @@ fn execute(
                 None => err("no profile: session has no user logic or tracing is disabled"),
             };
             let _ = tx.send(reply);
-        }
-        Cmd::Configure {
-            batch_width,
-            eval_threads,
-            tx,
-        } => {
-            let rt = repl.runtime();
-            rt.set_data_parallel(batch_width, eval_threads);
-            let (w, t) = rt.data_parallel();
-            let _ = tx.send(ok([
-                ("batch_width", u64::from(w).into()),
-                ("eval_threads", u64::from(t).into()),
-            ]));
         }
         Cmd::Vcd { path, ports, tx } => {
             let rt = repl.runtime();

@@ -1,25 +1,21 @@
 //! The differential runner: one generated design, every engine, cycle-by-
 //! cycle transcript equality.
 //!
-//! A design is driven through six independent execution paths —
+//! A design is driven through five independent execution paths —
 //!
 //! 1. the tree-walking event [`Simulator`] (the oracle),
 //! 2. the bytecode-compiled [`CompiledSim`],
 //! 3. the interpretive netlist walker [`ReferenceSim`],
-//! 4. the compiled word-arena [`NetlistSim`] (peephole passes on),
+//! 4. the compiled word-arena [`NetlistSim`] (peephole passes on), and
 //! 5. lane 0 of a [`BatchHarness`] (lane-group batch kernels, with the
 //!    other lanes fed *different* stimulus so per-lane commit-skip masks
-//!    and task routing are live), and
-//! 6. a [`NetlistSim`] with a forced-parallel [`EvalPool`] attached
-//!    (`CASCADE_NETLIST_FORCE_PAR=1`, worker threads on every level)
+//!    and task routing are live)
 //!
 //! — with identical per-cycle input vectors derived from the spec's
 //! stimulus seed. Every cycle compares output values, rendered
 //! `$display`/`$finish` task text, and the finish flag. The first
 //! mismatch is returned as a structured [`Divergence`]; agreement returns
 //! the coverage observations the fuzzer feeds back into generation.
-//!
-//! [`EvalPool`]: cascade_netlist::NetlistSim::set_eval_threads
 
 use crate::spec::DesignSpec;
 use cascade_bits::{Bits, Prng};
@@ -35,17 +31,15 @@ pub enum EngineId {
     ReferenceNetlist,
     NetlistSim,
     BatchLane0,
-    ForcedParallel,
 }
 
 impl EngineId {
     /// Engines compared against the tree-walker oracle.
-    pub const CHECKED: [EngineId; 5] = [
+    pub const CHECKED: [EngineId; 4] = [
         EngineId::CompiledSim,
         EngineId::ReferenceNetlist,
         EngineId::NetlistSim,
         EngineId::BatchLane0,
-        EngineId::ForcedParallel,
     ];
 
     /// Short stable name used in reports and corpus file names.
@@ -56,7 +50,6 @@ impl EngineId {
             EngineId::ReferenceNetlist => "refnl",
             EngineId::NetlistSim => "netlist",
             EngineId::BatchLane0 => "batch0",
-            EngineId::ForcedParallel => "par",
         }
     }
 }
@@ -93,8 +86,6 @@ pub struct DiffConfig {
     /// Batch harness width (lane 0 is compared; ≥2 keeps other lanes
     /// live on divergent stimulus). 0 disables the batch engine.
     pub batch_lanes: u32,
-    /// Worker threads for the forced-parallel engine. 0 disables it.
-    pub par_threads: u32,
     /// Collect per-kernel / per-opcode coverage observations.
     pub profile: bool,
 }
@@ -103,7 +94,6 @@ impl Default for DiffConfig {
     fn default() -> Self {
         DiffConfig {
             batch_lanes: 2,
-            par_threads: 2,
             profile: true,
         }
     }
@@ -152,14 +142,6 @@ fn render_fires(fires: Vec<cascade_netlist::TaskFire>) -> Vec<String> {
             _ => f.text,
         })
         .collect()
-}
-
-/// Forces the level-parallel pool onto every settle (the generated designs
-/// are far too small to clear the activity cutover naturally). Set once,
-/// process-wide — it only affects evaluators that have a pool attached.
-fn ensure_force_par() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| std::env::set_var("CASCADE_NETLIST_FORCE_PAR", "1"));
 }
 
 // ---------------------------------------------------------------------
@@ -319,14 +301,6 @@ pub fn run_differential_src(
     }
     let mut batch = if cfg.batch_lanes >= 1 {
         Some(BatchHarness::new(Arc::clone(&nl), cfg.batch_lanes.max(2)).expect("levelize"))
-    } else {
-        None
-    };
-    let mut par = if cfg.par_threads >= 1 {
-        ensure_force_par();
-        let mut p = NetlistSim::new(Arc::clone(&nl)).expect("levelize");
-        p.set_eval_threads(cfg.par_threads.max(2));
-        Some(p)
     } else {
         None
     };
@@ -492,24 +466,6 @@ pub fn run_differential_src(
             }
         }
 
-        // Forced-parallel arena evaluator.
-        if let Some(par) = par.as_mut() {
-            par.set_by_name("a", a.clone());
-            par.set_by_name("b", b.clone());
-            par.step_clock(0);
-            let obs = CycleObs {
-                outs: outs
-                    .iter()
-                    .map(|o| par.get_by_name(o).unwrap_or_else(|| Bits::zero(16)))
-                    .collect(),
-                tasks: render_fires(par.drain_tasks()),
-                finished: par.is_finished(),
-            };
-            if let Some(d) = check(EngineId::ForcedParallel, obs) {
-                return DiffOutcome::Diverged(d);
-            }
-        }
-
         cycles_run += 1;
     }
 
@@ -540,7 +496,7 @@ pub fn run_differential_src(
 mod tests {
     use super::*;
 
-    /// Generated specs agree across all six engines (when they didn't,
+    /// Generated specs agree across all five engines (when they didn't,
     /// that was a real engine bug — this is the fuzzer's core check).
     #[test]
     fn generated_specs_agree_across_engines() {

@@ -3,7 +3,7 @@
 //! The repo's rare asset is redundancy: four execution engines (the
 //! tree-walking event simulator, the bytecode-compiled software engine,
 //! the interpretive netlist walker, and the compiled word-arena evaluator)
-//! plus the batch and multicore variants must all agree cycle-by-cycle on
+//! plus the batch variant must all agree cycle-by-cycle on
 //! every synthesizable design. This crate industrializes that oracle into
 //! three pillars:
 //!

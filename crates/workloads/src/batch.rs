@@ -16,20 +16,11 @@ use crate::needleman::{grader_module, pack_sequence};
 use crate::regex::{matcher_verilog, Dfa, Flavor};
 
 /// Builds a batch harness for a standalone ported module.
-fn harness_for(
-    src: &str,
-    top: &str,
-    lanes: u32,
-    eval_threads: u32,
-) -> Result<BatchHarness, String> {
+fn harness_for(src: &str, top: &str, lanes: u32) -> Result<BatchHarness, String> {
     let lib = library_from_source(src).map_err(|e| e.to_string())?;
     let design = elaborate(top, &lib, &Default::default()).map_err(|e| e.to_string())?;
     let netlist = synthesize(&design).map_err(|e| e.to_string())?;
-    let mut h = BatchHarness::new(netlist.into(), lanes).map_err(|e| e.to_string())?;
-    if eval_threads > 1 {
-        h.set_eval_threads(eval_threads);
-    }
-    Ok(h)
+    BatchHarness::new(netlist.into(), lanes).map_err(|e| e.to_string())
 }
 
 /// Sign-extends a `width`-bit two's-complement value.
@@ -43,8 +34,8 @@ fn sign_extend(raw: u64, width: u32) -> i64 {
 
 /// Scores a corpus of equal-length sequence pairs on the hardware grader,
 /// `lanes` pairs at a time. Every pair must be exactly `seq_len` symbols
-/// (1..=32); scores come back in corpus order. `eval_threads > 1`
-/// additionally splits wide combinational levels across a worker pool.
+/// (1..=32); scores come back in corpus order. `_threads` is ignored: it
+/// stays only because the frozen `bench/src/batch.rs` passes it positionally.
 ///
 /// The result is bit-identical to running [`grader_module`] once per pair
 /// — and to the [`nw_score`](crate::needleman::nw_score) software oracle.
@@ -58,7 +49,7 @@ pub fn grade_corpus_batched(
     seq_len: usize,
     cell_width: u32,
     lanes: u32,
-    eval_threads: u32,
+    _threads: u32,
 ) -> Result<Vec<i64>, String> {
     for (i, (a, b)) in pairs.iter().enumerate() {
         if a.len() != seq_len || b.len() != seq_len {
@@ -66,7 +57,7 @@ pub fn grade_corpus_batched(
         }
     }
     let src = grader_module(seq_len, cell_width);
-    let mut h = harness_for(&src, "NwGrader", lanes, eval_threads)?;
+    let mut h = harness_for(&src, "NwGrader", lanes)?;
     let lanes = h.lanes();
     let nl = h.netlist();
     let seq_a = nl.net_by_name("seq_a").ok_or("no seq_a port")?;
@@ -104,7 +95,8 @@ pub fn grade_corpus_batched(
 /// `lanes` streams at a time. Streams may have different lengths — a lane
 /// whose stream is exhausted idles with `valid` low while the rest of its
 /// batch drains. Counts come back in corpus order and are bit-identical
-/// to [`Dfa::count_matches`].
+/// to [`Dfa::count_matches`]. `_threads` is ignored: it stays only because
+/// the frozen `bench/src/batch.rs` passes it positionally.
 ///
 /// # Errors
 ///
@@ -114,10 +106,10 @@ pub fn match_corpus_batched(
     dfa: &Dfa,
     inputs: &[Vec<u8>],
     lanes: u32,
-    eval_threads: u32,
+    _threads: u32,
 ) -> Result<Vec<u64>, String> {
     let src = matcher_verilog(dfa, Flavor::Ported);
-    let mut h = harness_for(&src, "Matcher", lanes, eval_threads)?;
+    let mut h = harness_for(&src, "Matcher", lanes)?;
     let lanes = h.lanes();
     let nl = h.netlist();
     let byte_in = nl.net_by_name("byte_in").ok_or("no byte_in port")?;
@@ -173,24 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_grading_is_thread_invariant() {
-        let n = 6;
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..5)
-            .map(|i| (random_sequence(n, 300 + i), random_sequence(n, 400 + i)))
-            .collect();
-        let serial = grade_corpus_batched(&pairs, n, 16, 8, 1).unwrap();
-        let pooled = grade_corpus_batched(&pairs, n, 16, 8, 4).unwrap();
-        assert_eq!(serial, pooled);
-        assert_eq!(
-            serial,
-            pairs
-                .iter()
-                .map(|(a, b)| nw_score(a, b))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn batched_matching_matches_oracle() {
         let dfa = compile("GET |POST ").unwrap();
         let inputs: Vec<Vec<u8>> = [
@@ -206,7 +180,5 @@ mod tests {
         let want: Vec<u64> = inputs.iter().map(|s| dfa.count_matches(s)).collect();
         let got = match_corpus_batched(&dfa, &inputs, 4, 1).unwrap();
         assert_eq!(got, want);
-        let pooled = match_corpus_batched(&dfa, &inputs, 4, 2).unwrap();
-        assert_eq!(pooled, want);
     }
 }

@@ -255,22 +255,13 @@ fn arb_batch_module(rng: &mut Prng) -> String {
     )
 }
 
-/// Test-harness batch width: `CASCADE_TEST_BATCH_WIDTH` (CI's
-/// parallel-smoke job sets 8) or 4.
-fn test_batch_width() -> u32 {
-    std::env::var("CASCADE_TEST_BATCH_WIDTH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
-
-/// Worker threads applied to every batch harness under test:
-/// `CASCADE_TEST_EVAL_THREADS` (CI's parallel-smoke job sets 4) or 1.
-fn test_eval_threads() -> u32 {
-    std::env::var("CASCADE_TEST_EVAL_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+/// Every `(width, seed)` case of the batch-equivalence tests. Width 1 is
+/// deliberate: it is the only way `exec_lanes` runs at `lanes = 1`, the
+/// configuration `netlist.batch1_cycle_ns` measures.
+fn batch_cases(seeds: u64) -> impl Iterator<Item = (u32, u64)> {
+    [1, 4, 8]
+        .into_iter()
+        .flat_map(move |width| (0..seeds).map(move |seed| (width, seed)))
 }
 
 /// A width-N batched run is bit-identical, lane for lane, to N sequential
@@ -278,17 +269,12 @@ fn test_eval_threads() -> u32 {
 /// task text, the edge `$finish` lands on, and the per-lane cycle count.
 #[test]
 fn batch_lanes_match_sequential_runs() {
-    let width = test_batch_width();
-    let threads = test_eval_threads();
-    for seed in 0..24 {
+    for (width, seed) in batch_cases(24) {
         let mut rng = Prng::new(seed + 3000);
         let src = arb_batch_module(&mut rng);
         let design = design_of(&src);
         let nl = Arc::new(synthesize(&design).expect("synthesize"));
         let mut batch = BatchHarness::new(Arc::clone(&nl), width).expect("levelize");
-        if threads > 1 {
-            batch.set_eval_threads(threads);
-        }
         let mut scalars: Vec<NetlistSim> = (0..width)
             .map(|_| NetlistSim::new(Arc::clone(&nl)).expect("levelize"))
             .collect();
@@ -355,17 +341,12 @@ fn batch_lanes_match_sequential_runs() {
 /// many edges each lane counted before its `$finish`.
 #[test]
 fn batch_run_cycles_matches_sequential_runs() {
-    let width = test_batch_width();
-    let threads = test_eval_threads();
-    for seed in 0..16 {
+    for (width, seed) in batch_cases(16) {
         let mut rng = Prng::new(seed + 4000);
         let src = arb_batch_module(&mut rng);
         let design = design_of(&src);
         let nl = Arc::new(synthesize(&design).expect("synthesize"));
         let mut batch = BatchHarness::new(Arc::clone(&nl), width).expect("levelize");
-        if threads > 1 {
-            batch.set_eval_threads(threads);
-        }
         // Constant per-lane stimulus; runs long enough to enter the dense
         // streak. Lanes with (a ^ b)[bit] set finish early, others never.
         let n = rng.range(100, 300);
@@ -411,74 +392,6 @@ fn batch_run_cycles_matches_sequential_runs() {
             );
         }
     }
-}
-
-/// Multicore eval is deterministic: with the pool forced onto every level
-/// (`CASCADE_NETLIST_FORCE_PAR`, since these tiny random programs never
-/// clear the activity cutover naturally), threads ∈ {2, 4, 8} produce
-/// byte-for-byte the single-threaded outputs and task streams — on both
-/// the scalar engine and a batch harness.
-#[test]
-fn multicore_eval_is_deterministic() {
-    std::env::set_var("CASCADE_NETLIST_FORCE_PAR", "1");
-    for seed in 0..8 {
-        let mut rng = Prng::new(seed + 5000);
-        let src = arb_batch_module(&mut rng);
-        let design = design_of(&src);
-        let nl = Arc::new(synthesize(&design).expect("synthesize"));
-        let a = Bits::from_u64(16, rng.next_u64() & 0xffff);
-        let b = Bits::from_u64(16, rng.next_u64() & 0xffff);
-        let n = rng.range(100, 300);
-
-        // Scalar engine: serial baseline, then each thread count.
-        let run_scalar = |threads: u32| {
-            let mut sim = NetlistSim::new(Arc::clone(&nl)).expect("levelize");
-            if threads > 1 {
-                sim.set_eval_threads(threads);
-            }
-            sim.set_by_name("a", a.clone());
-            sim.set_by_name("b", b.clone());
-            let done = sim.run_cycles(n, usize::MAX);
-            let outs: Vec<Bits> = OUTS.iter().map(|o| sim.get_by_name(o).unwrap()).collect();
-            (done, outs, sim.drain_tasks(), sim.is_finished())
-        };
-        let baseline = run_scalar(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run_scalar(threads),
-                baseline,
-                "scalar t={threads} diverged from serial (seed {seed})\n{src}"
-            );
-        }
-
-        // Batch harness: 8 lanes of identical stimulus, same sweep.
-        let run_batch = |threads: u32| {
-            let mut h = BatchHarness::new(Arc::clone(&nl), 8).expect("levelize");
-            if threads > 1 {
-                h.set_eval_threads(threads);
-            }
-            h.set_all_by_name("a", a.clone());
-            h.set_all_by_name("b", b.clone());
-            h.run_cycles(n);
-            let outs: Vec<Bits> = (0..8)
-                .flat_map(|lane| {
-                    OUTS.iter()
-                        .map(|o| h.get_lane_by_name(o, lane).unwrap())
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            (outs, h.drain_tasks(), h.cycles())
-        };
-        let batch_baseline = run_batch(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run_batch(threads),
-                batch_baseline,
-                "batch t={threads} diverged from serial (seed {seed})\n{src}"
-            );
-        }
-    }
-    std::env::remove_var("CASCADE_NETLIST_FORCE_PAR");
 }
 
 /// The batched open-loop path (`run_cycles` with its no-mark dense-commit

@@ -69,6 +69,13 @@ fn tcp_and_inproc_share_one_protocol() {
     let mut inproc = InProcClient::connect(&server);
     let reply = Json::parse(&server.handle_line("{\"cmd\":\"warp\"}")).unwrap();
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    // So does the removed `configure` command, aimed at the live session:
+    // the probes below show the session kept serving.
+    let line = format!("{{\"cmd\":\"configure\",\"session\":{id},\"batch_width\":4}}");
+    let reply = Json::parse(&server.handle_line(&line)).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("unknown cmd"), "got: {error}");
 
     // The in-process client sees the TCP client's session state.
     inproc.attach(id).expect("attach inproc");

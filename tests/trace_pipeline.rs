@@ -627,50 +627,13 @@ fn profile_report_names_verilog_sources() {
     assert!(text.contains("opcode"), "no opcode histogram:\n{text}");
 }
 
-/// Data-parallel knobs end to end over the serve protocol: `configure`
-/// round-trips into the session runtime, out-of-range values are clamped,
-/// and `stats` echoes the effective settings.
-#[test]
-fn serve_configure_round_trips_data_parallel_knobs() {
-    let server = Server::new(ServeConfig::quick());
-    let mut c = InProcClient::connect(&server);
-    c.open().expect("open");
-
-    // Defaults are scalar/single-threaded.
-    let stats = c.stats().expect("stats");
-    assert_eq!(stats.get("batch_width").and_then(Json::as_u64), Some(1));
-    assert_eq!(stats.get("eval_threads").and_then(Json::as_u64), Some(1));
-
-    // The reply echoes the effective values, as does a later `stats`.
-    assert_eq!(c.configure(Some(8), Some(4)).expect("configure"), (8, 4));
-    let stats = c.stats().expect("stats");
-    assert_eq!(stats.get("batch_width").and_then(Json::as_u64), Some(8));
-    assert_eq!(stats.get("eval_threads").and_then(Json::as_u64), Some(4));
-
-    // Absent members leave knobs unchanged; zeros clamp to 1.
-    assert_eq!(c.configure(None, None).expect("configure noop"), (8, 4));
-    assert_eq!(
-        c.configure(Some(0), Some(0)).expect("configure clamp"),
-        (1, 1)
-    );
-
-    // Reconfiguring a session with live user logic still works (the
-    // worker-pool size is applied to the running engine).
-    c.eval_all(COUNTER).expect("eval");
-    c.run(16).expect("run");
-    assert_eq!(c.configure(None, Some(2)).expect("configure live"), (1, 2));
-}
-
-/// The hardware-engine profile renders the data-parallel columns: with
-/// `eval_threads > 1` the header carries the thread count, levels carry a
-/// `pool` utilization share, and change-tracking kernels carry a lane
-/// `occ`upancy share. The design mixes both settle schedules: a long
-/// combinational chain hangs off a register that updates every 16th
+/// The hardware-engine profile renders the lane `occ`upancy column on
+/// change-tracking kernels. The design mixes both settle schedules: a
+/// long combinational chain hangs off a register that updates every 16th
 /// cycle, so most waves are narrow (sparse settles, which track
-/// occupancy) while the chain's update waves go dense (which is where
-/// the pool engages).
+/// occupancy) while the chain's update waves go dense (which do not).
 #[test]
-fn hw_profile_shows_thread_and_occupancy_columns() {
+fn hw_profile_shows_occupancy_column() {
     let mut src = String::from(
         "reg [15:0] cnt = 0;\n\
          reg [7:0] slow = 0;\n\
@@ -710,22 +673,14 @@ fn hw_profile_shows_thread_and_occupancy_columns() {
     let mut config = JitConfig::default();
     config.toolchain.time_scale = 1e-6;
     config.trace = TraceSink::ring(1024);
-    config.eval_threads = 2;
-    // The chain levels are one instruction wide, far below the activity
-    // cutover, so force the pool onto every level (same knob the CI
-    // parallel-smoke job uses for the equivalence suite).
-    std::env::set_var("CASCADE_NETLIST_FORCE_PAR", "1");
     let mut rt = Runtime::new(Board::new(), config).expect("runtime");
     rt.eval(&src).expect("eval");
     settle_compile(&mut rt);
     rt.run_ticks(256).expect("run");
     let text = rt.profile_text().expect("profile text");
-    std::env::remove_var("CASCADE_NETLIST_FORCE_PAR");
     assert!(
         text.contains("hardware engine"),
         "compile did not promote:\n{text}"
     );
-    assert!(text.contains("threads=2"), "no thread count:\n{text}");
-    assert!(text.contains("pool"), "no pool utilization column:\n{text}");
     assert!(text.contains("occ"), "no lane occupancy column:\n{text}");
 }

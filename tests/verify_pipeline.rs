@@ -3,7 +3,7 @@
 //!
 //! Tier-1 contract: every `.v` file under `corpus/` is a shrunk repro of
 //! a once-real engine divergence; all of them must replay as *agreement*
-//! through the full six-way differential stack (the bugs they captured
+//! through the full five-way differential stack (the bugs they captured
 //! stay fixed). On top of that, a bounded fuzz campaign, a BMC proof of
 //! the post-synthesis optimizer, and a small chaos soak all run clean.
 
@@ -58,7 +58,7 @@ fn corpus_regressions_stay_fixed() {
     }
 }
 
-/// A bounded coverage-guided campaign across all six engines finds no
+/// A bounded coverage-guided campaign across all five engines finds no
 /// divergences and accumulates real coverage.
 #[test]
 fn bounded_fuzz_campaign_is_clean() {
