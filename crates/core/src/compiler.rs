@@ -263,6 +263,16 @@ struct Job {
     /// Parent span id for events this job emits into the submitter's tree
     /// (the request root), so dedup joins stay connected to it.
     origin_parent: u64,
+    /// Cleared when nobody awaits the outcome any more: the submitter
+    /// dispatched again (a newer version, a retry) or was dropped. It
+    /// guards no other data, so a stale read only runs a dead job.
+    live: Arc<AtomicBool>,
+}
+
+impl Job {
+    fn is_live(&self) -> bool {
+        self.live.load(Ordering::Relaxed)
+    }
 }
 
 /// Submissions waiting on an in-flight compile of the same content hash:
@@ -289,6 +299,7 @@ struct QueueShared {
     in_progress: Mutex<HashMap<u64, InFlight>>,
     coalesced: AtomicU64,
     dropped: AtomicU64,
+    skipped: AtomicU64,
     worker_panics: AtomicU64,
     capacity: usize,
     shutdown: AtomicBool,
@@ -296,6 +307,29 @@ struct QueueShared {
     /// (dedup joins). Host-clock only, so worker scheduling cannot perturb
     /// the deterministic export.
     trace: Mutex<TraceSink>,
+}
+
+impl QueueShared {
+    fn new(
+        queue_capacity: usize,
+        cache_capacity: usize,
+        store: Option<Arc<BitstreamStore>>,
+    ) -> Arc<QueueShared> {
+        Arc::new(QueueShared {
+            jobs: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            cache: Arc::new(BitstreamCache::new(cache_capacity)),
+            store,
+            in_progress: Mutex::new(HashMap::new()),
+            coalesced: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            skipped: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
+            capacity: queue_capacity.max(1),
+            shutdown: AtomicBool::new(false),
+            trace: Mutex::new(TraceSink::disabled()),
+        })
+    }
 }
 
 /// A cloneable submission handle into a [`CompilePool`].
@@ -311,11 +345,18 @@ impl CompileQueue {
             return; // tx drops; the submitter degrades to software-only
         }
         if q.len() >= self.shared.capacity {
-            // Bounded queue: shed the oldest waiting job. Its submitter's
-            // receiver disconnects and that session simply stays on its
-            // software engine until it resubmits.
-            q.pop_front();
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+            // Bounded queue: jobs nobody awaits go first; failing that,
+            // shed the oldest waiting job. Its submitter's receiver
+            // disconnects and that session simply stays on its software
+            // engine until it resubmits.
+            let before = q.len();
+            q.retain(Job::is_live);
+            let dead = (before - q.len()) as u64;
+            self.shared.skipped.fetch_add(dead, Ordering::Relaxed);
+            if dead == 0 {
+                q.pop_front();
+                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+            }
         }
         q.push_back(job);
         self.shared.available.notify_one();
@@ -341,9 +382,15 @@ impl CompileQueue {
         self.shared.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Jobs shed because the queue was full.
+    /// Live jobs shed because the queue was full.
     pub fn dropped(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Jobs discarded unrun because their submitter no longer awaited
+    /// them (it had dispatched again or was dropped).
+    pub fn skipped(&self) -> u64 {
+        self.shared.skipped.load(Ordering::Relaxed)
     }
 
     /// Worker panics contained by the pool (each job's submitter got a
@@ -385,19 +432,7 @@ impl CompilePool {
         cache_capacity: usize,
         store: Option<Arc<BitstreamStore>>,
     ) -> Self {
-        let shared = Arc::new(QueueShared {
-            jobs: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            cache: Arc::new(BitstreamCache::new(cache_capacity)),
-            store,
-            in_progress: Mutex::new(HashMap::new()),
-            coalesced: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            capacity: queue_capacity.max(1),
-            shutdown: AtomicBool::new(false),
-            trace: Mutex::new(TraceSink::disabled()),
-        });
+        let shared = QueueShared::new(queue_capacity, cache_capacity, store);
         let handles = (0..workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -434,8 +469,14 @@ fn worker_loop(shared: &QueueShared) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                // A job nobody awaits is dropped here, before it can
+                // consume a fault-plan occurrence or toolchain time.
                 if let Some(j) = q.pop_front() {
-                    break j;
+                    if j.is_live() {
+                        break j;
+                    }
+                    shared.skipped.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
                 q = shared
                     .available
@@ -651,6 +692,14 @@ pub struct BackgroundCompiler {
     origin: SpanRef,
     /// Parent span id for emitted compile spans (the request root).
     origin_parent: u64,
+    /// The liveness handle of the pooled job last dispatched.
+    live: Option<Arc<AtomicBool>>,
+}
+
+impl Drop for BackgroundCompiler {
+    fn drop(&mut self) {
+        self.abandon();
+    }
 }
 
 impl Default for BackgroundCompiler {
@@ -694,6 +743,14 @@ impl BackgroundCompiler {
             track: 0,
             origin: SpanRef::default(),
             origin_parent: 0,
+            live: None,
+        }
+    }
+
+    /// Tells the pool nobody awaits the job last dispatched.
+    fn abandon(&mut self) {
+        if let Some(live) = self.live.take() {
+            live.store(false, Ordering::Relaxed);
         }
     }
 
@@ -778,7 +835,10 @@ impl BackgroundCompiler {
         let (tx, rx) = channel();
         let version = self.submitted_version;
         let faults = self.faults.clone();
+        self.abandon();
         if let Some(queue) = &self.queue {
+            let live = Arc::new(AtomicBool::new(true));
+            self.live = Some(Arc::clone(&live));
             queue.submit(Job {
                 design,
                 toolchain,
@@ -787,6 +847,7 @@ impl BackgroundCompiler {
                 faults,
                 origin: self.origin,
                 origin_parent: self.origin_parent,
+                live,
             });
             self.handle = None;
         } else {
@@ -1188,4 +1249,90 @@ fn compile_with_wrapper(
     // The solo (single-user REPL) flow has no persistent store: warm
     // restarts are a property of the pooled server.
     run_toolchain(netlist, &tc, key, fp, version, cache, None, faults)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cascade_fpga::Device;
+
+    fn design() -> Arc<Design> {
+        let lib = cascade_sim::library_from_source(
+            "module C(input wire clk, output wire [7:0] q);\n\
+               reg [7:0] n = 0;\n\
+               always @(posedge clk) n <= n + 1;\n\
+               assign q = n;\n\
+             endmodule",
+        )
+        .expect("parse");
+        Arc::new(cascade_sim::elaborate("C", &lib, &Default::default()).expect("elaborate"))
+    }
+
+    /// Every job is queued before the worker starts, so which jobs it meets
+    /// dead is fixed; each submitter then blocks on its own outcome channel.
+    #[test]
+    fn jobs_nobody_awaits_are_skipped_before_they_run() {
+        let shared = QueueShared::new(3, 8, None);
+        let queue = CompileQueue {
+            shared: Arc::clone(&shared),
+        };
+        let faults = FaultPlan::builder().toolchain_transient(1).build();
+        let tc = Toolchain::new(Device::cyclone_v());
+        let submitter = || {
+            let mut c = BackgroundCompiler::with_queue(queue.clone());
+            c.configure(RetryPolicy::default(), faults.clone());
+            c
+        };
+        let (mut a, mut b, mut c, mut d, mut e, mut f) = (
+            submitter(),
+            submitter(),
+            submitter(),
+            submitter(),
+            submitter(),
+            submitter(),
+        );
+        a.submit(design(), tc.clone(), 1, 0.0);
+        a.submit(design(), tc.clone(), 2, 0.0); // supersedes a@1
+        b.submit(design(), tc.clone(), 1, 0.0);
+        drop(b);
+        // Full: the two dead jobs make room, nothing live is shed.
+        c.submit(design(), tc.clone(), 1, 0.0);
+        assert_eq!((queue.skipped(), queue.dropped(), queue.depth()), (2, 0, 2));
+        d.submit(design(), tc.clone(), 1, 0.0);
+        // Full of live jobs: the oldest (a@2) is shed.
+        e.submit(design(), tc.clone(), 1, 0.0);
+        assert_eq!((queue.skipped(), queue.dropped(), queue.depth()), (2, 1, 3));
+        f.submit(design(), tc.clone(), 1, 0.0);
+        assert_eq!((queue.skipped(), queue.dropped()), (2, 2), "c@1 shed");
+        // d@2 supersedes d@1, whose place it takes.
+        d.submit(design(), tc.clone(), 2, 0.0);
+        assert_eq!((queue.skipped(), queue.dropped(), queue.depth()), (3, 2, 3));
+        drop(e);
+
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&shared))
+        };
+        // Queue: e@1 (dead), f@1, d@2. The dead job is passed over before
+        // it could draw the fault plan's first toolchain fault, so f@1,
+        // the first job to run, is the one that fails.
+        f.wait_worker();
+        d.wait_worker();
+        let failed = |c: &BackgroundCompiler| {
+            c.staged
+                .as_ref()
+                .map(|o| matches!(o.result, Err(CompileError::TransientFault(_))))
+        };
+        assert_eq!(failed(&f), Some(true));
+        assert_eq!(failed(&d), Some(false));
+        assert_eq!(queue.skipped(), 4);
+        for shed in [&mut a, &mut c] {
+            shed.pump();
+            assert_eq!(failed(shed), Some(true), "a shed job reads as transient");
+        }
+
+        shared.shutdown.store(true, Ordering::Release);
+        shared.available.notify_all();
+        worker.join().expect("worker");
+    }
 }

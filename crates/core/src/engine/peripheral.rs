@@ -39,6 +39,37 @@ impl PeripheralEngine {
     pub fn into_peripheral(self) -> Box<dyn Peripheral> {
         self.peripheral
     }
+
+    /// Whether the component is a bank of output pins (`Led`, `GPIO`):
+    /// nothing happens at its clock edge, it moves no bus words, and what
+    /// it samples at `end_step` only reaches its outputs. Wired as a pure
+    /// receiver, it is a sink the software engine's batched ticks drive
+    /// without the walk.
+    pub(crate) fn is_pin_bank(&self) -> bool {
+        matches!(self.peripheral.module_name(), "Led" | "GPIO")
+    }
+
+    /// A value-moving `read` of a sink, whose message the batch counts and
+    /// charges itself.
+    pub(crate) fn deliver(&mut self, port: PortId, value: &Bits) {
+        self.peripheral.set_input(port, value);
+    }
+
+    /// Hands the messages not charged yet to a batch, which charges them
+    /// with its first iteration as `take_cost_ns` would have.
+    pub(crate) fn take_msgs(&mut self) -> u64 {
+        std::mem::take(&mut self.msgs)
+    }
+
+    /// Leaves the sink where the walk would have after a batch: the last
+    /// clock level it read, `msgs` messages not charged yet (a batch that
+    /// stopped inside an iteration), no edge pending — a pin bank's edge
+    /// runs nothing.
+    pub(crate) fn resume(&mut self, level: bool, msgs: u64) {
+        self.clk_last = level;
+        self.edge_pending = false;
+        self.msgs += msgs;
+    }
 }
 
 impl Engine for PeripheralEngine {

@@ -102,6 +102,82 @@ impl SwEngine {
         ((port.0 as usize) < self.design.vars.len()).then_some(VarId(port.0))
     }
 
+    /// The input variable behind a handle: what `read` writes.
+    pub(crate) fn input_var(&self, port: PortId) -> Option<VarId> {
+        self.var(port).filter(|&id| self.design.info(id).is_input)
+    }
+
+    /// `output` through a shared borrow.
+    pub(crate) fn peek(&self, port: PortId) -> Bits {
+        match self.var(port) {
+            Some(id) => self.sim.peek_id(id),
+            None => Bits::default(),
+        }
+    }
+
+    /// Whether `drain_tasks` has anything to hand over.
+    pub(crate) fn has_tasks(&self) -> bool {
+        !self.tasks.is_empty() || self.sim.has_events()
+    }
+
+    /// Whether [`SwEngine::sink_iteration`] may stand in for the walk: an
+    /// error an open-loop batch left for the next `evaluate` is the
+    /// walk's to surface.
+    pub(crate) fn can_batch(&self) -> bool {
+        self.pending_err.is_none()
+    }
+
+    /// One scheduler iteration (paper Fig. 6) exactly as the runtime's walk
+    /// drives this engine when every other engine on the data plane is the
+    /// clock or a component that only receives: the same `SwSim` calls in
+    /// the same order — end of step (`$time` every second iteration),
+    /// evaluation rounds, the clock edge to `level` (into `clock`, the
+    /// clock input, when this engine reads the clock), update rounds.
+    ///
+    /// `pass(self, moved, edge)` stands for the walk's `propagate` at every
+    /// point it could move a value: `moved` when this engine's outputs may
+    /// have changed since the previous pass, `edge` on the pass that
+    /// carries the clock edge. A pass that has neither moves nothing and is
+    /// not made; nor is the update round the receivers' own edge adds,
+    /// which runs nothing here. Task events stay queued for `drain_tasks`.
+    ///
+    /// # Errors
+    ///
+    /// A simulation fault, with the iteration left where the walk's
+    /// `evaluate` would have left it.
+    pub(crate) fn sink_iteration(
+        &mut self,
+        clock: Option<VarId>,
+        level: bool,
+        pass: &mut impl FnMut(&Self, bool, bool),
+    ) -> Result<(), EngineError> {
+        self.sim.end_step();
+        self.half_steps += 1;
+        if self.half_steps == 2 {
+            self.half_steps = 0;
+            self.sim.advance_time();
+        }
+        let mut edge = true;
+        loop {
+            while self.sim.has_evals() {
+                self.sim.eval_phase()?;
+                pass(self, true, false);
+            }
+            let updates = self.sim.has_updates();
+            if updates {
+                self.sim.apply_updates();
+            }
+            if !edge && !updates {
+                return Ok(());
+            }
+            if let (true, Some(clk)) = (edge, clock) {
+                self.sim.drive_clock(clk, level);
+            }
+            pass(self, updates || (edge && clock.is_some()), edge);
+            edge = false;
+        }
+    }
+
     fn collect_tasks(&mut self) {
         for ev in self.sim.drain_events() {
             self.tasks.push(match ev {
@@ -188,16 +264,13 @@ impl Engine for SwEngine {
     }
 
     fn read(&mut self, port: PortId, value: &Bits) {
-        if let Some(id) = self.var(port).filter(|&id| self.design.info(id).is_input) {
+        if let Some(id) = self.input_var(port) {
             self.sim.poke_id(id, value.clone());
         }
     }
 
     fn output(&mut self, port: PortId) -> Bits {
-        match self.var(port) {
-            Some(id) => self.sim.peek_id(id),
-            None => Bits::default(),
-        }
+        self.peek(port)
     }
 
     fn there_are_evals(&self) -> bool {

@@ -19,7 +19,7 @@ use crate::error::{panic_message, CascadeError};
 use crate::transform::{transform_module, Externals, Wire};
 use cascade_bits::Bits;
 use cascade_fpga::{Board, FabricFault, Fleet, Lease, VirtualWall};
-use cascade_sim::{Design, PortVcd};
+use cascade_sim::{Design, PortVcd, VarId};
 use cascade_trace::{
     expose, Arg, Counter, Histogram, MetricSnapshot, Registry, RequestCtx, SnapValue, SpanRef,
     TraceSink, LATENCY_BUCKETS_S,
@@ -116,6 +116,34 @@ impl ResolvedWire {
             seen: 0,
         }
     }
+}
+
+/// A data plane whose ticks the software engine runs itself (see
+/// [`Runtime::run_sink_batch`]): the clock, one software engine in the
+/// main slot, and pin banks that only receive — no wire leaves a
+/// peripheral, none enters the clock. Wire and slot indices; built at the
+/// wiring sites, `None` for every other plane.
+struct SinkPlane {
+    /// The wire clock → main and the clock input it writes, when the main
+    /// engine reads the clock.
+    clock_in: Option<(usize, VarId)>,
+    /// The wires main → sink, in wiring order, each with its target's
+    /// index in `sinks`.
+    drives: Vec<(usize, usize)>,
+    /// In slot order (the order `charge_costs` charges them).
+    sinks: Vec<Sink>,
+    /// The clock level the sinks and the main engine last read.
+    level: bool,
+    /// Whether the current iteration's clock edge is still to come.
+    armed: bool,
+}
+
+struct Sink {
+    slot: usize,
+    /// The wire clock → this sink's `__clk`.
+    clock_wire: usize,
+    /// Bus messages (clock edges and value-moving reads) not charged yet.
+    msgs: u64,
 }
 
 /// A consistent snapshot of every engine's state, taken at a verified
@@ -315,6 +343,11 @@ pub struct Runtime {
     /// caused (see [`Runtime::data_plane_polls`]).
     polls: u64,
     reads: u64,
+    /// Set when the wiring is a sink-only plane.
+    sink_plane: Option<SinkPlane>,
+    /// Ticks the software engine ran on a sink-only plane (see
+    /// [`Runtime::data_plane_batched_ticks`]).
+    batched_ticks: u64,
 
     output: Vec<String>,
     finished: bool,
@@ -435,6 +468,8 @@ impl Runtime {
             main_idx: None,
             polls: 0,
             reads: 0,
+            sink_plane: None,
+            batched_ticks: 0,
             output: Vec::new(),
             finished: false,
             wall: VirtualWall::new(),
@@ -964,7 +999,7 @@ impl Runtime {
         }
         // Validate the composed root module.
         let root_module = compose_root(&staged_root, false);
-        let externals = root_externals(&root_module, &staged_lib, &self.config, true)?;
+        let externals = root_externals(&root_module, &staged_lib, &self.config)?;
         let mut wires = Vec::new();
         let transformed =
             transform_module(ROOT, &root_module, &externals, &staged_lib, &mut wires)?;
@@ -1051,6 +1086,7 @@ impl Runtime {
             self.clock_idx = 0;
             self.main_idx = None;
             self.hw_design = None;
+            self.sink_plane = None;
         }
     }
 
@@ -1083,7 +1119,7 @@ impl Runtime {
                 if done >= n || self.finished {
                     break;
                 }
-                if self.try_open_loop(n - done)?.is_some() {
+                if self.try_open_loop(n - done)?.is_some() || self.run_sink_batch(n - done)? {
                     self.trace_rate();
                     continue;
                 }
@@ -1143,6 +1179,13 @@ impl Runtime {
     #[doc(hidden)]
     pub fn data_plane_reads(&self) -> u64 {
         self.reads
+    }
+
+    /// Ticks the software engine has run on a sink-only plane instead of
+    /// the walk (see [`Runtime::data_plane_polls`]).
+    #[doc(hidden)]
+    pub fn data_plane_batched_ticks(&self) -> u64 {
+        self.batched_ticks
     }
 
     /// Switches to native mode: the program is compiled exactly as written
@@ -1530,7 +1573,7 @@ impl Runtime {
         // data/control plane; with inlining (Fig. 9.2) they stay inside the
         // single main subprogram.
         let root_module = compose_root(&self.root, true);
-        let mut externals = root_externals(&root_module, &self.lib, &self.config, true)?;
+        let mut externals = root_externals(&root_module, &self.lib, &self.config)?;
         let mut child_specs: Vec<(String, String, ParamEnv)> = Vec::new();
         if !self.config.inline {
             for item in &root_module.items {
@@ -1669,6 +1712,7 @@ impl Runtime {
         self.main_idx = main_idx;
         self.hw_design = hw_design;
         self.rebind_tap();
+        self.plan_sink_plane();
 
         // 5. Mark one-shot items executed (they ran during engine init) and
         // surface their output.
@@ -1886,6 +1930,7 @@ impl Runtime {
         if self.main_idx == Some(idx) {
             self.rebind_tap();
         }
+        self.plan_sink_plane();
     }
 
     /// Re-resolves the waveform tap's names against the current main
@@ -2425,6 +2470,7 @@ impl Runtime {
         self.slots = new_slots;
         self.clock_idx = 0;
         self.main_idx = Some(1);
+        self.plan_sink_plane();
     }
 
     /// Open-loop scheduling (paper Sec. 4.4): hand the engine an iteration
@@ -2498,6 +2544,253 @@ impl Runtime {
         }
         self.open_loop_last = true;
         Ok(Some(done))
+    }
+
+    // ------------------------------------------------------------------
+    // Sink-only planes: whole ticks inside the software engine
+    // ------------------------------------------------------------------
+
+    /// Recomputes [`SinkPlane`] eligibility; every wiring site ends here.
+    fn plan_sink_plane(&mut self) {
+        self.sink_plane = self.sink_plane_of();
+    }
+
+    fn sink_plane_of(&mut self) -> Option<SinkPlane> {
+        let main = self.main_idx?;
+        // Slots are the clock, the peripherals, the child engines of a
+        // non-inlined program, then main: every slot between the clock and
+        // main must be a pin bank.
+        if !self.config.inline || self.clock_idx != 0 || main + 1 != self.slots.len() {
+            return None;
+        }
+        let mut sinks = Vec::with_capacity(main - 1);
+        for (slot, s) in self.slots.iter_mut().enumerate().take(main).skip(1) {
+            if !as_peripheral(&mut s.engine)?.is_pin_bank() {
+                return None;
+            }
+            sinks.push(Sink {
+                slot,
+                clock_wire: usize::MAX,
+                msgs: 0,
+            });
+        }
+        let sw = as_sw(&mut self.slots[main].engine)?;
+        // Wires come in three runs, each polled in this order in a pass:
+        // the clock into main, main into the sinks, the clock into each
+        // sink's `__clk`.
+        let (mut clock_in, mut drives, mut run) = (None, Vec::new(), 0);
+        for (w, wire) in self.wires.iter().enumerate() {
+            let (from, to) = (wire.from.slot, wire.to.slot);
+            let sink = to.wrapping_sub(1);
+            let this_run = match (from, to) {
+                (0, to) if to == main => 0,
+                (from, _) if from == main && sink < sinks.len() => 1,
+                (0, _) if sink < sinks.len() => 2,
+                _ => return None,
+            };
+            if this_run < run {
+                return None;
+            }
+            run = this_run;
+            match run {
+                0 if clock_in.is_none() => clock_in = Some((w, sw.input_var(wire.to.port)?)),
+                1 => drives.push((w, sink)),
+                2 if sinks[sink].clock_wire == usize::MAX => sinks[sink].clock_wire = w,
+                _ => return None,
+            }
+        }
+        if sinks.iter().any(|s| s.clock_wire == usize::MAX) {
+            return None;
+        }
+        Some(SinkPlane {
+            clock_in,
+            drives,
+            sinks,
+            level: false,
+            armed: false,
+        })
+    }
+
+    /// Runs whole ticks of a sink-only plane inside the software engine:
+    /// the engine is driven through the calls the walk would make on it
+    /// ([`SwEngine::sink_iteration`]), each sink-driving port is peeked at
+    /// the walk's poll points, and the modeled clock advances by the terms
+    /// `charge_costs` adds, in its order — so the batch is the walk,
+    /// without the virtual calls on the clock and the sinks and with the
+    /// per-tick servicing checked once. The batch ends before the first
+    /// tick servicing could act on (the checkpoint interval, lease-backoff
+    /// expiry, a rate sample while tracing, a compile outcome or watchdog
+    /// deadline coming due), after the tick a task fires in, or inside an
+    /// iteration that fails. Returns whether it ran.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CascadeError`] on an engine fault.
+    fn run_sink_batch(&mut self, remaining: u64) -> Result<bool, CascadeError> {
+        // A tap samples every tick; a lease is serviced every tick; a
+        // pending warning joins the transcript at the next iteration.
+        if self.vcd.is_some() || self.lease.is_some() || !self.warnings.is_empty() {
+            return Ok(false);
+        }
+        let Some(mut plane) = self.sink_plane.take() else {
+            return Ok(false);
+        };
+        let limit = self.sink_batch_limit(remaining);
+        let batchable = self
+            .main_idx
+            .is_some_and(|i| as_sw(&mut self.slots[i].engine).is_some_and(|sw| sw.can_batch()));
+        let ran = if limit > 0 && batchable {
+            self.sink_ticks(&mut plane, limit).map(|()| true)
+        } else {
+            Ok(false)
+        };
+        self.sink_plane = Some(plane);
+        ran
+    }
+
+    /// Ticks before per-tick servicing could act, at most `remaining`.
+    fn sink_batch_limit(&self, remaining: u64) -> u64 {
+        // Ticks until the iteration counter reaches `iter`.
+        let until = |iter: u64| iter.saturating_sub(self.iterations).div_ceil(2);
+        let mut limit = remaining;
+        let interval = self.config.checkpoint_interval_ticks;
+        if interval > 0 {
+            limit = limit.min(until(self.last_ckpt_iter + 2 * interval));
+        }
+        if self.pending_hw.is_some() {
+            limit = limit.min(until(self.lease_backoff_until_iter));
+        }
+        if self.trace.enabled() {
+            let since = self.ticks().saturating_sub(self.rate_last_ticks);
+            limit = limit.min(RATE_SAMPLE_TICKS.saturating_sub(since));
+        }
+        limit
+    }
+
+    fn sink_ticks(&mut self, plane: &mut SinkPlane, limit: u64) -> Result<(), CascadeError> {
+        // The first pass of the first iteration (a command boundary's
+        // catch-up; otherwise it polls nothing).
+        self.propagate();
+        let start_level = self.slots[self.clock_idx]
+            .engine
+            .output(clock::VAL)
+            .to_bool();
+        plane.level = start_level;
+        for sink in &mut plane.sinks {
+            debug_assert_eq!(
+                self.wires[sink.clock_wire].last,
+                Some(Bits::from_bool(start_level))
+            );
+            if let Some(p) = as_peripheral(&mut self.slots[sink.slot].engine) {
+                sink.msgs = p.take_msgs();
+            }
+        }
+        let stop_at = self.compiler.wake_at();
+        let result = self.sink_tick_loop(plane, limit, stop_at);
+        // Hand the plane back to the walk as it would have left it.
+        let level = Bits::from_bool(plane.level);
+        if let Some((w, _)) = plane.clock_in {
+            self.wires[w].last = Some(level.clone());
+        }
+        for sink in &mut plane.sinks {
+            self.wires[sink.clock_wire].last = Some(level.clone());
+            if let Some(p) = as_peripheral(&mut self.slots[sink.slot].engine) {
+                p.resume(plane.level, std::mem::take(&mut sink.msgs));
+            }
+        }
+        let clock = &mut self.slots[self.clock_idx].engine;
+        if plane.level != start_level {
+            clock.end_step();
+            clock.update().map_err(engine_err)?;
+        }
+        if plane.armed {
+            clock.end_step();
+        }
+        result
+    }
+
+    fn sink_tick_loop(
+        &mut self,
+        plane: &mut SinkPlane,
+        limit: u64,
+        stop_at: Option<f64>,
+    ) -> Result<(), CascadeError> {
+        for tick in 0..limit {
+            if tick > 0 && stop_at.is_some_and(|at| self.wall.seconds() >= at) {
+                return Ok(());
+            }
+            let mut tasks = false;
+            for _ in 0..2 {
+                if self.finished {
+                    return Ok(());
+                }
+                if self.sink_iteration(plane)? {
+                    self.collect_interrupts();
+                    tasks = true;
+                }
+            }
+            self.batched_ticks += 1;
+            if tasks {
+                return Ok(());
+            }
+        }
+        Ok(())
+    }
+
+    /// One scheduler iteration of a sink-only plane, charged as
+    /// `charge_costs` would. Returns whether the engine has tasks for
+    /// `collect_interrupts`.
+    fn sink_iteration(&mut self, plane: &mut SinkPlane) -> Result<bool, CascadeError> {
+        let main = self.main_idx.expect("a sink plane has a main engine");
+        let (head, tail) = self.slots.split_at_mut(main);
+        let sw = as_sw(&mut tail[0].engine).expect("a sink plane's main engine is software");
+        let (wires, polls, reads) = (&mut self.wires, &mut self.polls, &mut self.reads);
+        let next = !plane.level;
+        let clock = plane.clock_in.map(|(_, var)| var);
+        plane.armed = true;
+        sw.sink_iteration(clock, next, &mut |sw, moved, edge| {
+            if edge {
+                plane.level = next;
+                plane.armed = false;
+                if plane.clock_in.is_some() {
+                    *polls += 1;
+                    *reads += 1;
+                }
+            }
+            if moved {
+                for &(w, s) in &plane.drives {
+                    *polls += 1;
+                    let wire = &mut wires[w];
+                    let value = sw.peek(wire.from.port);
+                    if wire.last.as_ref() != Some(&value) {
+                        let sink = &mut plane.sinks[s];
+                        if let Some(p) = as_peripheral(&mut head[sink.slot].engine) {
+                            p.deliver(wire.to.port, &value);
+                        }
+                        sink.msgs += 1;
+                        *reads += 1;
+                        wire.last = Some(value);
+                    }
+                }
+            }
+            if edge {
+                for sink in &mut plane.sinks {
+                    sink.msgs += 1;
+                    *polls += 1;
+                    *reads += 1;
+                }
+            }
+        })
+        .map_err(engine_err)?;
+        self.iterations += 1;
+        let costs = &self.config.costs;
+        for sink in &mut plane.sinks {
+            self.wall
+                .advance_ns(std::mem::take(&mut sink.msgs) as f64 * costs.abi_message_ns);
+        }
+        self.wall.advance_ns(sw.take_cost_ns(costs));
+        self.wall.advance_ns(costs.runtime_iteration_ns);
+        Ok(sw.has_tasks())
     }
 }
 
@@ -2582,7 +2875,6 @@ fn root_externals(
     root: &Module,
     lib: &ModuleLibrary,
     config: &JitConfig,
-    _inline: bool,
 ) -> Result<Externals, CascadeError> {
     let mut ext = Externals::new();
     ext.insert("clk".to_string(), ("Clock".to_string(), ParamEnv::new()));
@@ -2647,6 +2939,10 @@ fn as_hw(engine: &mut Box<dyn Engine>) -> Option<&mut HwEngine> {
 }
 
 fn as_sw(engine: &mut Box<dyn Engine>) -> Option<&mut SwEngine> {
+    (engine.as_mut() as &mut dyn Any).downcast_mut()
+}
+
+fn as_peripheral(engine: &mut Box<dyn Engine>) -> Option<&mut PeripheralEngine> {
     (engine.as_mut() as &mut dyn Any).downcast_mut()
 }
 

@@ -1159,6 +1159,7 @@ impl Server {
             ("compile_queue_depth", (s.queue.depth() as u64).into()),
             ("compiles_coalesced", s.queue.coalesced().into()),
             ("compiles_shed", s.queue.dropped().into()),
+            ("compiles_skipped", s.queue.skipped().into()),
             ("cache_entries", (cache.len() as u64).into()),
             ("cache_hits", cache.hits().into()),
             ("cache_misses", cache.misses().into()),
@@ -1627,6 +1628,11 @@ impl Server {
                     "serve_compiles_shed_total",
                     "Compile jobs shed by the bounded queue",
                     s.queue.dropped(),
+                ),
+                counter(
+                    "serve_compiles_skipped_total",
+                    "Compile jobs discarded unrun because nobody awaited them",
+                    s.queue.skipped(),
                 ),
                 counter(
                     "serve_bitstream_cache_hits_total",

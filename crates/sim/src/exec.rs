@@ -301,16 +301,19 @@ impl CompiledSim {
     }
 
     /// Whether any events are pending.
+    #[inline]
     pub fn has_events(&self) -> bool {
         !self.events.is_empty()
     }
 
     /// Whether nonblocking updates are pending.
+    #[inline]
     pub fn has_updates(&self) -> bool {
         !self.nb_updates.is_empty()
     }
 
     /// Whether any evaluation events are active.
+    #[inline]
     pub fn has_evals(&self) -> bool {
         !self.active.is_empty()
     }
@@ -333,6 +336,7 @@ impl CompiledSim {
     }
 
     /// Reads a variable by id.
+    #[inline]
     pub fn peek_id(&self, id: VarId) -> Bits {
         match self.prog.vstore[id.0 as usize] {
             VStore::Narrow { off, width } => Bits::from_u64(width, self.arena[off as usize]),
@@ -525,11 +529,13 @@ impl CompiledSim {
     }
 
     /// Runs monitor statements against the current observable state.
+    #[inline]
     pub fn end_step(&mut self) {
         self.run_monitors();
     }
 
     /// Advances logical time by one tick.
+    #[inline]
     pub fn advance_time(&mut self) {
         self.time += 1;
     }
@@ -585,7 +591,8 @@ impl CompiledSim {
 
     /// Narrow single-bit poke without constructing a `Bits` (the tick hot
     /// path).
-    fn poke_bit(&mut self, id: VarId, v: u64) {
+    #[inline]
+    pub(crate) fn poke_bit(&mut self, id: VarId, v: u64) {
         match self.prog.vstore[id.0 as usize] {
             VStore::Narrow { width, .. } => {
                 self.apply_write_n(id, 0, 0, v & wmask(width), width);

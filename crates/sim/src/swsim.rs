@@ -76,11 +76,13 @@ impl SwSim {
     }
 
     /// Process activations so far (profiling; drives the cost model).
+    #[inline]
     pub fn activations(&self) -> u64 {
         delegate!(self, s => s.activations)
     }
 
     /// Statements executed so far (profiling; drives the cost model).
+    #[inline]
     pub fn statements(&self) -> u64 {
         delegate!(self, s => s.statements)
     }
@@ -127,31 +129,37 @@ impl SwSim {
     /// # Errors
     ///
     /// Returns [`SimError`] on combinational loops or runaway processes.
+    #[inline]
     pub fn eval_phase(&mut self) -> Result<(), SimError> {
         delegate!(self, s => s.eval_phase())
     }
 
     /// Applies pending nonblocking updates.
+    #[inline]
     pub fn apply_updates(&mut self) {
         delegate!(self, s => s.apply_updates())
     }
 
     /// Whether evaluation events are active.
+    #[inline]
     pub fn has_evals(&self) -> bool {
         delegate!(self, s => s.has_evals())
     }
 
     /// Whether nonblocking updates are pending.
+    #[inline]
     pub fn has_updates(&self) -> bool {
         delegate!(self, s => s.has_updates())
     }
 
     /// Runs `$monitor` checks (end of a scheduler step).
+    #[inline]
     pub fn end_step(&mut self) {
         delegate!(self, s => s.end_step())
     }
 
     /// Advances logical time by one tick.
+    #[inline]
     pub fn advance_time(&mut self) {
         delegate!(self, s => s.advance_time())
     }
@@ -189,6 +197,7 @@ impl SwSim {
     }
 
     /// Reads a variable by id.
+    #[inline]
     pub fn peek_id(&self, id: VarId) -> Bits {
         delegate!(self, s => s.peek_id(id))
     }
@@ -201,6 +210,18 @@ impl SwSim {
     /// Sets a variable by id, scheduling dependents on change.
     pub fn poke_id(&mut self, id: VarId, value: Bits) {
         delegate!(self, s => s.poke_id(id, value))
+    }
+
+    /// Drives a clock input to `level`, scheduling dependents on change —
+    /// [`SwSim::poke_id`] with a one-bit value, minus the `Bits` on the
+    /// compiled backend. The runtime's batched ticks deliver every clock
+    /// edge through here.
+    #[inline]
+    pub fn drive_clock(&mut self, id: VarId, level: bool) {
+        match self {
+            SwSim::Compiled(c) => c.poke_bit(id, level as u64),
+            SwSim::Tree(s) => s.poke_id(id, Bits::from_bool(level)),
+        }
     }
 
     /// Writes a memory word without triggering events.
@@ -219,6 +240,7 @@ impl SwSim {
     }
 
     /// Whether any events are pending.
+    #[inline]
     pub fn has_events(&self) -> bool {
         delegate!(self, s => s.has_events())
     }

@@ -154,19 +154,26 @@ fn cmd_soak(args: &[String]) -> ExitCode {
     let dt = start.elapsed().as_secs_f64();
     println!(
         "soak: {} sessions / {} batches in {dt:.2}s ({:.1}/s) | {} ticks, {} display lines, \
-         {} hibernates, {} faults injected",
+         {} hibernates, {} faults injected, {} oracle ticks batched",
         report.sessions,
         report.batches,
         report.sessions as f64 / dt.max(1e-9),
         report.ticks,
         report.display_lines,
         report.hibernates,
-        report.faults_injected
+        report.faults_injected,
+        report.batched_ticks
     );
     for v in &report.violations {
         println!("  VIOLATION {v}");
     }
-    if report.violations.is_empty() {
+    // A display tenant's software phase is a sink-only plane: none of it
+    // batched means the batch stopped being the path.
+    let unbatched = report.display_lines > 0 && report.batched_ticks == 0;
+    if unbatched {
+        println!("  no oracle tick ran inside the software engine");
+    }
+    if report.violations.is_empty() && !unbatched {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

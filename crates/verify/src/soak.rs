@@ -60,6 +60,9 @@ pub struct SoakReport {
     pub ticks: u64,
     /// `$display` lines collected (and oracle-checked).
     pub display_lines: u64,
+    /// Ticks the solo oracles ran inside their software engine (the
+    /// sink-only plane batch) rather than on the scheduler's walk.
+    pub batched_ticks: u64,
     /// Faults the schedules actually injected.
     pub faults_injected: u64,
     /// Hibernate transitions observed server-side.
@@ -367,6 +370,7 @@ fn run_batch(cfg: &SoakConfig, batch_idx: u32, count: u32, report: &mut SoakRepo
                 Ok(mut oracle) => {
                     let ok =
                         oracle.eval(&tenant.src).is_ok() && oracle.run_ticks(tenant.ticks).is_ok();
+                    report.batched_ticks += oracle.data_plane_batched_ticks();
                     if !ok {
                         report
                             .violations

@@ -321,6 +321,331 @@ fn modeled_machine_is_the_parents_with_each_stage_off() {
 }
 
 // ---------------------------------------------------------------------
+// Sink-only planes: the clock, one software engine, and pins it drives
+// ---------------------------------------------------------------------
+
+/// The `tenants_run` tenant: a counter whose low byte drives the LEDs.
+const TENANT: &str = "reg [31:0] cnt = 0;\n\
+                      always @(posedge clk.val) cnt <= cnt + 32'd40503;\n\
+                      assign led.val = cnt[7:0];";
+
+/// The `edit_inproc` session: six one-line evals, each followed by a
+/// window.
+const EDIT_SESSION: [&str; 6] = [
+    "reg [11:0] r_a = 1000;",
+    "always @(posedge clk.val) r_a <= r_a + 12'd7;",
+    "reg [15:0] r_b = 3;",
+    "assign led.val = r_a[7:0];",
+    "always @(posedge clk.val) r_b <= r_b + 16'd311;",
+    "initial $display(\"r_a=%d r_b=%d\", r_a, r_b);",
+];
+
+/// The `verify soak`/`crash` tenant shape: a `$display` every 8 ticks,
+/// and no pin at all.
+const DISPLAY_TENANT: [&str; 2] = [COUNTER_MODULE, "Counter c0(.c(clk.val));"];
+
+/// An edit that ends the program 150 ticks later, mid-window.
+const FINISH_EDIT: &str = "reg [7:0] fin = 0;\n\
+                           always @(posedge clk.val) begin\n\
+                             fin <= fin + 8'd1;\n\
+                             if (fin == 8'd150) $finish;\n\
+                           end";
+
+/// What a sink-plane script leaves behind. `stats` and `transcript` are
+/// FNV-1a hashes of `RuntimeStats` (its `Debug` form) and of the output
+/// lines; `polls`/`reads` are the data plane's own counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SinkPins {
+    wall_bits: u64,
+    ticks: u64,
+    stats: u64,
+    leds: u64,
+    led_writes: u64,
+    gpio: u64,
+    polls: u64,
+    reads: u64,
+    transcript_lines: usize,
+    transcript: u64,
+}
+
+fn sink_pins(rt: &mut Runtime, board: &Board) -> SinkPins {
+    // A compile the last eval submitted must not race the cache counters.
+    rt.wait_for_compile_worker();
+    let lines = rt.drain_output();
+    SinkPins {
+        wall_bits: rt.wall_seconds().to_bits(),
+        ticks: rt.ticks(),
+        stats: fnv1a(&format!("{:?}", rt.stats())),
+        leds: board.leds().to_u64(),
+        led_writes: board.led_writes(),
+        gpio: board.gpio_out().to_u64(),
+        polls: rt.data_plane_polls(),
+        reads: rt.data_plane_reads(),
+        transcript_lines: lines.len(),
+        transcript: fnv1a(&lines.join("\n")),
+    }
+}
+
+/// Every place a batch of software ticks must end, or must not start, in
+/// one script: command boundaries of every size, checkpoint-interval
+/// crossings, a waveform tap, a compile landing five ticks into a window
+/// while the fleet has no fabric free (the tenant backs off), the fabric
+/// freeing mid-backoff (promotion at the stride), an edit back into
+/// software, and `$finish` in the middle of a window.
+fn sink_script(evals: &[&str], mut config: JitConfig) -> SinkPins {
+    config.toolchain.time_scale = 0.05;
+    config.checkpoint_interval_ticks = 100;
+    let board = Board::new();
+    let fleet = Fleet::new(1);
+    let hog = fleet.request(99, 1e12).expect("a free fabric");
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.attach_fleet(fleet, 7);
+    for src in evals {
+        rt.eval(src).expect("eval");
+        // An unchanged netlist hits the cache only once the previous
+        // compile is in it: settle each before the next.
+        rt.wait_for_compile_worker();
+        rt.run_ticks(64).expect("window");
+    }
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233] {
+        assert_eq!(rt.run_ticks(n).expect("window"), n);
+    }
+    for _ in 0..3 {
+        rt.tick().expect("tick");
+    }
+    let path = scratch_file(&format!("sink_{}.vcd", fnv1a(evals[0])));
+    rt.vcd_start(&path, &[]).expect("tap");
+    rt.run_ticks(20).expect("tapped window");
+    assert_eq!(rt.vcd_stop().as_deref(), Some(path.as_str()));
+    let _ = std::fs::remove_file(&path);
+    let w0 = rt.wall_seconds();
+    rt.run_ticks(20).expect("window");
+    let tick_s = (rt.wall_seconds() - w0) / 20.0;
+    let ready = rt.compile_ready_at().expect("compile staged");
+    rt.advance_wall((ready - rt.wall_seconds() - 5.0 * tick_s).max(0.0));
+    rt.run_ticks(50).expect("the window the compile lands in");
+    assert!(rt.stats().hw_pending, "the fleet has no fabric free");
+    assert_eq!(rt.mode(), ExecMode::Software);
+    drop(hog);
+    rt.run_ticks(300).expect("the window the fabric frees in");
+    assert_eq!(rt.stats().hw_promotions, 1);
+    rt.eval(FINISH_EDIT).expect("edit");
+    assert_eq!(rt.mode(), ExecMode::Software);
+    assert!(rt.run_ticks(1000).expect("finishing window") < 1000);
+    assert!(rt.is_finished());
+    sink_pins(&mut rt, &board)
+}
+
+/// Two pins and an eval that puts the FIFO on the data plane.
+fn fifo_fallback_script(config: JitConfig) -> SinkPins {
+    let board = Board::new();
+    board.set_fifo_capacity(1 << 10);
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(TENANT).expect("eval");
+    rt.eval("assign gpio.out = cnt;").expect("gpio");
+    rt.run_ticks(100).expect("two pins");
+    rt.eval(
+        "FIFO #(.WIDTH(8)) f();\n\
+         assign f.rreq = !f.empty;\n\
+         reg [7:0] got = 0;\n\
+         always @(posedge clk.val) if (f.rreq) got <= got ^ f.rdata;\n\
+         always @(posedge clk.val) if (got == 8'h41) $display(\"got A at %d\", cnt);",
+    )
+    .expect("fifo");
+    push_stream(&board, 200);
+    rt.run_ticks(300).expect("the FIFO on the plane");
+    sink_pins(&mut rt, &board)
+}
+
+/// A plane of the clock, one software engine and components that only
+/// receive runs whole ticks inside the engine; the modeled machine is the
+/// one the scheduler's walk simulated. Constants captured at the parent
+/// commit (every tick walked).
+#[test]
+fn sink_planes_are_the_parents_modeled_machine() {
+    let d = JitConfig::default;
+    let cases: [(&str, SinkPins, SinkPins); 5] = [
+        ("tenant", sink_script(&[TENANT], d()), PINS_TENANT),
+        ("edit session", sink_script(&EDIT_SESSION, d()), PINS_EDIT),
+        (
+            "display tenant",
+            sink_script(&DISPLAY_TENANT, d()),
+            PINS_DISPLAY,
+        ),
+        (
+            "tenant, sw_compile off",
+            sink_script(&[TENANT], d().without("sw_compile")),
+            PINS_TREE,
+        ),
+        ("FIFO fallback", fifo_fallback_script(d()), PINS_FIFO),
+    ];
+    for (what, got, parent) in cases {
+        assert_eq!(got, parent, "{what}");
+    }
+}
+
+/// Programs whose outputs move at awkward points of an iteration: on both
+/// edges, straight off the clock, in a second update round, under a
+/// `$monitor`, into two sinks at once, and ending with `$finish` on
+/// either half of a tick.
+const AWKWARD: [&str; 5] = [
+    "reg [7:0] n = 0;\n\
+     always @(negedge clk.val) n <= n + 8'd3;\n\
+     assign led.val = {n[6:0], clk.val};",
+    "reg [7:0] a = 0;\n\
+     reg [7:0] b = 0;\n\
+     always @(posedge clk.val) a <= a + 8'd1;\n\
+     always @(a) b <= a ^ 8'h5a;\n\
+     assign led.val = b;\n\
+     assign gpio.out = {a, b};",
+    "reg [3:0] m = 0;\n\
+     always @(posedge clk.val) m <= m + 4'd1;\n\
+     initial $monitor(\"m=%d\", m);\n\
+     assign led.val = {4'd0, m};",
+    "reg [7:0] k = 0;\n\
+     always @(posedge clk.val) begin k <= k + 8'd1; if (k == 8'd77) $finish; end\n\
+     assign led.val = k;",
+    "reg [7:0] k = 0;\n\
+     always @(negedge clk.val) begin k <= k + 8'd1; if (k == 8'd77) $finish; end\n\
+     assign led.val = k;",
+];
+
+/// Each of [`AWKWARD`] with the batch and with the walk: `inline` off keeps
+/// every plane on the walk, and changes nothing else for a program that
+/// instantiates no module of its own.
+#[test]
+fn a_batch_is_the_walk_wherever_outputs_move() {
+    let batch = JitConfig::default().without("auto_compile");
+    for src in AWKWARD {
+        let script = |config: JitConfig| {
+            let board = Board::new();
+            let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+            rt.eval(src).expect("eval");
+            for n in [1, 7, 64, 3, 200] {
+                rt.run_ticks(n).expect("window");
+            }
+            sink_pins(&mut rt, &board)
+        };
+        let walk = batch.clone().without("inline");
+        assert_eq!(script(batch.clone()), script(walk), "{src}");
+    }
+}
+
+/// The batch is the path, not a branch nobody takes: the tenant, the soak
+/// tenant's shape and the miner's software phase run every tick inside the
+/// software engine; a FIFO on the plane, a waveform tap and `inline` off
+/// run none there.
+#[test]
+fn sink_planes_run_inside_the_software_engine() {
+    let batched = |src: &str, config: JitConfig, tap: bool| {
+        let board = Board::new();
+        board.set_fifo_capacity(1 << 12);
+        let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+        rt.eval(src).expect("eval");
+        push_stream(&board, 600);
+        let path = scratch_file("batched.vcd");
+        if tap {
+            rt.vcd_start(&path, &[]).expect("tap");
+        }
+        assert_eq!(rt.run_ticks(500).expect("window"), 500);
+        if tap {
+            rt.vcd_stop();
+            let _ = std::fs::remove_file(&path);
+        }
+        assert_eq!(rt.mode(), ExecMode::Software);
+        rt.data_plane_batched_ticks()
+    };
+    let d = JitConfig::default;
+    let soak_tenant = "reg [15:0] cnt = 0;\n\
+        always @(posedge clk.val) cnt <= cnt + 16'd1;\n\
+        always @(posedge clk.val) if (cnt[2:0] == 3'd7) $display(\"c=%d\", cnt);\n\
+        assign led.val = cnt[7:0];";
+    assert_eq!(batched(TENANT, d(), false), 500, "tenant");
+    assert_eq!(batched(soak_tenant, d(), false), 500, "soak tenant");
+    assert_eq!(
+        batched(&miner_src(), d(), false),
+        500,
+        "miner, software phase"
+    );
+    assert_eq!(batched(TENANT, d().without("sw_compile"), false), 500);
+    assert_eq!(batched(&matcher_src(), d(), false), 0, "FIFO on the plane");
+    assert_eq!(batched(TENANT, d(), true), 0, "waveform tap");
+    assert_eq!(
+        batched(TENANT, d().without("inline"), false),
+        0,
+        "inline off"
+    );
+}
+
+/// (d) The sink plane: a 2000-tick window inside the software engine.
+#[test]
+fn sink_plane_ticks_allocate_nothing() {
+    let board = Board::new();
+    let config = JitConfig {
+        auto_compile: false,
+        ..no_boundaries(true)
+    };
+    let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    rt.eval(TENANT).expect("eval");
+    assert_eq!(allocations_per_window(&mut rt, &board, false), 0);
+    assert_eq!(rt.data_plane_batched_ticks(), 2500);
+}
+
+/// The FNV-1a offset basis: the hash of an empty transcript.
+const NO_OUTPUT: u64 = 0xcbf2_9ce4_8422_2325;
+
+const PINS_TENANT: SinkPins = SinkPins {
+    wall_bits: 4619690998794283660,
+    ticks: 1215,
+    stats: 6974197622842458588,
+    leds: 9,
+    led_writes: 1215,
+    gpio: 0,
+    polls: 8481,
+    reads: 4679,
+    transcript_lines: 0,
+    transcript: NO_OUTPUT,
+};
+const PINS_EDIT: SinkPins = SinkPins {
+    wall_bits: 4589165870091929333,
+    ticks: 1535,
+    stats: 16046223500200672660,
+    leds: 33,
+    led_writes: 1344,
+    gpio: 0,
+    polls: 9647,
+    reads: 5327,
+    transcript_lines: 1,
+    transcript: 15726611478458260366,
+};
+const PINS_DISPLAY: SinkPins = SinkPins {
+    wall_bits: 4619876669062038732,
+    ticks: 1279,
+    stats: 1891822845097538854,
+    leds: 0,
+    led_writes: 0,
+    gpio: 0,
+    polls: 1893,
+    reads: 1872,
+    transcript_lines: 152,
+    transcript: 10491522384437606611,
+};
+/// The tree-walking backend simulates the same machine.
+const PINS_TREE: SinkPins = PINS_TENANT;
+const PINS_FIFO: SinkPins = SinkPins {
+    wall_bits: 4580167608861152805,
+    ticks: 400,
+    stats: 18230541549932289899,
+    leds: 240,
+    led_writes: 400,
+    gpio: 16201200,
+    polls: 11534,
+    reads: 4011,
+    transcript_lines: 0,
+    transcript: NO_OUTPUT,
+};
+
+// ---------------------------------------------------------------------
 // A faulted serve session's virtual-time trace
 // ---------------------------------------------------------------------
 
