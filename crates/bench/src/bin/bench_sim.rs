@@ -4,9 +4,8 @@
 //! *behaviourally* (no synthesis — this is the lane a program runs in the
 //! moment after `eval`, before the background compile lands).
 //!
-//! Three evaluators per workload: the tree walker, the compiled engine
-//! stepped one `tick` at a time (the closed-loop scheduler shape), and the
-//! compiled engine batched through `tick_n` (the open-loop shape).
+//! Two evaluators per workload, each stepped one `tick` at a time: the tree
+//! walker and the compiled engine.
 //!
 //! Prints one row per (workload, evaluator) and writes the machine-readable
 //! results to `BENCH_sim.json` at the repository root. Set
@@ -31,7 +30,7 @@ fn design_of(src: &str, top: &str) -> Arc<Design> {
     Arc::new(elaborate(top, &lib, &Default::default()).expect("elaborates"))
 }
 
-/// Measures the three evaluators on one design, in cycles per second.
+/// Measures both evaluators on one design, in cycles per second.
 fn bench_design(
     design: &Arc<Design>,
     inputs: &[(&str, Bits)],
@@ -69,23 +68,7 @@ fn bench_design(
     });
     let stepped_cps = BATCH as f64 * 1e9 / ns;
 
-    let mut batched = CompiledSim::new(Arc::clone(design));
-    batched.initialize().expect("initializes");
-    for (port, v) in inputs {
-        batched.poke(port, v.clone());
-    }
-    batched.settle().expect("settles");
-    let ns = measure(&mut || {
-        batched.tick_n(clk, BATCH).expect("batch runs");
-        batched.drain_events();
-    });
-    let batched_cps = BATCH as f64 * 1e9 / ns;
-
-    for (evaluator, cycles_per_sec) in [
-        ("tree", tree_cps),
-        ("compiled", stepped_cps),
-        ("compiled_batched", batched_cps),
-    ] {
+    for (evaluator, cycles_per_sec) in [("tree", tree_cps), ("compiled", stepped_cps)] {
         rows.push(Row {
             workload: name,
             evaluator,
@@ -93,12 +76,10 @@ fn bench_design(
         });
     }
     println!(
-        "{name:<8} tree {:>9}cyc/s   compiled {:>9}cyc/s ({:.1}x)   batched {:>9}cyc/s ({:.1}x)",
+        "{name:<8} tree {:>9}cyc/s   compiled {:>9}cyc/s ({:.1}x)",
         fmt_si(tree_cps),
         fmt_si(stepped_cps),
         stepped_cps / tree_cps,
-        fmt_si(batched_cps),
-        batched_cps / tree_cps,
     );
 }
 
@@ -184,9 +165,8 @@ fn render_json(rows: &[Row]) -> String {
         let comma = if i + 1 < names.len() { "," } else { "" };
         writeln!(
             out,
-            "    \"{name}\": {{\"compiled\": {:.2}, \"compiled_batched\": {:.2}}}{comma}",
-            cps(name, "compiled") / tree,
-            cps(name, "compiled_batched") / tree
+            "    \"{name}\": {{\"compiled\": {:.2}}}{comma}",
+            cps(name, "compiled") / tree
         )
         .unwrap();
     }

@@ -1,7 +1,7 @@
 //! Tracing/profiling overhead report: the cost of the `cascade-trace`
 //! hooks on the two hot loops the JIT lives in — the bytecode software
-//! engine's batched `tick_n` (bench_sim's shape) and the netlist arena
-//! evaluator's `run_cycles` (bench_netlist's shape).
+//! engine's `tick_id` over a batch of cycles (bench_sim's shape) and the
+//! netlist arena evaluator's `run_cycles` (bench_netlist's shape).
 //!
 //! The disabled path cannot be compiled out (it is one branch per
 //! `settle`/process activation), so "overhead when off" is measured as an
@@ -32,7 +32,7 @@ use cascade_bench::harness::{fmt_si, measure};
 use cascade_bench::{emit_served_cycle, SERVED_CYCLE_EVENTS};
 use cascade_netlist::{synthesize, NetlistSim};
 use cascade_serve::{InProcClient, ServeConfig, Server};
-use cascade_sim::{elaborate, library_from_source, CompiledSim};
+use cascade_sim::{elaborate, library_from_source, CompiledSim, Design};
 use cascade_trace::{Arg, TraceSink, DEFAULT_RING_CAPACITY};
 use cascade_workloads::sha256::{miner_verilog, Flavor, MinerConfig};
 use std::fmt::Write as _;
@@ -65,6 +65,22 @@ impl Row {
     }
 }
 
+/// A settled bytecode engine over `design`, and the software hot loop on
+/// it: `BATCH` cycles, one `tick_id` each.
+fn software_engine(design: &Arc<Design>) -> (CompiledSim, impl Fn(&mut CompiledSim)) {
+    let clk = design.var("clk").expect("clk port");
+    let mut sim = CompiledSim::new(Arc::clone(design));
+    sim.initialize().expect("initializes");
+    sim.settle().expect("settles");
+    let loop_body = move |sim: &mut CompiledSim| {
+        for _ in 0..BATCH {
+            sim.tick_id(clk).expect("ticks");
+        }
+        sim.drain_events();
+    };
+    (sim, loop_body)
+}
+
 fn main() {
     let cfg = MinerConfig {
         target: 0,
@@ -78,22 +94,15 @@ fn main() {
 
     let mut rows = Vec::new();
 
-    // Software engine: batched bytecode execution, profiling off/off/on.
+    // Software engine: bytecode execution, profiling off/off/on.
     {
-        let clk = design.var("clk").expect("clk port");
-        let mut sim = CompiledSim::new(Arc::clone(&design));
-        sim.initialize().expect("initializes");
-        sim.settle().expect("settles");
-        let loop_body = |sim: &mut CompiledSim| {
-            sim.tick_n(clk, BATCH).expect("batch runs");
-            sim.drain_events();
-        };
+        let (mut sim, loop_body) = software_engine(&design);
         let off_a = BATCH as f64 * 1e9 / measure(&mut || loop_body(&mut sim));
         let off_b = BATCH as f64 * 1e9 / measure(&mut || loop_body(&mut sim));
         sim.enable_profiling();
         let on = BATCH as f64 * 1e9 / measure(&mut || loop_body(&mut sim));
         rows.push(Row {
-            hot_loop: "sim_tick_n",
+            hot_loop: "sim_tick",
             off_cps: off_a,
             off_aa_cps: off_b,
             on_cps: on,
@@ -195,17 +204,10 @@ fn main() {
     // same profiling-off loop give three A/A deltas; the minimum is the
     // repeatable (non-noise) cost of the disabled instrumentation.
     let plane_disabled_pct = {
-        let clk = design.var("clk").expect("clk port");
-        let mut sim = CompiledSim::new(Arc::clone(&design));
-        sim.initialize().expect("initializes");
-        sim.settle().expect("settles");
+        let (mut sim, loop_body) = software_engine(&design);
         let mut samples = [0.0f64; 4];
         for s in &mut samples {
-            *s = BATCH as f64 * 1e9
-                / measure(&mut || {
-                    sim.tick_n(clk, BATCH).expect("batch runs");
-                    sim.drain_events();
-                });
+            *s = BATCH as f64 * 1e9 / measure(&mut || loop_body(&mut sim));
         }
         samples
             .windows(2)

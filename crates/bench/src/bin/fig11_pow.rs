@@ -51,10 +51,10 @@ fn main() {
     for _ in 0..probe_cycles {
         sim.tick("clk").unwrap();
     }
-    let per_tick_ns = (sim.activations as f64 * costs.sw_activation_ns
+    let per_cycle_ns = (sim.activations as f64 * costs.sw_activation_ns
         + sim.statements as f64 * costs.sw_statement_ns)
         / probe_cycles as f64;
-    let iverilog_rate = 1e9 / (per_tick_ns * IVERILOG_DISPATCH_FACTOR);
+    let iverilog_rate = 1e9 / (per_cycle_ns * IVERILOG_DISPATCH_FACTOR);
     println!("# iVerilog: starts <1s, flat {}", fmt_rate(iverilog_rate));
 
     // ------------------------------------------------------------------

@@ -12,7 +12,9 @@ pub struct JitConfig {
     /// Absorb standard-library components into the hardware engine so it
     /// answers ABI requests on their behalf (Sec. 4.3, Fig. 9.4).
     pub forwarding: bool,
-    /// Allow open-loop scheduling (Sec. 4.4, Fig. 9.5).
+    /// Allow open-loop scheduling of hardware and native engines (Sec. 4.4,
+    /// Fig. 9.5). A software engine has no open loop and is charged the
+    /// scheduler's walk either way.
     pub open_loop: bool,
     /// Start background hardware compilations automatically.
     pub auto_compile: bool,

@@ -4,31 +4,21 @@
 //!
 //! The execution backend is selected by `JitConfig::sw_compile`: the
 //! bytecode-compiling [`SwSim::Compiled`] backend by default, or the
-//! tree-walking oracle for ablation. Compiled engines with a single
-//! rising-edge clock domain also support open-loop scheduling — the runtime
-//! hands over a cycle budget and the whole batch runs inside the evaluator.
+//! tree-walking oracle for ablation. A software engine has no open loop: it
+//! is driven by the scheduler's walk, or by the runtime's batch of whole
+//! walk iterations ([`SwEngine::sink_iteration`]), which the virtual clock
+//! charges alike.
 
 use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
-use cascade_sim::{Design, Process, SimEvent, SwSim, VarClass, VarId};
-use cascade_verilog::ast::Edge;
+use cascade_sim::{Design, SimEvent, SwSim, VarClass, VarId};
 use std::sync::Arc;
-
-/// The promoted name of the global clock input on a transformed root
-/// subprogram (`clk.val` → port `clk_val`).
-const CLOCK_PORT: &str = "clk_val";
 
 /// An engine interpreting or bytecode-executing one subprogram.
 pub struct SwEngine {
     sim: SwSim,
     design: Arc<Design>,
-    /// The global clock input, when this subprogram's sequential logic is
-    /// all posedge-of-it (the open-loop eligibility condition).
-    open_loop_clock: Option<VarId>,
-    /// An error raised inside an open-loop batch, surfaced on the next
-    /// evaluate call.
-    pending_err: Option<EngineError>,
     last_activations: u64,
     last_statements: u64,
     tasks: Vec<TaskEvent>,
@@ -67,16 +57,9 @@ impl SwEngine {
             }
         }
         sim.initialize()?;
-        let open_loop_clock = single_posedge_clock(&design).filter(|id| {
-            // Only the runtime-driven global clock toggles during a batch;
-            // any other edge source invalidates internal self-clocking.
-            design.var(CLOCK_PORT) == Some(*id)
-        });
         let mut engine = SwEngine {
             sim,
             design,
-            open_loop_clock,
-            pending_err: None,
             last_activations: 0,
             last_statements: 0,
             tasks: Vec::new(),
@@ -118,13 +101,6 @@ impl SwEngine {
     /// Whether `drain_tasks` has anything to hand over.
     pub(crate) fn has_tasks(&self) -> bool {
         !self.tasks.is_empty() || self.sim.has_events()
-    }
-
-    /// Whether [`SwEngine::sink_iteration`] may stand in for the walk: an
-    /// error an open-loop batch left for the next `evaluate` is the
-    /// walk's to surface.
-    pub(crate) fn can_batch(&self) -> bool {
-        self.pending_err.is_none()
     }
 
     /// One scheduler iteration (paper Fig. 6) exactly as the runtime's walk
@@ -190,29 +166,6 @@ impl SwEngine {
     }
 }
 
-/// The single rising-edge clock variable of `design`, if every
-/// edge-sensitive process triggers on `posedge` of that one variable.
-fn single_posedge_clock(design: &Design) -> Option<VarId> {
-    let mut clock = None;
-    for p in &design.processes {
-        let Process::Always { sens, .. } = p else {
-            continue;
-        };
-        for s in sens {
-            match s.edge {
-                None => {}
-                Some(Edge::Pos) => match clock {
-                    None => clock = Some(s.var),
-                    Some(c) if c == s.var => {}
-                    Some(_) => return None,
-                },
-                Some(Edge::Neg) => return None,
-            }
-        }
-    }
-    clock
-}
-
 impl Engine for SwEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Software
@@ -274,13 +227,10 @@ impl Engine for SwEngine {
     }
 
     fn there_are_evals(&self) -> bool {
-        self.pending_err.is_some() || self.sim.has_evals()
+        self.sim.has_evals()
     }
 
     fn evaluate(&mut self) -> Result<(), EngineError> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
-        }
         self.sim.eval_phase()?;
         self.collect_tasks();
         Ok(())
@@ -309,32 +259,6 @@ impl Engine for SwEngine {
     fn drain_tasks(&mut self) -> Vec<TaskEvent> {
         self.collect_tasks();
         std::mem::take(&mut self.tasks)
-    }
-
-    fn open_loop(&mut self, steps: u64) -> u64 {
-        // Only the compiled backend batches (the tree walker is the
-        // measured baseline), and only from the inter-tick rest state.
-        if self.sim.as_compiled_mut().is_none() || self.sim.is_finished() {
-            return 0;
-        }
-        let Some(clk) = self.open_loop_clock else {
-            return 0;
-        };
-        if self.sim.peek_id(clk).to_bool() || self.half_steps != 0 {
-            return 0;
-        }
-        match self.sim.tick_n(clk, steps) {
-            Ok(done) => {
-                self.collect_tasks();
-                done
-            }
-            Err(e) => {
-                // Cycles already ran; surface the fault on the next
-                // evaluate instead of losing it.
-                self.pending_err = Some(EngineError::Sim(e));
-                0
-            }
-        }
     }
 
     fn take_cost_ns(&mut self, costs: &CostModel) -> f64 {

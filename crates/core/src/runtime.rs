@@ -120,7 +120,7 @@ impl ResolvedWire {
 
 /// A data plane whose ticks the software engine runs itself (see
 /// [`Runtime::run_sink_batch`]): the clock, one software engine in the
-/// main slot, and pin banks that only receive — no wire leaves a
+/// main slot, and pin banks that only receive, if any — no wire leaves a
 /// peripheral, none enters the clock. Wire and slot indices; built at the
 /// wiring sites, `None` for every other plane.
 struct SinkPlane {
@@ -1090,8 +1090,10 @@ impl Runtime {
         }
     }
 
-    /// Runs `n` virtual clock ticks (or until `$finish`), using open-loop
-    /// scheduling when eligible. Returns the ticks actually executed.
+    /// Runs `n` virtual clock ticks (or until `$finish`): open loop for a
+    /// hardware or native engine alone with the clock, a batch inside the
+    /// software engine on a sink-only plane, the walk otherwise. Returns
+    /// the ticks actually executed.
     ///
     /// # Errors
     ///
@@ -2473,8 +2475,10 @@ impl Runtime {
         self.plan_sink_plane();
     }
 
-    /// Open-loop scheduling (paper Sec. 4.4): hand the engine an iteration
-    /// budget and let it run cycles internally.
+    /// Open-loop scheduling (paper Sec. 4.4): hand a hardware or native
+    /// engine an iteration budget and let it run cycles internally. A
+    /// software engine has none; its batch is the walk's
+    /// ([`Runtime::run_sink_batch`]).
     fn try_open_loop(&mut self, remaining: u64) -> Result<Option<u64>, CascadeError> {
         if !self.config.open_loop && !self.native {
             return Ok(None);
@@ -2490,11 +2494,10 @@ impl Runtime {
         if self.slots.len() > 2 {
             return Ok(None); // peripherals still on the data plane
         }
-        let kind = self.slots[main_idx].kind;
-        if kind != EngineKind::Hardware
-            && kind != EngineKind::Native
-            && kind != EngineKind::Software
-        {
+        if !matches!(
+            self.slots[main_idx].kind,
+            EngineKind::Hardware | EngineKind::Native
+        ) {
             return Ok(None);
         }
         // Adaptive budget: aim for the configured control-return period.
@@ -2512,16 +2515,8 @@ impl Runtime {
             budget = budget.min(until_scrub.max(1));
         }
         if let Some(ready_at) = self.compiler.wake_at() {
-            // For a software batch, estimate the per-cycle cost from the
-            // adaptive controller's current target (software cycles are
-            // orders of magnitude more expensive than fabric cycles).
-            let per_tick_ns = if kind == EngineKind::Software {
-                self.config.open_loop_target_s * 1e9 / self.open_loop_budget.max(16.0)
-            } else {
-                self.config.costs.hw_cycle_ns
-            }
-            .max(0.001);
-            let until = ((ready_at - self.wall.seconds()).max(0.0) * 1e9 / per_tick_ns) as u64;
+            let cycle_ns = self.config.costs.hw_cycle_ns.max(0.001);
+            let until = ((ready_at - self.wall.seconds()).max(0.0) * 1e9 / cycle_ns) as u64;
             budget = budget.min(until.max(1));
         }
         let w0 = self.wall.seconds();
@@ -2636,10 +2631,7 @@ impl Runtime {
             return Ok(false);
         };
         let limit = self.sink_batch_limit(remaining);
-        let batchable = self
-            .main_idx
-            .is_some_and(|i| as_sw(&mut self.slots[i].engine).is_some_and(|sw| sw.can_batch()));
-        let ran = if limit > 0 && batchable {
+        let ran = if limit > 0 {
             self.sink_ticks(&mut plane, limit).map(|()| true)
         } else {
             Ok(false)

@@ -568,27 +568,6 @@ impl CompiledSim {
         Ok(())
     }
 
-    /// Batched open-loop fast path: run up to `max` clock cycles back to
-    /// back, stopping early at `$finish` or as soon as any observable event
-    /// (a `$display`-family firing) is produced, so the caller can hand
-    /// control back to the runtime exactly where the interpreter would
-    /// have. Returns the number of completed cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from [`CompiledSim::settle`].
-    pub fn tick_n(&mut self, clk: VarId, max: u64) -> Result<u64, SimError> {
-        let mut done = 0;
-        while done < max && !self.finished {
-            self.tick_id(clk)?;
-            done += 1;
-            if !self.events.is_empty() {
-                break;
-            }
-        }
-        Ok(done)
-    }
-
     /// Narrow single-bit poke without constructing a `Bits` (the tick hot
     /// path).
     #[inline]

@@ -46,14 +46,6 @@ impl SwSim {
         }
     }
 
-    /// The compiled backend, if that is what this is.
-    pub fn as_compiled_mut(&mut self) -> Option<&mut CompiledSim> {
-        match self {
-            SwSim::Compiled(c) => Some(c),
-            SwSim::Tree(_) => None,
-        }
-    }
-
     /// Switches on execution profiling (compiled backend only; the tree
     /// interpreter has no bytecode to attribute and ignores this).
     pub fn enable_profiling(&mut self) {
@@ -171,29 +163,6 @@ impl SwSim {
     /// Propagates [`SimError`] from settling.
     pub fn tick_id(&mut self, clk: VarId) -> Result<(), SimError> {
         delegate!(self, s => s.tick_id(clk))
-    }
-
-    /// Batched open-loop run: up to `max` cycles, stopping early at
-    /// `$finish` or the first observable event. Returns completed cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from settling.
-    pub fn tick_n(&mut self, clk: VarId, max: u64) -> Result<u64, SimError> {
-        match self {
-            SwSim::Compiled(c) => c.tick_n(clk, max),
-            SwSim::Tree(s) => {
-                let mut done = 0;
-                while done < max && !s.is_finished() {
-                    s.tick_id(clk)?;
-                    done += 1;
-                    if s.has_events() {
-                        break;
-                    }
-                }
-                Ok(done)
-            }
-        }
     }
 
     /// Reads a variable by id.

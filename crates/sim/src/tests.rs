@@ -870,33 +870,6 @@ fn compiled_matches_tree_on_concat_lvalues() {
 }
 
 #[test]
-fn compiled_tick_n_stops_on_events_and_finish() {
-    let src = "module B(input wire clk, output wire [7:0] o);\n\
-               reg [7:0] c = 0;\n\
-               always @(posedge clk) begin\n\
-                 c <= c + 1;\n\
-                 if (c == 5) $display(\"five\");\n\
-                 if (c == 9) $finish;\n\
-               end\n\
-               assign o = c;\nendmodule";
-    let lib = library_from_source(src).expect("parse");
-    let design = Arc::new(elaborate("B", &lib, &ParamEnv::new()).expect("elaborate"));
-    let clk = design.var("clk").unwrap();
-    let mut comp = crate::CompiledSim::new(Arc::clone(&design));
-    comp.initialize().unwrap();
-    // Stops at the $display cycle, not the full batch.
-    let done = comp.tick_n(clk, 100).unwrap();
-    assert_eq!(done, 6, "batch halts on the first observable event");
-    assert!(matches!(&comp.drain_events()[..], [SimEvent::Display(s)] if s == "five"));
-    // Resumes and stops at $finish.
-    let done = comp.tick_n(clk, 100).unwrap();
-    assert!(comp.is_finished());
-    assert_eq!(done, 4, "batch halts when $finish lands");
-    // Finished engines run no further cycles.
-    assert_eq!(comp.tick_n(clk, 100).unwrap(), 0);
-}
-
-#[test]
 fn equality_if_chain_compiles_to_fused_branches() {
     // The DFA transition-row shape: `if (v == K) ... else if (v == K') ...`
     // must compile to single compare-and-branch ops, not Ld + Cmp + Jz

@@ -329,6 +329,11 @@ const TENANT: &str = "reg [31:0] cnt = 0;\n\
                       always @(posedge clk.val) cnt <= cnt + 32'd40503;\n\
                       assign led.val = cnt[7:0];";
 
+/// The tenant without its LEDs: the clock and one software engine, a sink
+/// plane of no sinks.
+const PIN_FREE: &str = "reg [31:0] cnt = 0;\n\
+                        always @(posedge clk.val) cnt <= cnt + 32'd40503;";
+
 /// The `edit_inproc` session: six one-line evals, each followed by a
 /// window.
 const EDIT_SESSION: [&str; 6] = [
@@ -486,9 +491,9 @@ fn sink_planes_are_the_parents_modeled_machine() {
 
 /// Programs whose outputs move at awkward points of an iteration: on both
 /// edges, straight off the clock, in a second update round, under a
-/// `$monitor`, into two sinks at once, and ending with `$finish` on
-/// either half of a tick.
-const AWKWARD: [&str; 5] = [
+/// `$monitor`, into two sinks at once, into none, and ending with
+/// `$finish` on either half of a tick.
+const AWKWARD: [&str; 6] = [
     "reg [7:0] n = 0;\n\
      always @(negedge clk.val) n <= n + 8'd3;\n\
      assign led.val = {n[6:0], clk.val};",
@@ -502,6 +507,7 @@ const AWKWARD: [&str; 5] = [
      always @(posedge clk.val) m <= m + 4'd1;\n\
      initial $monitor(\"m=%d\", m);\n\
      assign led.val = {4'd0, m};",
+    PIN_FREE,
     "reg [7:0] k = 0;\n\
      always @(posedge clk.val) begin k <= k + 8'd1; if (k == 8'd77) $finish; end\n\
      assign led.val = k;",
@@ -531,10 +537,10 @@ fn a_batch_is_the_walk_wherever_outputs_move() {
     }
 }
 
-/// The batch is the path, not a branch nobody takes: the tenant, the soak
-/// tenant's shape and the miner's software phase run every tick inside the
-/// software engine; a FIFO on the plane, a waveform tap and `inline` off
-/// run none there.
+/// The batch is the path, not a branch nobody takes: the tenant with and
+/// without its LEDs, the soak tenant's shape and the miner's software phase
+/// run every tick inside the software engine; a FIFO on the plane, a
+/// waveform tap and `inline` off run none there.
 #[test]
 fn sink_planes_run_inside_the_software_engine() {
     let batched = |src: &str, config: JitConfig, tap: bool| {
@@ -561,6 +567,7 @@ fn sink_planes_run_inside_the_software_engine() {
         always @(posedge clk.val) if (cnt[2:0] == 3'd7) $display(\"c=%d\", cnt);\n\
         assign led.val = cnt[7:0];";
     assert_eq!(batched(TENANT, d(), false), 500, "tenant");
+    assert_eq!(batched(PIN_FREE, d(), false), 500, "no pins");
     assert_eq!(batched(soak_tenant, d(), false), 500, "soak tenant");
     assert_eq!(
         batched(&miner_src(), d(), false),
@@ -575,6 +582,36 @@ fn sink_planes_run_inside_the_software_engine() {
         0,
         "inline off"
     );
+}
+
+/// `open_loop` governs hardware and native engines only. A software program
+/// is charged the walk's terms whether or not it drives a pin, so while it
+/// runs in software the switch moves nothing: not before its first pin is
+/// wired, not after, and not for a program that never wires one.
+#[test]
+fn open_loop_leaves_a_software_programs_modeled_machine_alone() {
+    let script = |evals: &[&str], open_loop: bool| {
+        let board = Board::new();
+        let config = JitConfig {
+            open_loop,
+            auto_compile: false,
+            ..JitConfig::default()
+        };
+        let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+        for src in evals {
+            rt.eval(src).expect("eval");
+            for n in [1, 7, 64] {
+                rt.run_ticks(n).expect("window");
+            }
+        }
+        sink_pins(&mut rt, &board)
+    };
+    for (what, evals) in [
+        ("edit session", &EDIT_SESSION[..]),
+        ("no pins", &[PIN_FREE]),
+    ] {
+        assert_eq!(script(evals, true), script(evals, false), "{what}");
+    }
 }
 
 /// (d) The sink plane: a 2000-tick window inside the software engine.
@@ -606,15 +643,20 @@ const PINS_TENANT: SinkPins = SinkPins {
     transcript_lines: 0,
     transcript: NO_OUTPUT,
 };
+/// Re-captured once, when the software open loop was retired: the windows
+/// before `assign led.val` exists used to run open loop, charged the
+/// engine's cost once per batch and no `runtime_iteration_ns`; they are now
+/// charged as the walk, like every window after it. Ticks, LEDs and the
+/// transcript did not move.
 const PINS_EDIT: SinkPins = SinkPins {
-    wall_bits: 4589165870091929333,
+    wall_bits: 4589169158800521224,
     ticks: 1535,
-    stats: 16046223500200672660,
+    stats: 13590921592216051297,
     leds: 33,
     led_writes: 1344,
     gpio: 0,
-    polls: 9647,
-    reads: 5327,
+    polls: 9905,
+    reads: 5583,
     transcript_lines: 1,
     transcript: 15726611478458260366,
 };

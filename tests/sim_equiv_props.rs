@@ -1,9 +1,9 @@
 //! Property-based equivalence of the bytecode-compiled software engine
 //! ([`CompiledSim`]) against the tree-walking interpreter ([`Simulator`])
 //! on randomized behavioural modules: register allocation, the narrow/wide
-//! value split, specialized opcodes, the sensitivity index, and the batched
-//! `tick_n` fast path must never change an observable value, a `$display`
-//! rendering, the `$random` stream, or when `$finish` lands.
+//! value split, specialized opcodes and the sensitivity index must never
+//! change an observable value, a `$display` rendering, the `$random`
+//! stream, or when `$finish` lands.
 //!
 //! The generated programs deliberately exercise what the *netlist* property
 //! suite cannot: >64-bit registers, dynamic bit selects, signed
@@ -248,70 +248,5 @@ fn compiled_matches_tree_walker_with_tasks() {
             );
             assert_eq!(sim.time(), c.time(), "time diverged (seed {seed})\n{src}");
         }
-    }
-}
-
-/// The batched open-loop fast path (`tick_n`, which skips per-cycle event
-/// scans until a task fires) produces the same state, event order, and
-/// cycle count as single stepping.
-#[test]
-fn batched_tick_n_matches_single_stepping() {
-    for seed in 0..32 {
-        let mut rng = Prng::new(seed + 5000);
-        let src = arb_module(&mut rng);
-        let design = design_of(&src);
-        let clk = design.var("clk").expect("clk port");
-        let mut batched = CompiledSim::new(Arc::clone(&design));
-        let mut stepped = CompiledSim::new(Arc::clone(&design));
-        batched.seed_random(seed + 11);
-        stepped.seed_random(seed + 11);
-        batched.initialize().unwrap();
-        stepped.initialize().unwrap();
-        let a = Bits::from_u64(16, rng.next_u64() & 0xffff);
-        let b = Bits::from_u64(16, rng.next_u64() & 0xffff);
-        for sim in [&mut batched, &mut stepped] {
-            sim.poke("a", a.clone());
-            sim.poke("b", b.clone());
-            sim.drain_events();
-        }
-        let mut remaining: u64 = 40;
-        while remaining > 0 && !batched.is_finished() {
-            let chunk = rng.range(1, 9).min(remaining);
-            let did = batched.tick_n(clk, chunk).unwrap();
-            assert!(did >= 1, "live sim must make progress (seed {seed})\n{src}");
-            for _ in 0..did {
-                stepped.tick_id(clk).unwrap();
-            }
-            assert_eq!(
-                render(batched.drain_events()),
-                render(stepped.drain_events()),
-                "event streams diverged after {did}-cycle batch (seed {seed})\n{src}"
-            );
-            remaining -= did;
-        }
-        for (name, id) in design.iter_vars() {
-            let info = design.info(id);
-            if info.is_array() {
-                for i in 0..info.array_len {
-                    assert_eq!(
-                        batched.peek_array(id, i),
-                        stepped.peek_array(id, i),
-                        "{name}[{i}] diverged (seed {seed})\n{src}"
-                    );
-                }
-            } else {
-                assert_eq!(
-                    batched.peek_id(id),
-                    stepped.peek_id(id),
-                    "{name} diverged (seed {seed})\n{src}"
-                );
-            }
-        }
-        assert_eq!(
-            batched.is_finished(),
-            stepped.is_finished(),
-            "seed {seed}\n{src}"
-        );
-        assert_eq!(batched.time(), stepped.time(), "seed {seed}\n{src}");
     }
 }
