@@ -12,7 +12,6 @@ use cascade_bits::Bits;
 use cascade_fpga::CostModel;
 use cascade_sim::SimError;
 pub use cascade_stdlib::PortId;
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -96,9 +95,7 @@ impl From<SimError> for EngineError {
 
 /// The engine ABI (paper Fig. 7). This is not a user-exposed interface;
 /// implementing it is how Cascade gains support for a new backend target.
-/// `Any` lets the runtime recover the concrete engine it built (it moves
-/// peripherals in and out of engines during forwarding transitions).
-pub trait Engine: Send + Any {
+pub trait Engine: Send {
     /// Where this engine executes.
     fn kind(&self) -> EngineKind;
 

@@ -8,7 +8,7 @@
 use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
-use cascade_stdlib::Peripheral;
+use cascade_stdlib::{MovePoints, Peripheral};
 
 /// The implicit clock input port wired to every peripheral engine.
 pub const PERIPHERAL_CLOCK_PORT: &str = "__clk";
@@ -16,9 +16,12 @@ pub const PERIPHERAL_CLOCK_PORT: &str = "__clk";
 /// Its handle, past the end of every component's own port table.
 const CLOCK: PortId = PortId(u32::MAX - 1);
 
-/// Wraps a [`Peripheral`] as an [`Engine`].
+/// Wraps a [`Peripheral`] as an [`Engine`]. A call at a point the
+/// component does not declare ([`MovePoints`]) does nothing, and is not
+/// passed on.
 pub struct PeripheralEngine {
     peripheral: Box<dyn Peripheral>,
+    moves: MovePoints,
     clk_last: bool,
     edge_pending: bool,
     msgs: u64,
@@ -28,6 +31,7 @@ impl PeripheralEngine {
     /// Wraps a component.
     pub fn new(peripheral: Box<dyn Peripheral>) -> Self {
         PeripheralEngine {
+            moves: peripheral.outputs_move(),
             peripheral,
             clk_last: false,
             edge_pending: false,
@@ -40,35 +44,27 @@ impl PeripheralEngine {
         self.peripheral
     }
 
-    /// Whether the component is a bank of output pins (`Led`, `GPIO`):
-    /// nothing happens at its clock edge, it moves no bus words, and what
-    /// it samples at `end_step` only reaches its outputs. Wired as a pure
-    /// receiver, it is a sink the software engine's batched ticks drive
-    /// without the walk.
-    pub(crate) fn is_pin_bank(&self) -> bool {
-        matches!(self.peripheral.module_name(), "Led" | "GPIO")
+    /// Where the component's outputs can change, as the engine's calls
+    /// name the points: `end_step`, `update` (the clock edge), and a
+    /// `read` of a component input (never of the clock, which only arms
+    /// the edge).
+    pub(crate) fn outputs_move(&self) -> MovePoints {
+        self.moves
     }
 
-    /// A value-moving `read` of a sink, whose message the batch counts and
-    /// charges itself.
-    pub(crate) fn deliver(&mut self, port: PortId, value: &Bits) {
-        self.peripheral.set_input(port, value);
+    /// Whether a `read` through `port` can move the outputs.
+    pub(crate) fn read_moves_outputs(&self, port: PortId) -> bool {
+        port != CLOCK && self.moves.input
     }
 
-    /// Hands the messages not charged yet to a batch, which charges them
-    /// with its first iteration as `take_cost_ns` would have.
-    pub(crate) fn take_msgs(&mut self) -> u64 {
-        std::mem::take(&mut self.msgs)
-    }
-
-    /// Leaves the sink where the walk would have after a batch: the last
-    /// clock level it read, `msgs` messages not charged yet (a batch that
-    /// stopped inside an iteration), no edge pending — a pin bank's edge
-    /// runs nothing.
-    pub(crate) fn resume(&mut self, level: bool, msgs: u64) {
+    /// `read` of a clock level into `__clk`: one bus message, and an edge
+    /// to `update` on a rise.
+    pub(crate) fn clock(&mut self, level: bool) {
+        self.msgs += 1;
+        if !self.clk_last && level {
+            self.edge_pending = true;
+        }
         self.clk_last = level;
-        self.edge_pending = false;
-        self.msgs += msgs;
     }
 }
 
@@ -97,14 +93,10 @@ impl Engine for PeripheralEngine {
     }
 
     fn read(&mut self, port: PortId, value: &Bits) {
-        self.msgs += 1;
         if port == CLOCK {
-            let now = value.to_bool();
-            if !self.clk_last && now {
-                self.edge_pending = true;
-            }
-            self.clk_last = now;
+            self.clock(value.to_bool());
         } else {
+            self.msgs += 1;
             self.peripheral.set_input(port, value);
         }
     }
@@ -128,13 +120,17 @@ impl Engine for PeripheralEngine {
     fn update(&mut self) -> Result<(), EngineError> {
         if self.edge_pending {
             self.edge_pending = false;
-            self.peripheral.posedge();
+            if self.moves.posedge {
+                self.peripheral.posedge();
+            }
         }
         Ok(())
     }
 
     fn end_step(&mut self) {
-        self.peripheral.end_step();
+        if self.moves.end_step {
+            self.peripheral.end_step();
+        }
     }
 
     fn drain_tasks(&mut self) -> Vec<TaskEvent> {
@@ -144,9 +140,11 @@ impl Engine for PeripheralEngine {
     fn take_cost_ns(&mut self, costs: &CostModel) -> f64 {
         // Pre-compiled stdlib engines live in hardware; runtime interaction
         // costs one bus message per port exchange, and host-coupled data
-        // (FIFO tokens) costs a bus word each.
-        let msgs = self.msgs + self.peripheral.take_bus_words();
-        self.msgs = 0;
+        // (FIFO tokens) costs a bus word each, moved at the edge.
+        let mut msgs = std::mem::take(&mut self.msgs);
+        if self.moves.posedge {
+            msgs += self.peripheral.take_bus_words();
+        }
         msgs as f64 * costs.abi_message_ns
     }
 }

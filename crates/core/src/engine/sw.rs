@@ -5,9 +5,10 @@
 //! The execution backend is selected by `JitConfig::sw_compile`: the
 //! bytecode-compiling [`SwSim::Compiled`] backend by default, or the
 //! tree-walking oracle for ablation. A software engine has no open loop: it
-//! is driven by the scheduler's walk, or by the runtime's batch of whole
-//! walk iterations ([`SwEngine::sink_iteration`]), which the virtual clock
-//! charges alike.
+//! is driven through the [`Engine`] calls of the scheduler's walk, made
+//! either by the walk itself or by the plane batch (`crate::plane`), which
+//! makes the same calls in the same order without the runtime in the loop
+//! and which the virtual clock charges alike.
 
 use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
@@ -21,7 +22,6 @@ pub struct SwEngine {
     design: Arc<Design>,
     last_activations: u64,
     last_statements: u64,
-    tasks: Vec<TaskEvent>,
     /// Scheduler iterations seen; two per virtual clock tick.
     half_steps: u8,
 }
@@ -57,16 +57,13 @@ impl SwEngine {
             }
         }
         sim.initialize()?;
-        let mut engine = SwEngine {
+        Ok(SwEngine {
             sim,
             design,
             last_activations: 0,
             last_statements: 0,
-            tasks: Vec::new(),
             half_steps: 0,
-        };
-        engine.collect_tasks();
-        Ok(engine)
+        })
     }
 
     /// Switches on execution profiling in the underlying simulator
@@ -81,7 +78,7 @@ impl SwEngine {
     }
 
     /// The variable behind a handle (`None` for [`PortId::NONE`]).
-    fn var(&self, port: PortId) -> Option<VarId> {
+    pub(crate) fn var(&self, port: PortId) -> Option<VarId> {
         ((port.0 as usize) < self.design.vars.len()).then_some(VarId(port.0))
     }
 
@@ -90,79 +87,21 @@ impl SwEngine {
         self.var(port).filter(|&id| self.design.info(id).is_input)
     }
 
-    /// `output` through a shared borrow.
-    pub(crate) fn peek(&self, port: PortId) -> Bits {
-        match self.var(port) {
-            Some(id) => self.sim.peek_id(id),
-            None => Bits::default(),
-        }
+    /// `output` of a variable resolved by [`SwEngine::var`].
+    pub(crate) fn peek(&self, var: Option<VarId>) -> Bits {
+        var.map_or_else(Bits::default, |id| self.sim.peek_id(id))
     }
 
-    /// Whether `drain_tasks` has anything to hand over.
+    /// `read` of a level into a one-bit input (the clock, resolved by
+    /// [`SwEngine::input_var`]), without `Bits`.
+    pub(crate) fn drive_clock(&mut self, var: VarId, level: bool) {
+        self.sim.drive_clock(var, level);
+    }
+
+    /// Whether `drain_tasks` has anything to hand over. Task events stay
+    /// queued in the simulator, in order, until drained.
     pub(crate) fn has_tasks(&self) -> bool {
-        !self.tasks.is_empty() || self.sim.has_events()
-    }
-
-    /// One scheduler iteration (paper Fig. 6) exactly as the runtime's walk
-    /// drives this engine when every other engine on the data plane is the
-    /// clock or a component that only receives: the same `SwSim` calls in
-    /// the same order — end of step (`$time` every second iteration),
-    /// evaluation rounds, the clock edge to `level` (into `clock`, the
-    /// clock input, when this engine reads the clock), update rounds.
-    ///
-    /// `pass(self, moved, edge)` stands for the walk's `propagate` at every
-    /// point it could move a value: `moved` when this engine's outputs may
-    /// have changed since the previous pass, `edge` on the pass that
-    /// carries the clock edge. A pass that has neither moves nothing and is
-    /// not made; nor is the update round the receivers' own edge adds,
-    /// which runs nothing here. Task events stay queued for `drain_tasks`.
-    ///
-    /// # Errors
-    ///
-    /// A simulation fault, with the iteration left where the walk's
-    /// `evaluate` would have left it.
-    pub(crate) fn sink_iteration(
-        &mut self,
-        clock: Option<VarId>,
-        level: bool,
-        pass: &mut impl FnMut(&Self, bool, bool),
-    ) -> Result<(), EngineError> {
-        self.sim.end_step();
-        self.half_steps += 1;
-        if self.half_steps == 2 {
-            self.half_steps = 0;
-            self.sim.advance_time();
-        }
-        let mut edge = true;
-        loop {
-            while self.sim.has_evals() {
-                self.sim.eval_phase()?;
-                pass(self, true, false);
-            }
-            let updates = self.sim.has_updates();
-            if updates {
-                self.sim.apply_updates();
-            }
-            if !edge && !updates {
-                return Ok(());
-            }
-            if let (true, Some(clk)) = (edge, clock) {
-                self.sim.drive_clock(clk, level);
-            }
-            pass(self, updates || (edge && clock.is_some()), edge);
-            edge = false;
-        }
-    }
-
-    fn collect_tasks(&mut self) {
-        for ev in self.sim.drain_events() {
-            self.tasks.push(match ev {
-                SimEvent::Display(s) => TaskEvent::Display(s),
-                SimEvent::Write(s) => TaskEvent::Write(s),
-                SimEvent::Finish => TaskEvent::Finish,
-                SimEvent::Fatal(s) => TaskEvent::Fatal(s),
-            });
-        }
+        self.sim.has_events()
     }
 }
 
@@ -223,7 +162,7 @@ impl Engine for SwEngine {
     }
 
     fn output(&mut self, port: PortId) -> Bits {
-        self.peek(port)
+        self.peek(self.var(port))
     }
 
     fn there_are_evals(&self) -> bool {
@@ -232,7 +171,6 @@ impl Engine for SwEngine {
 
     fn evaluate(&mut self) -> Result<(), EngineError> {
         self.sim.eval_phase()?;
-        self.collect_tasks();
         Ok(())
     }
 
@@ -253,12 +191,19 @@ impl Engine for SwEngine {
             self.half_steps = 0;
             self.sim.advance_time();
         }
-        self.collect_tasks();
     }
 
     fn drain_tasks(&mut self) -> Vec<TaskEvent> {
-        self.collect_tasks();
-        std::mem::take(&mut self.tasks)
+        self.sim
+            .drain_events()
+            .into_iter()
+            .map(|ev| match ev {
+                SimEvent::Display(s) => TaskEvent::Display(s),
+                SimEvent::Write(s) => TaskEvent::Write(s),
+                SimEvent::Finish => TaskEvent::Finish,
+                SimEvent::Fatal(s) => TaskEvent::Fatal(s),
+            })
+            .collect()
     }
 
     fn take_cost_ns(&mut self, costs: &CostModel) -> f64 {

@@ -36,6 +36,7 @@ pub mod engine;
 mod error;
 pub mod fig10;
 pub mod hibernate;
+mod plane;
 mod repl;
 mod runtime;
 pub mod transform;

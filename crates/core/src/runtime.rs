@@ -16,10 +16,11 @@ use crate::engine::peripheral::{PeripheralEngine, PERIPHERAL_CLOCK_PORT};
 use crate::engine::sw::SwEngine;
 use crate::engine::{Engine, EngineKind, EngineState, PortId, TaskEvent};
 use crate::error::{panic_message, CascadeError};
+use crate::plane::{Counts, Endpoint, Plan, ResolvedWire, Slot, SlotEngine};
 use crate::transform::{transform_module, Externals, Wire};
 use cascade_bits::Bits;
 use cascade_fpga::{Board, FabricFault, Fleet, Lease, VirtualWall};
-use cascade_sim::{Design, PortVcd, VarId};
+use cascade_sim::{Design, PortVcd};
 use cascade_trace::{
     expose, Arg, Counter, Histogram, MetricSnapshot, Registry, RequestCtx, SnapValue, SpanRef,
     TraceSink, LATENCY_BUCKETS_S,
@@ -27,7 +28,6 @@ use cascade_trace::{
 use cascade_verilog::ast::{Item, Module, ModuleItem};
 use cascade_verilog::typecheck::{check_module, const_eval, ModuleLibrary, ParamEnv};
 use cascade_verilog::Span;
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -42,108 +42,6 @@ const ROOT: &str = "main";
 struct RootEntry {
     item: ModuleItem,
     executed: bool,
-}
-
-struct Slot {
-    name: String,
-    engine: Box<dyn Engine>,
-    /// `engine.kind()`, cached: the tick path asks per wire and per step.
-    kind: EngineKind,
-    /// Output generation. Bumped wherever this engine's outputs can have
-    /// changed; a wire from this slot is polled only when it has not seen
-    /// the current value (see [`Runtime::propagate`]).
-    gen: u64,
-    /// Polls of a hardware engine that `propagate` skipped and has not
-    /// charged yet (each one is a modeled bus message).
-    spared: u64,
-}
-
-impl Slot {
-    fn new(name: String, engine: Box<dyn Engine>) -> Slot {
-        Slot {
-            name,
-            kind: engine.kind(),
-            engine,
-            gen: 1,
-            spared: 0,
-        }
-    }
-
-    /// Replaces the engine, returning the old one. Every wire from this
-    /// slot is polled again.
-    fn install(&mut self, engine: Box<dyn Engine>) -> Box<dyn Engine> {
-        self.kind = engine.kind();
-        self.gen += 1;
-        std::mem::replace(&mut self.engine, engine)
-    }
-}
-
-/// One end of a data-plane wire. The tick path uses `slot` and `port`
-/// only; the name is kept to re-resolve the handle when the slot's engine
-/// is replaced (handles do not outlive the engine that issued them).
-struct Endpoint {
-    slot: usize,
-    port: PortId,
-    name: String,
-}
-
-impl Endpoint {
-    fn resolve(slot: usize, name: &str, slots: &[Slot]) -> Self {
-        Endpoint {
-            slot,
-            port: slots[slot].engine.port(name),
-            name: name.to_string(),
-        }
-    }
-}
-
-struct ResolvedWire {
-    from: Endpoint,
-    to: Endpoint,
-    /// The value last polled from `from` (and delivered to `to`).
-    last: Option<Bits>,
-    /// The source slot's generation at that poll; 0 (below every slot's)
-    /// before the first.
-    seen: u64,
-}
-
-impl ResolvedWire {
-    fn new(from: Endpoint, to: Endpoint) -> Self {
-        ResolvedWire {
-            from,
-            to,
-            last: None,
-            seen: 0,
-        }
-    }
-}
-
-/// A data plane whose ticks the software engine runs itself (see
-/// [`Runtime::run_sink_batch`]): the clock, one software engine in the
-/// main slot, and pin banks that only receive, if any — no wire leaves a
-/// peripheral, none enters the clock. Wire and slot indices; built at the
-/// wiring sites, `None` for every other plane.
-struct SinkPlane {
-    /// The wire clock → main and the clock input it writes, when the main
-    /// engine reads the clock.
-    clock_in: Option<(usize, VarId)>,
-    /// The wires main → sink, in wiring order, each with its target's
-    /// index in `sinks`.
-    drives: Vec<(usize, usize)>,
-    /// In slot order (the order `charge_costs` charges them).
-    sinks: Vec<Sink>,
-    /// The clock level the sinks and the main engine last read.
-    level: bool,
-    /// Whether the current iteration's clock edge is still to come.
-    armed: bool,
-}
-
-struct Sink {
-    slot: usize,
-    /// The wire clock → this sink's `__clk`.
-    clock_wire: usize,
-    /// Bus messages (clock edges and value-moving reads) not charged yet.
-    msgs: u64,
 }
 
 /// A consistent snapshot of every engine's state, taken at a verified
@@ -339,15 +237,10 @@ pub struct Runtime {
     wires: Vec<ResolvedWire>,
     clock_idx: usize,
     main_idx: Option<usize>,
-    /// `Engine::output` polls `propagate` has made, and the `read`s they
-    /// caused (see [`Runtime::data_plane_polls`]).
-    polls: u64,
-    reads: u64,
-    /// Set when the wiring is a sink-only plane.
-    sink_plane: Option<SinkPlane>,
-    /// Ticks the software engine ran on a sink-only plane (see
-    /// [`Runtime::data_plane_batched_ticks`]).
-    batched_ticks: u64,
+    /// Polls, reads and batched ticks (see [`Runtime::data_plane_polls`]).
+    counts: Counts,
+    /// The plane lowered for the batch, when it has the batch's shape.
+    plan: Option<Plan>,
 
     output: Vec<String>,
     finished: bool,
@@ -466,10 +359,8 @@ impl Runtime {
             wires: Vec::new(),
             clock_idx: 0,
             main_idx: None,
-            polls: 0,
-            reads: 0,
-            sink_plane: None,
-            batched_ticks: 0,
+            counts: Counts::default(),
+            plan: None,
             output: Vec::new(),
             finished: false,
             wall: VirtualWall::new(),
@@ -663,7 +554,7 @@ impl Runtime {
             engines: self
                 .slots
                 .iter()
-                .map(|s| (s.name.clone(), s.kind))
+                .map(|s| (s.name.clone(), s.kind()))
                 .collect(),
             open_loop_active: self.open_loop_last,
             compile_cache_hits: self.compiler.cache_hits(),
@@ -805,7 +696,7 @@ impl Runtime {
         let engine = &mut self.slots[idx].engine;
         let mut out = String::new();
         use std::fmt::Write as _;
-        if let Some(sw) = as_sw(engine) {
+        if let Some(sw) = engine.software() {
             let rep = sw.profile_report()?;
             let _ = writeln!(out, "profile (software engine, bytecode):");
             let _ = writeln!(out, "  process activations:");
@@ -818,7 +709,7 @@ impl Runtime {
             }
             return Some(out);
         }
-        if let Some(hw) = as_hw(engine) {
+        if let Some(hw) = engine.hardware() {
             let rep = hw.profile_report()?;
             let _ = writeln!(out, "profile (hardware engine, arena):");
             let _ = writeln!(out, "  instruction executions by level:");
@@ -932,7 +823,7 @@ impl Runtime {
         }
         match self.main_idx {
             None => ExecMode::Idle,
-            Some(i) => match self.slots[i].kind {
+            Some(i) => match self.slots[i].kind() {
                 EngineKind::Hardware => {
                     if self.slots.len() <= 2 {
                         ExecMode::HardwareForwarded
@@ -1086,14 +977,14 @@ impl Runtime {
             self.clock_idx = 0;
             self.main_idx = None;
             self.hw_design = None;
-            self.sink_plane = None;
+            self.plan = None;
         }
     }
 
     /// Runs `n` virtual clock ticks (or until `$finish`): open loop for a
-    /// hardware or native engine alone with the clock, a batch inside the
-    /// software engine on a sink-only plane, the walk otherwise. Returns
-    /// the ticks actually executed.
+    /// hardware or native engine alone with the clock, the plane batch for
+    /// a software plane, the walk otherwise. Returns the ticks actually
+    /// executed.
     ///
     /// # Errors
     ///
@@ -1121,7 +1012,7 @@ impl Runtime {
                 if done >= n || self.finished {
                     break;
                 }
-                if self.try_open_loop(n - done)?.is_some() || self.run_sink_batch(n - done)? {
+                if self.try_open_loop(n - done)?.is_some() || self.run_plane_batch(n - done)? {
                     self.trace_rate();
                     continue;
                 }
@@ -1173,21 +1064,22 @@ impl Runtime {
     /// should.
     #[doc(hidden)]
     pub fn data_plane_polls(&self) -> u64 {
-        self.polls
+        self.counts.polls
     }
 
     /// `Engine::read`s the data plane has delivered so far (see
     /// [`Runtime::data_plane_polls`]).
     #[doc(hidden)]
     pub fn data_plane_reads(&self) -> u64 {
-        self.reads
+        self.counts.reads
     }
 
-    /// Ticks the software engine has run on a sink-only plane instead of
-    /// the walk (see [`Runtime::data_plane_polls`]).
+    /// Ticks run by the plane batch — a software plane's whole ticks
+    /// without the runtime in the loop — instead of the walk (see
+    /// [`Runtime::data_plane_polls`]).
     #[doc(hidden)]
     pub fn data_plane_batched_ticks(&self) -> u64 {
-        self.batched_ticks
+        self.counts.batched_ticks
     }
 
     /// Switches to native mode: the program is compiled exactly as written
@@ -1219,7 +1111,7 @@ impl Runtime {
         let native = NativeEngine::new(Arc::clone(&bitstream.netlist), forwarded)
             .map_err(|e| CascadeError::NativeIneligible(e.to_string()))?;
         let main_idx = self.main_idx.expect("hw_design implies main");
-        self.slots[main_idx].install(Box::new(native));
+        self.slots[main_idx].install(SlotEngine::Native(Box::new(native)));
         self.rebind(main_idx);
         // Only the clock and the native engine remain.
         self.retain_clock_and_main();
@@ -1612,7 +1504,10 @@ impl Runtime {
 
         // 3. Build engines.
         let mut slots: Vec<Slot> = Vec::new();
-        slots.push(Slot::new("clk".to_string(), Box::new(ClockEngine::new())));
+        slots.push(Slot::new(
+            "clk".to_string(),
+            SlotEngine::Clock(ClockEngine::new()),
+        ));
         let clock_idx = 0;
 
         // Peripherals that actually participate (wired), instantiated via
@@ -1636,7 +1531,10 @@ impl Runtime {
                     "`{module}` cannot be instantiated as a peripheral"
                 )));
             };
-            slots.push(Slot::new(name.clone(), Box::new(PeripheralEngine::new(p))));
+            slots.push(Slot::new(
+                name.clone(),
+                SlotEngine::Peripheral(PeripheralEngine::new(p)),
+            ));
         }
 
         // Child engines for non-inlined user instances (software only; the
@@ -1651,7 +1549,10 @@ impl Runtime {
                 self.config.sw_compile,
             )
             .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
-            slots.push(Slot::new(inst_name.clone(), Box::new(engine)));
+            slots.push(Slot::new(
+                inst_name.clone(),
+                SlotEngine::Software(Box::new(engine)),
+            ));
         }
 
         // The main engine (if there is user logic).
@@ -1673,7 +1574,10 @@ impl Runtime {
             )
             .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
             main_idx = Some(slots.len());
-            slots.push(Slot::new(ROOT.to_string(), Box::new(engine)));
+            slots.push(Slot::new(
+                ROOT.to_string(),
+                SlotEngine::Software(Box::new(engine)),
+            ));
             hw_design = Some(hw);
         }
 
@@ -1691,7 +1595,7 @@ impl Runtime {
             ));
         }
         for (i, slot) in slots.iter().enumerate() {
-            if slot.kind == EngineKind::Peripheral {
+            if slot.kind() == EngineKind::Peripheral {
                 resolved.push(ResolvedWire::new(
                     Endpoint::resolve(clock_idx, "val", &slots),
                     Endpoint::resolve(i, PERIPHERAL_CLOCK_PORT, &slots),
@@ -1702,7 +1606,7 @@ impl Runtime {
         // Restore peripheral state (memories survive rebuilds).
         for slot in &mut slots {
             if let Some(prev) = saved.get(&slot.name) {
-                if slot.kind == EngineKind::Peripheral {
+                if slot.kind() == EngineKind::Peripheral {
                     slot.engine.set_state(prev);
                 }
             }
@@ -1714,7 +1618,7 @@ impl Runtime {
         self.main_idx = main_idx;
         self.hw_design = hw_design;
         self.rebind_tap();
-        self.plan_sink_plane();
+        self.lower_plan();
 
         // 5. Mark one-shot items executed (they ran during engine init) and
         // surface their output.
@@ -1735,7 +1639,7 @@ impl Runtime {
         // compiled-software step. Modeled duration is zero — software
         // compilation is instantaneous on the virtual clock.
         if let (Some(idx), true) = (self.main_idx, self.trace.enabled()) {
-            if let Some(sw) = as_sw(&mut self.slots[idx].engine) {
+            if let Some(sw) = self.slots[idx].engine.software() {
                 sw.enable_profiling();
             }
             let (at, parent) = self.req_at();
@@ -1816,7 +1720,7 @@ impl Runtime {
         // leaves its outputs alone.
         for slot in &mut self.slots {
             slot.engine.end_step();
-            if slot.kind == EngineKind::Peripheral {
+            if slot.kind() == EngineKind::Peripheral {
                 slot.gen += 1;
             }
         }
@@ -1860,68 +1764,17 @@ impl Runtime {
         Ok(())
     }
 
-    /// Moves changed output values across data-plane wires. Returns whether
+    /// The walk's pass ([`crate::plane::propagate`]). Returns whether
     /// anything moved.
-    ///
-    /// A wire is polled iff its source slot's generation moved since the
-    /// wire last polled it. Wires are walked in wiring order and a `read`
-    /// bumps its target at once, so a later wire out of that target is
-    /// still polled in the same pass: the value-moving polls, and the
-    /// `read`s they cause, are those of a walk that polls every wire.
     fn propagate(&mut self) -> bool {
-        // Field-level split borrow: wires are walked mutably while slots
-        // are indexed. This runs several times per scheduler iteration, so
-        // it touches handles only — no name is looked up here.
-        let mut moved = false;
-        for w in &mut self.wires {
-            let src = &mut self.slots[w.from.slot];
-            if w.seen == src.gen {
-                // The one poll with a modeled cost is still owed to the
-                // virtual clock (see `charge_costs`).
-                if src.kind == EngineKind::Hardware {
-                    src.spared += 1;
-                }
-                continue;
-            }
-            w.seen = src.gen;
-            self.polls += 1;
-            let value = src.engine.output(w.from.port);
-            if w.last.as_ref() == Some(&value) {
-                continue;
-            }
-            let dst = &mut self.slots[w.to.slot];
-            dst.engine.read(w.to.port, &value);
-            dst.gen += 1;
-            self.reads += 1;
-            w.last = Some(value);
-            moved = true;
-        }
-        // Skipped must mean unchanged: every wire that is up to date with
-        // its source is polled anyway and compared. Hardware sources are
-        // left out because their `output` is a charged bus message — the
-        // check would move the virtual clock of debug builds.
-        #[cfg(debug_assertions)]
-        for w in &self.wires {
-            let src = &mut self.slots[w.from.slot];
-            if w.seen == src.gen && src.kind != EngineKind::Hardware {
-                debug_assert_eq!(
-                    Some(src.engine.output(w.from.port)),
-                    w.last,
-                    "stale wire {}.{} -> {}: a bump site is missing",
-                    src.name,
-                    w.from.name,
-                    w.to.name,
-                );
-            }
-        }
-        moved
+        crate::plane::propagate(&mut self.slots, &mut self.wires, &mut self.counts)
     }
 
     /// Re-resolves every handle naming a port of slot `idx`, whose engine
     /// was just replaced: the wire ends there, and the waveform tap when
     /// it is the main engine.
     fn rebind(&mut self, idx: usize) {
-        let engine = self.slots[idx].engine.as_ref();
+        let engine = &*self.slots[idx].engine;
         for w in &mut self.wires {
             for end in [&mut w.from, &mut w.to] {
                 if end.slot == idx {
@@ -1932,7 +1785,7 @@ impl Runtime {
         if self.main_idx == Some(idx) {
             self.rebind_tap();
         }
-        self.plan_sink_plane();
+        self.lower_plan();
     }
 
     /// Re-resolves the waveform tap's names against the current main
@@ -2000,7 +1853,7 @@ impl Runtime {
         !self.native
             && self
                 .main_idx
-                .map(|i| self.slots[i].kind == EngineKind::Hardware)
+                .map(|i| self.slots[i].kind() == EngineKind::Hardware)
                 .unwrap_or(false)
     }
 
@@ -2070,7 +1923,7 @@ impl Runtime {
             return Ok(());
         };
         self.last_scrub_iter = self.iterations;
-        let ok = match as_hw(&mut self.slots[main_idx].engine) {
+        let ok = match self.slots[main_idx].engine.hardware() {
             Some(hw) => hw.scrub_ok(),
             None => return Ok(()),
         };
@@ -2092,7 +1945,7 @@ impl Runtime {
         match self.config.faults.next_scrub_fault() {
             Some(FabricFault::SoftError { salt }) => {
                 let slot = &mut self.slots[main_idx];
-                if let Some(hw) = as_hw(&mut slot.engine) {
+                if let Some(hw) = slot.engine.hardware() {
                     hw.inject_soft_error(salt);
                     slot.gen += 1;
                 }
@@ -2179,7 +2032,7 @@ impl Runtime {
         let Some(main_idx) = self.main_idx else {
             return Ok(());
         };
-        let ok = match as_hw(&mut self.slots[main_idx].engine) {
+        let ok = match self.slots[main_idx].engine.hardware() {
             Some(hw) => hw.scrub_ok(),
             None => return Ok(()),
         };
@@ -2349,7 +2202,7 @@ impl Runtime {
         if self.trace.enabled() {
             hw.enable_profiling();
         }
-        self.slots[main_idx].install(Box::new(hw));
+        self.slots[main_idx].install(SlotEngine::Hardware(Box::new(hw)));
         self.rebind(main_idx);
         // Reset wire caches so current values are re-broadcast into the new
         // engine.
@@ -2398,7 +2251,7 @@ impl Runtime {
             return;
         }
         let slot = &mut self.slots[main_idx];
-        if let Some(hw) = as_hw(&mut slot.engine) {
+        if let Some(hw) = slot.engine.hardware() {
             hw.absorb(forwarded);
         }
         self.retain_clock_and_main();
@@ -2414,7 +2267,7 @@ impl Runtime {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.kind == EngineKind::Peripheral)
+            .filter(|(_, s)| s.kind() == EngineKind::Peripheral)
             .map(|(i, _)| i)
             .collect();
         for pi in peripheral_indices {
@@ -2431,16 +2284,13 @@ impl Runtime {
             // Replace the slot's engine with a placeholder and take the
             // peripheral out.
             let name = self.slots[pi].name.clone();
-            let old = self.slots[pi].install(Box::new(ClockEngine::new()));
-            // Downcast via the concrete wrapper: engines are built here, so
-            // the type is known.
-            let peripheral = match into_peripheral(old) {
-                Some(p) => p,
-                None => continue,
+            let old = self.slots[pi].install(SlotEngine::Clock(ClockEngine::new()));
+            let SlotEngine::Peripheral(peripheral) = old else {
+                continue;
             };
             out.push(Forwarded {
                 instance: name,
-                peripheral,
+                peripheral: peripheral.into_peripheral(),
                 drives,
                 feeds,
             });
@@ -2460,7 +2310,7 @@ impl Runtime {
             remap.insert(old_i, new_i);
             new_slots.push(std::mem::replace(
                 &mut self.slots[old_i],
-                Slot::new(String::new(), Box::new(ClockEngine::new())),
+                Slot::new(String::new(), SlotEngine::Clock(ClockEngine::new())),
             ));
         }
         self.wires
@@ -2472,13 +2322,13 @@ impl Runtime {
         self.slots = new_slots;
         self.clock_idx = 0;
         self.main_idx = Some(1);
-        self.plan_sink_plane();
+        self.lower_plan();
     }
 
     /// Open-loop scheduling (paper Sec. 4.4): hand a hardware or native
     /// engine an iteration budget and let it run cycles internally. A
     /// software engine has none; its batch is the walk's
-    /// ([`Runtime::run_sink_batch`]).
+    /// ([`Runtime::run_plane_batch`]).
     fn try_open_loop(&mut self, remaining: u64) -> Result<Option<u64>, CascadeError> {
         if !self.config.open_loop && !self.native {
             return Ok(None);
@@ -2495,7 +2345,7 @@ impl Runtime {
             return Ok(None); // peripherals still on the data plane
         }
         if !matches!(
-            self.slots[main_idx].kind,
+            self.slots[main_idx].kind(),
             EngineKind::Hardware | EngineKind::Native
         ) {
             return Ok(None);
@@ -2542,106 +2392,84 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
-    // Sink-only planes: whole ticks inside the software engine
+    // The plane batch: a software plane's whole ticks without the runtime
     // ------------------------------------------------------------------
 
-    /// Recomputes [`SinkPlane`] eligibility; every wiring site ends here.
-    fn plan_sink_plane(&mut self) {
-        self.sink_plane = self.sink_plane_of();
+    /// Lowers the plane for the batch ([`Plan::lower`]); every wiring site
+    /// ends here. `inline` off keeps the walk.
+    fn lower_plan(&mut self) {
+        self.plan = if self.config.inline {
+            Plan::lower(&mut self.slots, &self.wires, self.clock_idx, self.main_idx)
+        } else {
+            None
+        };
     }
 
-    fn sink_plane_of(&mut self) -> Option<SinkPlane> {
-        let main = self.main_idx?;
-        // Slots are the clock, the peripherals, the child engines of a
-        // non-inlined program, then main: every slot between the clock and
-        // main must be a pin bank.
-        if !self.config.inline || self.clock_idx != 0 || main + 1 != self.slots.len() {
-            return None;
-        }
-        let mut sinks = Vec::with_capacity(main - 1);
-        for (slot, s) in self.slots.iter_mut().enumerate().take(main).skip(1) {
-            if !as_peripheral(&mut s.engine)?.is_pin_bank() {
-                return None;
-            }
-            sinks.push(Sink {
-                slot,
-                clock_wire: usize::MAX,
-                msgs: 0,
-            });
-        }
-        let sw = as_sw(&mut self.slots[main].engine)?;
-        // Wires come in three runs, each polled in this order in a pass:
-        // the clock into main, main into the sinks, the clock into each
-        // sink's `__clk`.
-        let (mut clock_in, mut drives, mut run) = (None, Vec::new(), 0);
-        for (w, wire) in self.wires.iter().enumerate() {
-            let (from, to) = (wire.from.slot, wire.to.slot);
-            let sink = to.wrapping_sub(1);
-            let this_run = match (from, to) {
-                (0, to) if to == main => 0,
-                (from, _) if from == main && sink < sinks.len() => 1,
-                (0, _) if sink < sinks.len() => 2,
-                _ => return None,
-            };
-            if this_run < run {
-                return None;
-            }
-            run = this_run;
-            match run {
-                0 if clock_in.is_none() => clock_in = Some((w, sw.input_var(wire.to.port)?)),
-                1 => drives.push((w, sink)),
-                2 if sinks[sink].clock_wire == usize::MAX => sinks[sink].clock_wire = w,
-                _ => return None,
-            }
-        }
-        if sinks.iter().any(|s| s.clock_wire == usize::MAX) {
-            return None;
-        }
-        Some(SinkPlane {
-            clock_in,
-            drives,
-            sinks,
-            level: false,
-            armed: false,
-        })
-    }
-
-    /// Runs whole ticks of a sink-only plane inside the software engine:
-    /// the engine is driven through the calls the walk would make on it
-    /// ([`SwEngine::sink_iteration`]), each sink-driving port is peeked at
-    /// the walk's poll points, and the modeled clock advances by the terms
-    /// `charge_costs` adds, in its order — so the batch is the walk,
-    /// without the virtual calls on the clock and the sinks and with the
-    /// per-tick servicing checked once. The batch ends before the first
-    /// tick servicing could act on (the checkpoint interval, lease-backoff
-    /// expiry, a rate sample while tracing, a compile outcome or watchdog
+    /// Runs whole ticks of a lowered plane through [`Plan::iteration`],
+    /// which is the walk's iteration, with per-tick servicing checked once
+    /// for the batch. The batch ends before the first tick servicing could
+    /// act on ([`Runtime::batch_limit`], and a compile outcome or watchdog
     /// deadline coming due), after the tick a task fires in, or inside an
     /// iteration that fails. Returns whether it ran.
     ///
     /// # Errors
     ///
     /// Returns [`CascadeError`] on an engine fault.
-    fn run_sink_batch(&mut self, remaining: u64) -> Result<bool, CascadeError> {
+    fn run_plane_batch(&mut self, remaining: u64) -> Result<bool, CascadeError> {
         // A tap samples every tick; a lease is serviced every tick; a
         // pending warning joins the transcript at the next iteration.
         if self.vcd.is_some() || self.lease.is_some() || !self.warnings.is_empty() {
             return Ok(false);
         }
-        let Some(mut plane) = self.sink_plane.take() else {
+        let limit = self.batch_limit(remaining);
+        if limit == 0 {
+            return Ok(false);
+        }
+        let Some(mut plan) = self.plan.take() else {
             return Ok(false);
         };
-        let limit = self.sink_batch_limit(remaining);
-        let ran = if limit > 0 {
-            self.sink_ticks(&mut plane, limit).map(|()| true)
-        } else {
-            Ok(false)
-        };
-        self.sink_plane = Some(plane);
+        if !plan.begin(&self.slots, &self.wires) {
+            self.plan = Some(plan);
+            return Ok(false);
+        }
+        let stop_at = self.compiler.wake_at();
+        let mut ran = Ok(true);
+        'ticks: for tick in 0..limit {
+            if tick > 0 && stop_at.is_some_and(|at| self.wall.seconds() >= at) {
+                break;
+            }
+            let mut tasks = false;
+            for _ in 0..2 {
+                if self.finished {
+                    break 'ticks;
+                }
+                let (slots, wires, counts) = (&mut self.slots, &mut self.wires, &mut self.counts);
+                match plan.iteration(slots, wires, counts, &mut self.wall, &self.config.costs) {
+                    Ok(has_tasks) => {
+                        self.iterations += 1;
+                        if has_tasks {
+                            self.collect_interrupts();
+                            tasks = true;
+                        }
+                    }
+                    Err(e) => {
+                        ran = Err(engine_err(e));
+                        break 'ticks;
+                    }
+                }
+            }
+            self.counts.batched_ticks += 1;
+            if tasks {
+                break;
+            }
+        }
+        plan.end(&self.slots, &mut self.wires);
+        self.plan = Some(plan);
         ran
     }
 
     /// Ticks before per-tick servicing could act, at most `remaining`.
-    fn sink_batch_limit(&self, remaining: u64) -> u64 {
+    fn batch_limit(&self, remaining: u64) -> u64 {
         // Ticks until the iteration counter reaches `iter`.
         let until = |iter: u64| iter.saturating_sub(self.iterations).div_ceil(2);
         let mut limit = remaining;
@@ -2657,132 +2485,6 @@ impl Runtime {
             limit = limit.min(RATE_SAMPLE_TICKS.saturating_sub(since));
         }
         limit
-    }
-
-    fn sink_ticks(&mut self, plane: &mut SinkPlane, limit: u64) -> Result<(), CascadeError> {
-        // The first pass of the first iteration (a command boundary's
-        // catch-up; otherwise it polls nothing).
-        self.propagate();
-        let start_level = self.slots[self.clock_idx]
-            .engine
-            .output(clock::VAL)
-            .to_bool();
-        plane.level = start_level;
-        for sink in &mut plane.sinks {
-            debug_assert_eq!(
-                self.wires[sink.clock_wire].last,
-                Some(Bits::from_bool(start_level))
-            );
-            if let Some(p) = as_peripheral(&mut self.slots[sink.slot].engine) {
-                sink.msgs = p.take_msgs();
-            }
-        }
-        let stop_at = self.compiler.wake_at();
-        let result = self.sink_tick_loop(plane, limit, stop_at);
-        // Hand the plane back to the walk as it would have left it.
-        let level = Bits::from_bool(plane.level);
-        if let Some((w, _)) = plane.clock_in {
-            self.wires[w].last = Some(level.clone());
-        }
-        for sink in &mut plane.sinks {
-            self.wires[sink.clock_wire].last = Some(level.clone());
-            if let Some(p) = as_peripheral(&mut self.slots[sink.slot].engine) {
-                p.resume(plane.level, std::mem::take(&mut sink.msgs));
-            }
-        }
-        let clock = &mut self.slots[self.clock_idx].engine;
-        if plane.level != start_level {
-            clock.end_step();
-            clock.update().map_err(engine_err)?;
-        }
-        if plane.armed {
-            clock.end_step();
-        }
-        result
-    }
-
-    fn sink_tick_loop(
-        &mut self,
-        plane: &mut SinkPlane,
-        limit: u64,
-        stop_at: Option<f64>,
-    ) -> Result<(), CascadeError> {
-        for tick in 0..limit {
-            if tick > 0 && stop_at.is_some_and(|at| self.wall.seconds() >= at) {
-                return Ok(());
-            }
-            let mut tasks = false;
-            for _ in 0..2 {
-                if self.finished {
-                    return Ok(());
-                }
-                if self.sink_iteration(plane)? {
-                    self.collect_interrupts();
-                    tasks = true;
-                }
-            }
-            self.batched_ticks += 1;
-            if tasks {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    /// One scheduler iteration of a sink-only plane, charged as
-    /// `charge_costs` would. Returns whether the engine has tasks for
-    /// `collect_interrupts`.
-    fn sink_iteration(&mut self, plane: &mut SinkPlane) -> Result<bool, CascadeError> {
-        let main = self.main_idx.expect("a sink plane has a main engine");
-        let (head, tail) = self.slots.split_at_mut(main);
-        let sw = as_sw(&mut tail[0].engine).expect("a sink plane's main engine is software");
-        let (wires, polls, reads) = (&mut self.wires, &mut self.polls, &mut self.reads);
-        let next = !plane.level;
-        let clock = plane.clock_in.map(|(_, var)| var);
-        plane.armed = true;
-        sw.sink_iteration(clock, next, &mut |sw, moved, edge| {
-            if edge {
-                plane.level = next;
-                plane.armed = false;
-                if plane.clock_in.is_some() {
-                    *polls += 1;
-                    *reads += 1;
-                }
-            }
-            if moved {
-                for &(w, s) in &plane.drives {
-                    *polls += 1;
-                    let wire = &mut wires[w];
-                    let value = sw.peek(wire.from.port);
-                    if wire.last.as_ref() != Some(&value) {
-                        let sink = &mut plane.sinks[s];
-                        if let Some(p) = as_peripheral(&mut head[sink.slot].engine) {
-                            p.deliver(wire.to.port, &value);
-                        }
-                        sink.msgs += 1;
-                        *reads += 1;
-                        wire.last = Some(value);
-                    }
-                }
-            }
-            if edge {
-                for sink in &mut plane.sinks {
-                    sink.msgs += 1;
-                    *polls += 1;
-                    *reads += 1;
-                }
-            }
-        })
-        .map_err(engine_err)?;
-        self.iterations += 1;
-        let costs = &self.config.costs;
-        for sink in &mut plane.sinks {
-            self.wall
-                .advance_ns(std::mem::take(&mut sink.msgs) as f64 * costs.abi_message_ns);
-        }
-        self.wall.advance_ns(sw.take_cost_ns(costs));
-        self.wall.advance_ns(costs.runtime_iteration_ns);
-        Ok(sw.has_tasks())
     }
 }
 
@@ -2920,27 +2622,4 @@ fn root_externals(
         ext.insert(inst.name.clone(), (inst.module.clone(), params));
     }
     Ok(ext)
-}
-
-// ---------------------------------------------------------------------
-// Downcast helpers (engines are concrete types built in this module).
-// ---------------------------------------------------------------------
-
-fn as_hw(engine: &mut Box<dyn Engine>) -> Option<&mut HwEngine> {
-    (engine.as_mut() as &mut dyn Any).downcast_mut()
-}
-
-fn as_sw(engine: &mut Box<dyn Engine>) -> Option<&mut SwEngine> {
-    (engine.as_mut() as &mut dyn Any).downcast_mut()
-}
-
-fn as_peripheral(engine: &mut Box<dyn Engine>) -> Option<&mut PeripheralEngine> {
-    (engine.as_mut() as &mut dyn Any).downcast_mut()
-}
-
-fn into_peripheral(engine: Box<dyn Engine>) -> Option<Box<dyn cascade_stdlib::Peripheral>> {
-    (engine as Box<dyn Any>)
-        .downcast::<PeripheralEngine>()
-        .ok()
-        .map(|p| p.into_peripheral())
 }

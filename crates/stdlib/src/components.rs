@@ -4,10 +4,16 @@
 //! component's `ports()` table, which lists its ports in the order
 //! `STDLIB_DECLARATIONS` declares them.
 
-use crate::{Peripheral, PortId};
+use crate::{MovePoints, Peripheral, PortId};
 use cascade_bits::Bits;
 use cascade_fpga::Board;
 use std::collections::BTreeMap;
+
+/// Outputs that are a sample of the board, taken at `end_step`.
+const BOARD_SAMPLED: MovePoints = MovePoints {
+    end_step: true,
+    ..MovePoints::NEVER
+};
 
 /// `Pad`: button inputs driven by the board.
 #[derive(Debug)]
@@ -45,6 +51,10 @@ impl Peripheral for Pad {
 
     fn end_step(&mut self) {
         self.val = self.board.buttons().resize(self.width);
+    }
+
+    fn outputs_move(&self) -> MovePoints {
+        BOARD_SAMPLED
     }
 }
 
@@ -86,6 +96,10 @@ impl Peripheral for Led {
             self.board.write_leds(self.val.clone());
         }
     }
+
+    fn outputs_move(&self) -> MovePoints {
+        MovePoints::NEVER
+    }
 }
 
 /// `Reset`: the board's reset line.
@@ -123,6 +137,10 @@ impl Peripheral for Reset {
 
     fn end_step(&mut self) {
         self.val = self.board.reset();
+    }
+
+    fn outputs_move(&self) -> MovePoints {
+        BOARD_SAMPLED
     }
 }
 
@@ -170,6 +188,10 @@ impl Peripheral for Gpio {
 
     fn end_step(&mut self) {
         self.in_val = self.board.gpio_in().resize(self.width);
+    }
+
+    fn outputs_move(&self) -> MovePoints {
+        BOARD_SAMPLED
     }
 }
 
@@ -236,6 +258,16 @@ impl Peripheral for Memory {
             if let Some(slot) = self.words.get_mut(self.waddr as usize) {
                 *slot = self.wdata.clone();
             }
+        }
+    }
+
+    // `rdata` is the word at `raddr`: a write moves it, and so does a new
+    // read address.
+    fn outputs_move(&self) -> MovePoints {
+        MovePoints {
+            end_step: false,
+            posedge: true,
+            input: true,
         }
     }
 
@@ -319,6 +351,16 @@ impl Peripheral for Fifo {
         if self.wreq {
             self.board.fifo_out_push(self.wdata.clone());
             self.bus_words += 1;
+        }
+    }
+
+    // A pop moves `rdata` and the flags; the host moves the flags, and
+    // `end_step` is where a scheduler looks for that.
+    fn outputs_move(&self) -> MovePoints {
+        MovePoints {
+            end_step: true,
+            posedge: true,
+            input: false,
         }
     }
 

@@ -94,6 +94,33 @@ impl PortId {
     pub const NONE: PortId = PortId(u32::MAX);
 }
 
+/// The points at which a component's outputs can change
+/// ([`Peripheral::outputs_move`]). `end_step` and `posedge` are also the
+/// only calls that do anything else a scheduler sees of a component
+/// besides taking its inputs — writes to the board or the host bus, bus
+/// words — so one that is not listed does nothing and may be skipped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MovePoints {
+    /// At `end_step`: the component samples the board there (buttons,
+    /// pins, reset), or it is where a scheduler looks for what the host
+    /// did to it (the host's side of the FIFO).
+    pub end_step: bool,
+    /// At `posedge`.
+    pub posedge: bool,
+    /// When an input is set: an output follows an input combinationally.
+    pub input: bool,
+}
+
+impl MovePoints {
+    /// A bank of output pins: nothing moves and no call but `set_input`
+    /// does anything.
+    pub const NEVER: MovePoints = MovePoints {
+        end_step: false,
+        posedge: false,
+        input: false,
+    };
+}
+
 /// A standard-library component instance: Rust-implemented behaviour behind
 /// a Verilog port interface.
 ///
@@ -129,6 +156,12 @@ pub trait Peripheral: Send {
 
     /// Called at each observable state (poll external inputs).
     fn end_step(&mut self) {}
+
+    /// Where this component's outputs can change ([`MovePoints`]): a
+    /// scheduler that re-reads them only after one of these points misses
+    /// no change. Declaring a point that moves nothing is safe; leaving out
+    /// one that does is not.
+    fn outputs_move(&self) -> MovePoints;
 
     /// Snapshot internal state for engine migration (memories).
     fn get_state(&self) -> BTreeMap<String, Vec<Bits>> {

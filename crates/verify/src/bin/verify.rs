@@ -167,8 +167,8 @@ fn cmd_soak(args: &[String]) -> ExitCode {
     for v in &report.violations {
         println!("  VIOLATION {v}");
     }
-    // A display tenant's software phase is a sink-only plane: none of it
-    // batched means the batch stopped being the path.
+    // A display tenant's software phase is a software plane: none of it
+    // batched means the plane batch stopped being the path.
     let unbatched = report.display_lines > 0 && report.batched_ticks == 0;
     if unbatched {
         println!("  no oracle tick ran inside the software engine");

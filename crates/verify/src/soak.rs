@@ -60,8 +60,8 @@ pub struct SoakReport {
     pub ticks: u64,
     /// `$display` lines collected (and oracle-checked).
     pub display_lines: u64,
-    /// Ticks the solo oracles ran inside their software engine (the
-    /// sink-only plane batch) rather than on the scheduler's walk.
+    /// Ticks the solo oracles ran inside their software engine (the plane
+    /// batch) rather than on the scheduler's walk.
     pub batched_ticks: u64,
     /// Faults the schedules actually injected.
     pub faults_injected: u64,

@@ -58,10 +58,12 @@ fn main() -> Result<(), cascade_core::CascadeError> {
     rt.run_ticks(1_100)?;
     let sw_ios = (board.fifo_pops()) as f64 / (rt.wall_seconds() - w0);
     println!(
-        "software phase: {:.1} KIO/s ({:?}, {} bytes consumed)",
+        "software phase: {:.1} KIO/s ({:?}, {} bytes consumed, {} of {} ticks in the plane batch)",
         sw_ios / 1e3,
         rt.mode(),
-        board.fifo_pops()
+        board.fifo_pops(),
+        rt.data_plane_batched_ticks(),
+        rt.ticks()
     );
 
     // Migrate.

@@ -9,6 +9,7 @@ use cascade_bits::{Bits, Prng};
 use cascade_core::{ExecMode, JitConfig, Runtime};
 use cascade_fpga::{Board, FaultPlan, Fleet};
 use cascade_serve::{InProcClient, ServeConfig, Server};
+use cascade_trace::{export_jsonl, TimeMode, TraceSink};
 use cascade_workloads::regex::{compile, matcher_verilog, Flavor as RegexFlavor};
 use cascade_workloads::sha256::{miner_verilog, Flavor as MinerFlavor, MinerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -321,7 +322,7 @@ fn modeled_machine_is_the_parents_with_each_stage_off() {
 }
 
 // ---------------------------------------------------------------------
-// Sink-only planes: the clock, one software engine, and pins it drives
+// The plane batch: the clock, the components, one software engine
 // ---------------------------------------------------------------------
 
 /// The `tenants_run` tenant: a counter whose low byte drives the LEDs.
@@ -329,8 +330,8 @@ const TENANT: &str = "reg [31:0] cnt = 0;\n\
                       always @(posedge clk.val) cnt <= cnt + 32'd40503;\n\
                       assign led.val = cnt[7:0];";
 
-/// The tenant without its LEDs: the clock and one software engine, a sink
-/// plane of no sinks.
+/// The tenant without its LEDs: the clock and one software engine, a plane
+/// of no components.
 const PIN_FREE: &str = "reg [31:0] cnt = 0;\n\
                         always @(posedge clk.val) cnt <= cnt + 32'd40503;";
 
@@ -356,7 +357,7 @@ const FINISH_EDIT: &str = "reg [7:0] fin = 0;\n\
                              if (fin == 8'd150) $finish;\n\
                            end";
 
-/// What a sink-plane script leaves behind. `stats` and `transcript` are
+/// What a plane script leaves behind. `stats` and `transcript` are
 /// FNV-1a hashes of `RuntimeStats` (its `Debug` form) and of the output
 /// lines; `polls`/`reads` are the data plane's own counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -441,7 +442,8 @@ fn sink_script(evals: &[&str], mut config: JitConfig) -> SinkPins {
     sink_pins(&mut rt, &board)
 }
 
-/// Two pins and an eval that puts the FIFO on the data plane.
+/// Two pins and an eval that puts the FIFO on the data plane (the walk at
+/// the parent commit, the plane batch since).
 fn fifo_fallback_script(config: JitConfig) -> SinkPins {
     let board = Board::new();
     board.set_fifo_capacity(1 << 10);
@@ -462,10 +464,9 @@ fn fifo_fallback_script(config: JitConfig) -> SinkPins {
     sink_pins(&mut rt, &board)
 }
 
-/// A plane of the clock, one software engine and components that only
-/// receive runs whole ticks inside the engine; the modeled machine is the
-/// one the scheduler's walk simulated. Constants captured at the parent
-/// commit (every tick walked).
+/// A software plane runs whole ticks inside the engine; the modeled
+/// machine is the one the scheduler's walk simulated. Constants captured
+/// at a commit where every one of these ticks walked.
 #[test]
 fn sink_planes_are_the_parents_modeled_machine() {
     let d = JitConfig::default;
@@ -491,9 +492,9 @@ fn sink_planes_are_the_parents_modeled_machine() {
 
 /// Programs whose outputs move at awkward points of an iteration: on both
 /// edges, straight off the clock, in a second update round, under a
-/// `$monitor`, into two sinks at once, into none, and ending with
-/// `$finish` on either half of a tick.
-const AWKWARD: [&str; 6] = [
+/// `$monitor`, into two sinks at once, into none, ending with `$finish` on
+/// either half of a tick, and through a Memory and the pad and reset.
+const AWKWARD: [&str; 8] = [
     "reg [7:0] n = 0;\n\
      always @(negedge clk.val) n <= n + 8'd3;\n\
      assign led.val = {n[6:0], clk.val};",
@@ -514,6 +515,8 @@ const AWKWARD: [&str; 6] = [
     "reg [7:0] k = 0;\n\
      always @(negedge clk.val) begin k <= k + 8'd1; if (k == 8'd77) $finish; end\n\
      assign led.val = k;",
+    MEMORY,
+    PAD_RESET,
 ];
 
 /// Each of [`AWKWARD`] with the batch and with the walk: `inline` off keeps
@@ -537,12 +540,29 @@ fn a_batch_is_the_walk_wherever_outputs_move() {
     }
 }
 
+/// A RAM whose read address walks and whose write port feeds back what it
+/// read: its `rdata` moves on a `read` of `raddr` and at the edge.
+const MEMORY: &str = "Memory #(.ADDR(4), .WIDTH(8)) m();\n\
+                      reg [3:0] a = 0;\n\
+                      always @(posedge clk.val) a <= a + 4'd1;\n\
+                      assign m.raddr = a;\n\
+                      assign m.wen = 1;\n\
+                      assign m.waddr = a + 4'd3;\n\
+                      assign m.wdata = m.rdata + 8'd5;\n\
+                      assign led.val = m.rdata;";
+
+/// The button pad and the reset line, sampled from the board at `end_step`.
+const PAD_RESET: &str = "reg [7:0] cnt = 0;\n\
+                         always @(posedge clk.val) if (pad.val == 0 && !rst.val) cnt <= cnt + 8'd1;\n\
+                         assign led.val = cnt;";
+
 /// The batch is the path, not a branch nobody takes: the tenant with and
-/// without its LEDs, the soak tenant's shape and the miner's software phase
-/// run every tick inside the software engine; a FIFO on the plane, a
-/// waveform tap and `inline` off run none there.
+/// without its LEDs, the soak tenant's shape, the miner's software phase,
+/// the Fig. 12 matcher (the FIFO feeds main), a Memory, the button pad and
+/// reset, and every kind of wire at once run every tick inside the software
+/// engine; a waveform tap and `inline` off run none there.
 #[test]
-fn sink_planes_run_inside_the_software_engine() {
+fn planes_run_inside_the_software_engine() {
     let batched = |src: &str, config: JitConfig, tap: bool| {
         let board = Board::new();
         board.set_fifo_capacity(1 << 12);
@@ -575,13 +595,45 @@ fn sink_planes_run_inside_the_software_engine() {
         "miner, software phase"
     );
     assert_eq!(batched(TENANT, d().without("sw_compile"), false), 500);
-    assert_eq!(batched(&matcher_src(), d(), false), 0, "FIFO on the plane");
+    assert_eq!(
+        batched(&matcher_src(), d(), false),
+        500,
+        "FIFO on the plane"
+    );
+    assert_eq!(batched(MEMORY, d(), false), 500, "Memory");
+    assert_eq!(batched(PAD_RESET, d(), false), 500, "pad and reset");
+    assert_eq!(batched(WIRED, d(), false), 500, "every kind of wire");
     assert_eq!(batched(TENANT, d(), true), 0, "waveform tap");
     assert_eq!(
         batched(TENANT, d().without("inline"), false),
         0,
         "inline off"
     );
+}
+
+/// A program that never reads the clock leaves a plane of no wires. Once
+/// it is in hardware with `open_loop` off, that plane is the walk's, not
+/// the batch's: the batch takes only a software main.
+#[test]
+fn a_hardware_plane_of_no_wires_walks() {
+    let board = Board::new();
+    let config = JitConfig {
+        open_loop: false,
+        ..JitConfig::default()
+    };
+    let mut rt = Runtime::new(board, config).expect("runtime");
+    rt.eval("reg [7:0] x = 8'd5;").expect("eval");
+    assert_eq!(rt.run_ticks(10).expect("software window"), 10);
+    let batched = rt.data_plane_batched_ticks();
+    assert!(batched > 0, "the software phase batches");
+    promote(&mut rt);
+    assert!(
+        matches!(rt.mode(), ExecMode::Hardware | ExecMode::HardwareForwarded),
+        "{:?}",
+        rt.mode()
+    );
+    assert_eq!(rt.run_ticks(10).expect("hardware window"), 10);
+    assert_eq!(rt.data_plane_batched_ticks(), batched);
 }
 
 /// `open_loop` governs hardware and native engines only. A software program
@@ -614,7 +666,7 @@ fn open_loop_leaves_a_software_programs_modeled_machine_alone() {
     }
 }
 
-/// (d) The sink plane: a 2000-tick window inside the software engine.
+/// (d) A pin plane: a 2000-tick window inside the software engine.
 #[test]
 fn sink_plane_ticks_allocate_nothing() {
     let board = Board::new();
@@ -747,6 +799,35 @@ fn faulted_serve_trace(seed: u64) -> String {
     jsonl
 }
 
+/// A traced software phase: a batch ends before every `ticks_per_s` rate
+/// sample, so the plane batch samples its rate at the walk's ticks and
+/// modeled seconds. The `VirtualOnly` export of a fed matcher run, all 100
+/// rate samples included, is the walk's byte for byte.
+#[test]
+fn traced_batches_attribute_like_the_walk() {
+    let export = |inline: bool| {
+        let board = Board::new();
+        board.set_fifo_capacity(1 << 14);
+        let config = JitConfig {
+            auto_compile: false,
+            inline,
+            trace: TraceSink::ring(1 << 16),
+            ..JitConfig::default()
+        };
+        let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+        rt.eval(&matcher_src()).expect("eval");
+        run_fed_chunks(&mut rt, &board);
+        let jsonl = export_jsonl(&rt.trace_sink().snapshot(), TimeMode::VirtualOnly);
+        (jsonl, rt.data_plane_batched_ticks())
+    };
+    let (batched, batched_ticks) = export(true);
+    let (walked, walked_ticks) = export(false);
+    assert!(batched_ticks > 100_000, "{batched_ticks} ticks batched");
+    assert_eq!(walked_ticks, 0);
+    assert_eq!(batched.matches("\"name\":\"ticks_per_s\"").count(), 100);
+    assert_eq!(batched, walked);
+}
+
 /// `(seed, export length, FNV-1a of the export)` at the parent commit.
 const PARENT_TRACES: [(u64, usize, u64); 4] = [
     (3, 31221, 0x892d_5a11_a04d_9470),
@@ -775,8 +856,10 @@ fn faulted_serve_trace_is_byte_identical_to_the_parents() {
 /// A software tick of the matcher walks its seven wires twelve times; of
 /// those 84 looks only the ones whose source engine was touched since the
 /// wire last looked are made, and every `read` an all-wires walk would
-/// have delivered still is. Both are counts, not timings: the reads are
-/// the parent commit's, to the unit.
+/// have delivered still is. Both are counts, not timings, and both are
+/// the walk's to the unit (captured at the parent commit, where every one
+/// of these ticks walked): the plane batch that runs them now polls where
+/// the walk polls.
 #[test]
 fn a_software_tick_polls_only_wires_whose_source_was_touched() {
     let board = Board::new();
@@ -790,12 +873,9 @@ fn a_software_tick_polls_only_wires_whose_source_was_touched() {
     assert_eq!(ticks, 102_400);
     let polls = rt.data_plane_polls() - polls;
     let reads = rt.data_plane_reads() - reads;
-    assert!(
-        polls <= 28 * ticks,
-        "{:.2} polls per tick",
-        polls as f64 / ticks as f64
-    );
+    assert_eq!(polls, 2_661_998, "polls made (26.0 per tick)");
     assert_eq!(reads, 722_799, "reads delivered (7.06 per tick)");
+    assert_eq!(rt.data_plane_batched_ticks(), ticks);
 }
 
 /// Every kind of data-plane wire in one program: a user module (its own
@@ -1014,13 +1094,25 @@ fn allocations_per_window(rt: &mut Runtime, board: &Board, feed: bool) -> u64 {
 }
 
 /// (a) Software engines, the FIFO a peripheral engine on the data plane:
-/// every token crosses `propagate`.
+/// every token crosses the plane batch, or the walk with `inline` off.
 #[test]
 fn software_ticks_with_a_fifo_on_the_data_plane_allocate_nothing() {
+    fifo_window_allocates_nothing(true);
+}
+
+/// (a) with every tick walked.
+#[test]
+fn walked_ticks_with_a_fifo_on_the_data_plane_allocate_nothing() {
+    fifo_window_allocates_nothing(false);
+}
+
+/// `inline` decides whether the window runs in the plane batch or walks.
+fn fifo_window_allocates_nothing(inline: bool) {
     let board = Board::new();
     board.set_fifo_capacity(1 << 14);
     let config = JitConfig {
         auto_compile: false,
+        inline,
         ..no_boundaries(true)
     };
     let mut rt = Runtime::new(board.clone(), config).expect("runtime");
@@ -1028,6 +1120,7 @@ fn software_ticks_with_a_fifo_on_the_data_plane_allocate_nothing() {
     assert_eq!(rt.mode(), ExecMode::Software);
     assert_eq!(allocations_per_window(&mut rt, &board, true), 0);
     assert_eq!(rt.mode(), ExecMode::Software);
+    assert_eq!(rt.data_plane_batched_ticks() > 0, inline);
 }
 
 /// (b) Hardware with the stdlib absorbed, in the miner's shape (`Led`)
