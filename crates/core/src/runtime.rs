@@ -717,7 +717,7 @@ impl Runtime {
                 let _ = writeln!(out, "    {n:>12}  level {lvl}");
             }
             // Per-kernel lane occupancy: share of evaluated lanes whose
-            // output changed on the change-tracking paths.
+            // output changed.
             let occ: std::collections::BTreeMap<&str, f64> =
                 rep.kernel_occupancy.iter().map(|&(k, v)| (k, v)).collect();
             let _ = writeln!(out, "  kernel executions:");

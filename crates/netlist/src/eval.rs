@@ -2,12 +2,16 @@
 //!
 //! Where `cascade-sim` walks an AST event queue, this evaluator lowers the
 //! levelized netlist into a flat instruction program over a `Vec<u64>` word
-//! arena at construction time (see [`crate::exec`]) and executes it with
-//! activity-driven scheduling: only the fan-out cone of nets that actually
-//! changed is re-evaluated. The previous interpretive loop survives as
-//! [`crate::ReferenceSim`] for benchmarking and differential testing.
+//! arena at construction time and executes it with activity-driven
+//! scheduling: only the fan-out cone of nets that actually changed is
+//! re-evaluated. [`NetlistSim`] is a thin facade over the one-lane
+//! instance of [`crate::exec`]'s `State`, the same kernels, scheduler,
+//! commit and run loop the batch harness runs at N lanes. The previous
+//! interpretive loop survives as [`crate::ReferenceSim`] for benchmarking
+//! and differential testing; it shares only [`render_task`] with the
+//! compiled engine.
 
-use crate::exec::{kernel_name, NlProfileState, Program, ProgramStats, State};
+use crate::exec::{kernel_name, NlProfileState, One, Program, ProgramStats, State};
 use crate::ir::*;
 use crate::level::LevelError;
 use cascade_bits::Bits;
@@ -36,8 +40,9 @@ pub struct NlProfileReport {
     /// temporaries appear as `$n<id>`.
     pub hot_nets: Vec<(String, u64)>,
     /// `(kernel, occupancy)`: the share of evaluated lanes whose output
-    /// actually changed, per kernel kind, on the change-tracking paths.
-    /// Low occupancy on a wide batch means lanes have diverged.
+    /// actually changed, per kernel kind. Low occupancy on a wide batch
+    /// means lanes have diverged; on a dense schedule it means work the
+    /// sparse one would have skipped.
     pub kernel_occupancy: Vec<(&'static str, f64)>,
 }
 
@@ -72,11 +77,7 @@ pub struct NlProfileReport {
 pub struct NetlistSim {
     nl: Arc<Netlist>,
     prog: Arc<Program>,
-    st: State,
-    tasks: Vec<TaskFire>,
-    finished: bool,
-    /// Cycles executed per clock domain.
-    cycles: u64,
+    st: State<One>,
 }
 
 impl NetlistSim {
@@ -88,15 +89,8 @@ impl NetlistSim {
     /// Returns [`LevelError`] when the netlist has a combinational cycle.
     pub fn new(nl: Arc<Netlist>) -> Result<Self, LevelError> {
         let prog = Arc::new(Program::compile(&nl)?);
-        let st = State::new(&nl, &prog);
-        Ok(NetlistSim {
-            nl,
-            prog,
-            st,
-            tasks: Vec::new(),
-            finished: false,
-            cycles: 0,
-        })
+        let st = State::new(&nl, &prog, One);
+        Ok(NetlistSim { nl, prog, st })
     }
 
     /// The netlist being executed.
@@ -117,7 +111,8 @@ impl NetlistSim {
     /// Switches on activity profiling: per-level and per-instruction
     /// execution counters feeding [`profile_report`](Self::profile_report).
     /// Costs one counter bump per executed instruction while enabled and a
-    /// single branch per settle call when it never was (the default).
+    /// single predictable branch per instruction when it never was (the
+    /// default).
     pub fn enable_profiling(&mut self) {
         self.st.enable_profiling(&self.prog);
     }
@@ -132,22 +127,22 @@ impl NetlistSim {
 
     /// Whether a `$finish` task has fired.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.st.all_finished
     }
 
     /// Total clock edges executed.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.st.cycles
     }
 
     /// Drains task firings observed so far.
     pub fn drain_tasks(&mut self) -> Vec<TaskFire> {
-        std::mem::take(&mut self.tasks)
+        std::mem::take(&mut self.st.tasks)
     }
 
     /// Whether any task firings are pending.
     pub fn has_tasks(&self) -> bool {
-        !self.tasks.is_empty()
+        !self.st.tasks.is_empty()
     }
 
     /// Sets an input net and repropagates combinational logic. Only the
@@ -155,8 +150,7 @@ impl NetlistSim {
     /// actually changed.
     pub fn set_input(&mut self, net: NetId, value: Bits) {
         let slot = self.prog.slots[net.0 as usize];
-        let v = value.resize(slot.width);
-        if self.st.write_slot(slot, &v) {
+        if self.st.write_all(slot, &value.resize(slot.width)) {
             self.st.mark(&self.prog, net.0);
             self.st.settle_auto(&self.prog);
         }
@@ -177,14 +171,13 @@ impl NetlistSim {
 
     /// Reads any net's current value.
     pub fn get(&self, net: NetId) -> Bits {
-        self.st.slot_bits(self.prog.slots[net.0 as usize])
+        self.st.read_lane(self.prog.slots[net.0 as usize], 0)
     }
 
     /// Reads the low 64 bits of a net without materializing a [`Bits`]
     /// (zero-copy fast path for MMIO polling).
     pub fn get_u64(&self, net: NetId) -> u64 {
-        let slot = self.prog.slots[net.0 as usize];
-        self.st.arena[slot.off as usize]
+        self.st.word(self.prog.slots[net.0 as usize].off, 0)
     }
 
     /// Reads a net by name.
@@ -194,12 +187,12 @@ impl NetlistSim {
 
     /// Reads one word of a memory.
     pub fn read_mem(&self, mem: MemId, addr: u64) -> Bits {
-        self.st.read_mem(&self.prog, mem.0, addr)
+        self.st.read_mem(&self.prog, mem.0, addr, 0)
     }
 
     /// Writes one word of a memory directly (state restoration).
     pub fn write_mem(&mut self, mem: MemId, addr: u64, value: Bits) {
-        self.st.write_mem(&self.prog, mem.0, addr, &value);
+        self.st.write_mem(&self.prog, mem.0, addr, &value, 0, true);
         self.st.settle_auto(&self.prog);
     }
 
@@ -208,7 +201,7 @@ impl NetlistSim {
     pub fn write_reg(&mut self, reg: RegId, value: Bits) {
         let q = self.nl.regs[reg.0 as usize].q;
         let slot = self.prog.slots[q.0 as usize];
-        if self.st.write_slot(slot, &value.resize(slot.width)) {
+        if self.st.write_all(slot, &value.resize(slot.width)) {
             self.st.mark(&self.prog, q.0);
         }
     }
@@ -226,26 +219,22 @@ impl NetlistSim {
             return false;
         };
         for rc in plan.small.iter().chain(&plan.regs) {
-            let q_off = rc.q.off as usize;
-            let d_off = rc.d.off as usize;
-            let q_words = rc.q.words as usize;
-            let d_words = rc.d.words as usize;
             let topmask = crate::exec::top_word_mask(rc.q.width);
-            for k in 0..q_words {
-                let mut d = if k < d_words {
-                    self.st.arena[d_off + k]
+            for k in 0..rc.q.words {
+                let mut d = if k < rc.d.words {
+                    self.st.word(rc.d.off + k, 0)
                 } else {
                     0
                 };
-                if k == q_words - 1 {
+                if k == rc.q.words - 1 {
                     d &= topmask;
                 }
-                if d != self.st.arena[q_off + k] {
+                if d != self.st.word(rc.q.off + k, 0) {
                     return true;
                 }
             }
         }
-        plan.ports.iter().any(|pc| self.st.slot_bool(pc.enable))
+        plan.ports.iter().any(|pc| self.st.bool_lane(pc.enable, 0))
     }
 
     /// Drains any pending dirty logic to a fixed point. A no-op when the
@@ -258,61 +247,7 @@ impl NetlistSim {
     /// and register/memory inputs, commits them, and repropagates. One call
     /// corresponds to one hardware clock cycle.
     pub fn step_clock(&mut self, clock_index: u32) {
-        if self.finished {
-            return;
-        }
-        let prog = Arc::clone(&self.prog);
-        self.st.settle_auto(&prog);
-        self.fire_tasks(&prog, clock_index);
-        // `$finish` executes before the nonblocking-update region: an edge
-        // that finishes discards its pending commits, the same boundary
-        // the event-driven simulator observes.
-        if !self.finished {
-            self.st.commit_domain(&prog, clock_index as usize);
-        }
-        self.cycles += 1;
-        self.st.settle_auto(&prog);
-    }
-
-    /// Samples task triggers of one domain at their pre-edge values.
-    fn fire_tasks(&mut self, prog: &Program, clock_index: u32) {
-        let Some(plan) = prog.domains.get(clock_index as usize) else {
-            return;
-        };
-        for &ti in &plan.tasks {
-            let task = &self.nl.tasks[ti as usize];
-            if !self.st.slot_bool(prog.slots[task.trigger.0 as usize]) {
-                continue;
-            }
-            let args: Vec<Bits> = task
-                .args
-                .iter()
-                .map(|a| self.st.slot_bits(prog.slots[a.0 as usize]))
-                .collect();
-            let text = match (&task.format, task.kind) {
-                (_, TaskKind::Finish) => String::new(),
-                (Some(f), _) => cascade_sim::format_verilog(f, &args),
-                (None, _) => args
-                    .iter()
-                    .zip(task.arg_signed.iter().chain(std::iter::repeat(&false)))
-                    .map(|(v, &s)| {
-                        if s {
-                            v.to_signed_decimal_string()
-                        } else {
-                            v.to_decimal_string()
-                        }
-                    })
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            };
-            if matches!(task.kind, TaskKind::Finish | TaskKind::Fatal) {
-                self.finished = true;
-            }
-            self.tasks.push(TaskFire {
-                kind: task.kind,
-                text,
-            });
-        }
+        self.st.step_clock(&self.nl, &self.prog, clock_index);
     }
 
     /// Runs `n` cycles of clock domain 0, stopping early on `$finish`.
@@ -330,56 +265,35 @@ impl NetlistSim {
     /// whole batch executes inside the evaluator with no per-cycle host
     /// round trip.
     pub fn run_cycles(&mut self, n: u64, budget: usize) -> u64 {
-        let prog = Arc::clone(&self.prog);
-        // When a settle goes dense, activity bookkeeping stops paying for
-        // itself entirely: the next PROBE-1 commits skip change detection
-        // and marking (the dense pass recomputes everything anyway), then
-        // one marked commit re-seeds the worklists so the schedule can
-        // drop back to sparse if the design quiesces.
-        const PROBE: u64 = 64;
-        let mut dense_left = 0u64;
-        let mut done = 0;
-        while done < n && !self.finished {
-            if dense_left > 0 {
-                self.st.settle_dense(&prog);
-            } else if self.st.wave_is_dense(&prog) {
-                self.st.settle_dense(&prog);
-                dense_left = PROBE;
-            } else {
-                self.st.settle(&prog);
-            }
-            self.fire_tasks(&prog, 0);
-            if self.finished {
-                // A `$finish` edge drops its commits (see `step_clock`).
-                self.cycles += 1;
-                done += 1;
-                break;
-            }
-            if dense_left > 1 {
-                self.st.commit_domain_nomark(&prog, 0);
-                dense_left -= 1;
-            } else {
-                self.st.commit_domain(&prog, 0);
-                dense_left = 0;
-            }
-            self.cycles += 1;
-            done += 1;
-            if self.tasks.len() >= budget {
-                break;
-            }
-        }
-        if dense_left > 0 {
-            // The last commit skipped marking; only a full pass is sound.
-            self.st.settle_dense(&prog);
-        } else {
-            self.st.settle_auto(&prog);
-        }
-        done
+        self.st.run_cycles(&self.nl, &self.prog, n, budget)
     }
 }
 
-/// Builds the user-facing activity report from raw counters. Shared by
-/// the scalar evaluator and the batch harness.
+/// Renders a task firing's text from its pre-edge argument values: empty
+/// for `$finish`, the format string when there is one, else the arguments
+/// in decimal (signed where declared), space-separated. Shared by every
+/// netlist evaluator.
+pub(crate) fn render_task(task: &TaskCell, args: &[Bits]) -> String {
+    match (&task.format, task.kind) {
+        (_, TaskKind::Finish) => String::new(),
+        (Some(f), _) => cascade_sim::format_verilog(f, args),
+        (None, _) => args
+            .iter()
+            .zip(task.arg_signed.iter().chain(std::iter::repeat(&false)))
+            .map(|(v, &s)| {
+                if s {
+                    v.to_signed_decimal_string()
+                } else {
+                    v.to_decimal_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(" "),
+    }
+}
+
+/// Builds the user-facing activity report from raw counters, at any lane
+/// count.
 pub(crate) fn build_profile_report(
     nl: &Netlist,
     prog: &Program,
@@ -396,7 +310,7 @@ pub(crate) fn build_profile_report(
         std::collections::BTreeMap::new();
     let mut by_net: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     // Occupancy numerator/denominator per kernel: changed lanes over
-    // evaluated lanes, on the paths that track changes.
+    // evaluated lanes.
     let mut occ: std::collections::BTreeMap<&'static str, (u64, u64)> =
         std::collections::BTreeMap::new();
     let lanes = p.lanes.max(1) as u64;
@@ -407,11 +321,9 @@ pub(crate) fn build_profile_report(
         let ins = &prog.instrs[i];
         let kname = kernel_name(&ins.kernel);
         *by_kernel.entry(kname).or_default() += n;
-        if p.instr_tracked[i] > 0 {
-            let e = occ.entry(kname).or_default();
-            e.0 += p.instr_changes[i];
-            e.1 += p.instr_tracked[i] * lanes;
-        }
+        let e = occ.entry(kname).or_default();
+        e.0 += p.instr_changes[i];
+        e.1 += n * lanes;
         let name = match &nl.nets[ins.out as usize].name {
             Some(name) => name.clone(),
             None => format!("$n{}", ins.out),

@@ -1,19 +1,31 @@
-//! The compiled word-arena evaluator.
+//! The compiled word-arena evaluator: one program, one kernel set, one
+//! scheduler, with the lane count as a parameter.
 //!
 //! At construction time the levelized netlist is lowered into a flat
-//! program over a `Vec<u64>` arena: every net owns a fixed run of 64-bit
+//! [`Program`] over a word arena: every net owns a fixed run of 64-bit
 //! words (one word for the common ≤64-bit case), and every combinational
 //! cell becomes one [`Instr`] whose kernel reads and writes arena offsets
 //! directly — no per-cycle `Bits` allocation, no pointer chasing through
 //! `Def`. Nets wider than 64 bits share the same arena through multi-word
 //! slices and evaluate through a generic [`Bits`]-based fallback kernel.
 //!
+//! [`State`] runs the program over `W` lanes (lane-major: word `o`, lane
+//! `l` at `o·W + l`), and [`exec_lanes`] is the only place a word
+//! operation is written. `NetlistSim` is the one-lane instance (`W` is the
+//! zero-sized [`One`], so every lane loop compiles to straight-line scalar
+//! code), `BatchHarness` the runtime-width one; the compile-time cone
+//! evaluation of Pass 4 runs the same kernels over one lane per root value.
+//!
 //! Scheduling is activity-driven: each instruction carries its
 //! combinational level, and a per-level dirty worklist re-evaluates only
-//! the fan-out cone of nets that actually changed (inputs written from
+//! the fan-out cone of nets that changed in any lane (inputs written from
 //! outside, registers and memories committed at a clock edge). A settled
-//! netlist whose inputs did not change costs nothing to re-settle.
+//! netlist whose inputs did not change costs nothing to re-settle. Each
+//! lane keeps its own `$finish` flag, and a clock edge commits no lane
+//! whose flag is set: for one lane that is the rule that a `$finish` edge
+//! discards its commits.
 
+use crate::eval::{render_task, TaskFire};
 use crate::ir::*;
 use crate::level::{levelize, levels, LevelError};
 use cascade_bits::Bits;
@@ -334,6 +346,19 @@ pub(crate) struct MemLayout {
     pub width: u32,
 }
 
+impl MemLayout {
+    /// Word `addr` as a slot of the memory arena, or `None` beyond the
+    /// end.
+    #[inline]
+    fn word(&self, addr: u64) -> Option<Slot> {
+        (addr < self.count).then(|| Slot {
+            off: self.off + addr as u32 * self.words_per,
+            words: self.words_per,
+            width: self.width,
+        })
+    }
+}
+
 /// The compiled program: immutable after construction, shared by clones of
 /// the evaluator.
 #[derive(Debug)]
@@ -355,20 +380,81 @@ pub(crate) struct Program {
     pub wide_instrs: u32,
 }
 
-/// Mutable evaluator state over a [`Program`].
+/// The lane count of a [`State`], fixed by its type: the zero-sized
+/// [`One`] for [`NetlistSim`](crate::NetlistSim), so that after
+/// monomorphisation every lane loop's bound is the constant 1, and a
+/// runtime `usize` for [`BatchHarness`](crate::BatchHarness).
+pub(crate) trait Lanes: Copy + std::fmt::Debug {
+    /// A task firing as this width reports it: bare for one lane, tagged
+    /// with its lane for many.
+    type Fire: Clone + std::fmt::Debug;
+    fn n(self) -> usize;
+    fn fire(lane: usize, fire: TaskFire) -> Self::Fire;
+}
+
+/// The one-lane width of the scalar evaluator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct One;
+
+impl Lanes for One {
+    type Fire = TaskFire;
+    #[inline(always)]
+    fn n(self) -> usize {
+        1
+    }
+    fn fire(_lane: usize, fire: TaskFire) -> TaskFire {
+        fire
+    }
+}
+
+impl Lanes for usize {
+    type Fire = (u32, TaskFire);
+    #[inline(always)]
+    fn n(self) -> usize {
+        self
+    }
+    fn fire(lane: usize, fire: TaskFire) -> (u32, TaskFire) {
+        (lane as u32, fire)
+    }
+}
+
+/// Mutable evaluator state over a [`Program`]: `W` lanes of it, each an
+/// independent copy of the design's nets, memories and finish flag.
+///
+/// Both arenas are lane-major: program word `o`, lane `l` lives at
+/// `o·lanes + l`, so one instruction dispatch evaluates every lane.
 #[derive(Debug, Clone)]
-pub(crate) struct State {
-    pub arena: Vec<u64>,
-    pub mem_arena: Vec<u64>,
-    /// Per-level dirty worklists of instruction indices.
+pub(crate) struct State<W: Lanes> {
+    lanes: W,
+    /// `prog.arena_words · lanes` words.
+    arena: Vec<u64>,
+    /// `prog.mem_arena_words · lanes` words.
+    mem_arena: Vec<u64>,
+    /// Per-level dirty worklists of instruction indices. An instruction
+    /// is dirty when any lane of any operand changed.
     queues: Vec<Vec<u32>>,
     queued: Vec<bool>,
-    /// Reused register-sample buffer for two-phase commits.
+    /// Register-sample buffer for two-phase commits.
     scratch: Vec<u64>,
+    /// Write-port samples `(mem, addr, data, lane)` of the edge being
+    /// committed, kept so that an edge allocates nothing.
+    writes: Vec<(u32, u64, Bits, usize)>,
     /// Per-level / per-instruction execution counters; `None` (the
-    /// default) keeps the settle paths branch-free apart from one check
-    /// per settle call.
+    /// default) costs one predictable branch per executed instruction.
     profile: Option<Box<NlProfileState>>,
+    /// Task firings in observation order (edges ascending; within an
+    /// edge, task plan order then lane order).
+    pub tasks: Vec<W::Fire>,
+    /// Per lane: whether its `$finish` has fired.
+    pub finished: Vec<bool>,
+    /// `finished` at the start of the current edge (a task that fires
+    /// `$finish` does not suppress later tasks of that edge).
+    pre_finished: Vec<bool>,
+    pub all_finished: bool,
+    /// Edges executed per lane (a lane stops counting once finished).
+    pub lane_cycles: Vec<u64>,
+    /// Edges executed (max over lanes).
+    pub cycles: u64,
 }
 
 /// Raw activity counters collected when profiling is enabled.
@@ -378,13 +464,8 @@ pub(crate) struct NlProfileState {
     pub level_execs: Vec<u64>,
     /// Executions per instruction (index-aligned with `Program::instrs`).
     pub instr_execs: Vec<u64>,
-    /// Lanes whose output word(s) changed, per instruction — tracked on
-    /// the change-detecting paths only (see `instr_tracked`).
+    /// Lanes whose output word(s) changed, per instruction.
     pub instr_changes: Vec<u64>,
-    /// Executions per instruction on paths that track changes (sparse
-    /// settles, and serial dense passes of the batch engine). Denominator
-    /// for lane occupancy.
-    pub instr_tracked: Vec<u64>,
     /// Settle passes observed (denominator for mean per-level activity).
     pub settles: u64,
     /// Lane count of the owning evaluator (1 for the scalar engine).
@@ -662,6 +743,7 @@ impl Program {
             }
         }
         let mut ops: Vec<u32> = Vec::new();
+        let mut probe_arena: Vec<u64> = Vec::new();
         for idx in 0..items.len() {
             if dead[idx]
                 || matches!(
@@ -711,39 +793,60 @@ impl Program {
             if !ok {
                 continue;
             }
+            // Evaluate the instruction with the per-cycle kernels, one
+            // lane per root value (one lane when every operand is
+            // constant), in a scratch arena: operand `j` in word `j`, the
+            // result in the word after the last operand.
             let net = items[idx].1 .0 as usize;
-            let mask = items[idx].2.mask;
+            let lanes = root.map_or(1, |ro| 1usize << slots[off2net[ro as usize] as usize].width);
+            let mut probe = items[idx].2.clone();
+            let mut next = 0u32;
+            for_each_operand(&mut probe.kernel, &mut |o| {
+                *o = next;
+                next += 1;
+            });
+            probe.dst = next;
+            probe_arena.clear();
+            probe_arena.resize((ops.len() + 1) * lanes, 0);
+            for (j, &o) in ops.iter().enumerate() {
+                for (v, w) in probe_arena[j * lanes..(j + 1) * lanes]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    *w = if Some(o) == root {
+                        v as u64
+                    } else {
+                        match &vals[off2net[o as usize] as usize] {
+                            NVal::Const(c) => *c,
+                            NVal::Dep { table, .. } => table[v],
+                            NVal::Opaque => unreachable!("classified const or root"),
+                        }
+                    };
+                }
+            }
+            // SAFETY: `probe` reads words `0..ops.len()` and writes word
+            // `ops.len()` of a `lanes`-wide arena of `ops.len() + 1` words;
+            // memory reads and wide kernels were filtered above, so the
+            // empty layouts and memory arena are never touched.
+            unsafe {
+                exec_lanes(
+                    &probe,
+                    &[],
+                    &[],
+                    probe_arena.as_mut_ptr(),
+                    std::ptr::null(),
+                    lanes,
+                );
+            }
+            let out = &probe_arena[ops.len() * lanes..];
             let Some(ro) = root else {
                 // Every operand is constant: fold the whole instruction.
-                let v = kernel_apply(&items[idx].2.kernel, |off| {
-                    match &vals[off2net[off as usize] as usize] {
-                        NVal::Const(c) => *c,
-                        _ => unreachable!("classified constant"),
-                    }
-                })
-                .expect("stateful kernels filtered above")
-                    & mask;
+                let v = out[0];
                 items[idx].2.kernel = Kernel::ConstK { v };
                 vals[net] = NVal::Const(v);
                 continue;
             };
-            let rw = slots[off2net[ro as usize] as usize].width;
-            let mut table = Vec::with_capacity(1usize << rw);
-            for v in 0..(1u64 << rw) {
-                let out = kernel_apply(&items[idx].2.kernel, |off| {
-                    if off == ro {
-                        return v;
-                    }
-                    match &vals[off2net[off as usize] as usize] {
-                        NVal::Const(c) => *c,
-                        NVal::Dep { table, .. } => table[v as usize],
-                        NVal::Opaque => unreachable!("classified const or root"),
-                    }
-                })
-                .expect("stateful kernels filtered above");
-                table.push(out & mask);
-            }
-            let table = table.into_boxed_slice();
+            let table: Box<[u64]> = out.into();
             // Only rewrite when the probe collapses interior nodes; a
             // depth-1 cone (root and constants read directly) is already
             // one instruction. The `NVal` still propagates either way.
@@ -1034,165 +1137,6 @@ fn for_each_operand(k: &mut Kernel, f: &mut impl FnMut(&mut u32)) {
     }
 }
 
-/// Evaluates a stateless single-word kernel over operand words supplied
-/// by `r` (arena offset → value). Returns `None` for the kernels that
-/// reach beyond the word arena (`Wide`, memory reads), which the
-/// interpreter handles out of line. This single definition serves both
-/// the per-cycle dispatch loop and compile-time cone evaluation.
-#[inline(always)]
-fn kernel_apply(k: &Kernel, r: impl Fn(u32) -> u64) -> Option<u64> {
-    use Kernel as K;
-    Some(match k {
-        K::Not { a } => !r(*a),
-        K::Neg { a } => r(*a).wrapping_neg(),
-        K::RedAnd { a, full } => (r(*a) == *full) as u64,
-        K::RedOr { a } => (r(*a) != 0) as u64,
-        K::RedXor { a } => (r(*a).count_ones() & 1) as u64,
-        K::LogNot { a } => (r(*a) == 0) as u64,
-        K::Add { a, b } => r(*a).wrapping_add(r(*b)),
-        K::Sub { a, b } => r(*a).wrapping_sub(r(*b)),
-        K::Mul { a, b } => r(*a).wrapping_mul(r(*b)),
-        // Division by zero yields all-ones, the two-state stand-in for `x`.
-        K::DivU { a, b } => r(*a).checked_div(r(*b)).unwrap_or(u64::MAX),
-        K::RemU { a, b } => r(*a).checked_rem(r(*b)).unwrap_or(u64::MAX),
-        K::DivS { a, b, aw, bw } => {
-            let d = r(*b);
-            if d == 0 {
-                u64::MAX
-            } else {
-                sext(r(*a), *aw).wrapping_div(sext(d, *bw)) as u64
-            }
-        }
-        K::RemS { a, b, aw, bw } => {
-            let d = r(*b);
-            if d == 0 {
-                u64::MAX
-            } else {
-                sext(r(*a), *aw).wrapping_rem(sext(d, *bw)) as u64
-            }
-        }
-        K::And { a, b } => r(*a) & r(*b),
-        K::Or { a, b } => r(*a) | r(*b),
-        K::Xor { a, b } => r(*a) ^ r(*b),
-        K::Xnor { a, b } => !(r(*a) ^ r(*b)),
-        K::Shl { a, b, aw } => {
-            let sh = r(*b);
-            if sh >= *aw as u64 {
-                0
-            } else {
-                r(*a) << sh
-            }
-        }
-        K::Shr { a, b, aw } => {
-            let sh = r(*b);
-            if sh >= *aw as u64 {
-                0
-            } else {
-                r(*a) >> sh
-            }
-        }
-        K::AShr { a, b, aw } => {
-            if *aw == 0 {
-                0
-            } else {
-                let sh = r(*b).min(63) as u32;
-                (sext(r(*a), *aw) >> sh) as u64
-            }
-        }
-        K::Eq { a, b } => (r(*a) == r(*b)) as u64,
-        K::Ne { a, b } => (r(*a) != r(*b)) as u64,
-        K::LtU { a, b } => (r(*a) < r(*b)) as u64,
-        K::LeU { a, b } => (r(*a) <= r(*b)) as u64,
-        K::LtS { a, b, aw, bw } => (sext(r(*a), *aw) < sext(r(*b), *bw)) as u64,
-        K::LeS { a, b, aw, bw } => (sext(r(*a), *aw) <= sext(r(*b), *bw)) as u64,
-        K::Mux { s, t, e } => {
-            if r(*s) != 0 {
-                r(*t)
-            } else {
-                r(*e)
-            }
-        }
-        K::MuxEq { a, b, t, e } => {
-            if r(*a) == r(*b) {
-                r(*t)
-            } else {
-                r(*e)
-            }
-        }
-        K::MuxNe { a, b, t, e } => {
-            if r(*a) != r(*b) {
-                r(*t)
-            } else {
-                r(*e)
-            }
-        }
-        K::MuxLtU { a, b, t, e } => {
-            if r(*a) < r(*b) {
-                r(*t)
-            } else {
-                r(*e)
-            }
-        }
-        K::MuxLeU { a, b, t, e } => {
-            if r(*a) <= r(*b) {
-                r(*t)
-            } else {
-                r(*e)
-            }
-        }
-        K::Concat2 { a, sa, b, sb } => (r(*a) << sa) | (r(*b) << sb),
-        K::Rot {
-            a,
-            ra,
-            ma,
-            sa,
-            b,
-            rb,
-            mb,
-            sb,
-        } => (((r(*a) >> ra) & ma) << sa) | (((r(*b) >> rb) & mb) << sb),
-        K::Lookup {
-            idx,
-            table,
-            default,
-        } => table.get(r(*idx) as usize).copied().unwrap_or(*default),
-        K::ConstK { v } => *v,
-        K::Concat { parts } => {
-            let mut acc = 0u64;
-            for &(off, shift) in parts.iter() {
-                acc |= r(off) << shift;
-            }
-            acc
-        }
-        K::Slice { a, offset } => {
-            if *offset >= 64 {
-                0
-            } else {
-                r(*a) >> offset
-            }
-        }
-        K::DynSlice { a, b } => {
-            let sh = r(*b);
-            if sh >= 64 {
-                0
-            } else {
-                r(*a) >> sh
-            }
-        }
-        K::ZExt { a } => r(*a),
-        K::SExt { a, aw, fill } => {
-            let v = r(*a);
-            if *aw > 0 && (v >> (aw - 1)) & 1 == 1 {
-                v | fill
-            } else {
-                v
-            }
-        }
-        K::Repeat { a, factor } => r(*a).wrapping_mul(*factor),
-        K::MemRead { .. } | K::Wide { .. } | K::WideMemRead { .. } => return None,
-    })
-}
-
 /// Dispatch-order rank for grouping same-kind kernels within a level.
 fn kernel_rank(k: &Kernel) -> u8 {
     use Kernel as K;
@@ -1449,43 +1393,75 @@ fn compile_net(nl: &Netlist, slots: &[Slot], mems: &[MemLayout], net: NetId) -> 
     }
 }
 
-impl State {
-    /// Fresh state: constants and register initial values written, all
-    /// instructions queued for the first settle.
-    pub fn new(nl: &Netlist, prog: &Program) -> State {
+impl<W: Lanes> State<W> {
+    /// Fresh state: constants and register initial values written into
+    /// every lane, and the first settle done.
+    pub fn new(nl: &Netlist, prog: &Program, lanes: W) -> Self {
+        let n = lanes.n();
+        let scratch_words = prog
+            .domains
+            .iter()
+            .map(|d| d.scratch_words)
+            .max()
+            .unwrap_or(0) as usize;
         let mut st = State {
-            arena: vec![0u64; prog.arena_words as usize],
-            mem_arena: vec![0u64; prog.mem_arena_words as usize],
+            lanes,
+            arena: vec![0u64; prog.arena_words as usize * n],
+            mem_arena: vec![0u64; prog.mem_arena_words as usize * n],
             queues: (0..prog.num_levels).map(|_| Vec::new()).collect(),
             queued: vec![false; prog.instrs.len()],
-            scratch: vec![
-                0u64;
-                prog.domains
-                    .iter()
-                    .map(|d| d.scratch_words)
-                    .max()
-                    .unwrap_or(0) as usize
-            ],
+            scratch: vec![0u64; scratch_words * n],
+            writes: Vec::new(),
             profile: None,
+            tasks: Vec::new(),
+            finished: vec![false; n],
+            pre_finished: vec![false; n],
+            all_finished: false,
+            lane_cycles: vec![0; n],
+            cycles: 0,
         };
+        st.reset(nl, prog);
+        st
+    }
+
+    /// Returns every lane to power-on state: registers at their initial
+    /// values, memories zeroed, no tasks, no finish, no edges counted.
+    pub fn reset(&mut self, nl: &Netlist, prog: &Program) {
+        self.arena.fill(0);
+        self.mem_arena.fill(0);
+        for q in &mut self.queues {
+            q.clear();
+        }
+        self.queued.fill(false);
+        self.tasks.clear();
+        self.finished.fill(false);
+        self.pre_finished.fill(false);
+        self.all_finished = false;
+        self.lane_cycles.fill(0);
+        self.cycles = 0;
         for (i, net) in nl.nets.iter().enumerate() {
             match &net.def {
                 Def::Const(c) => {
-                    st.write_slot(prog.slots[i], &c.resize(net.width));
+                    self.write_all(prog.slots[i], &c.resize(net.width));
                 }
                 Def::Reg(r) => {
-                    st.write_slot(prog.slots[i], &nl.regs[r.0 as usize].init.resize(net.width));
+                    self.write_all(prog.slots[i], &nl.regs[r.0 as usize].init.resize(net.width));
                 }
                 _ => {}
             }
         }
-        st.mark_all(prog);
-        st.settle(prog);
-        st
+        self.mark_all(prog);
+        self.settle_auto(prog);
+    }
+
+    /// Number of lanes.
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.lanes.n()
     }
 
     /// Queues every instruction (full re-evaluation).
-    pub fn mark_all(&mut self, prog: &Program) {
+    fn mark_all(&mut self, prog: &Program) {
         for i in 0..prog.instrs.len() as u32 {
             if !self.queued[i as usize] {
                 self.queued[i as usize] = true;
@@ -1515,32 +1491,30 @@ impl State {
         }
     }
 
-    /// Drains the dirty worklists level by level. An instruction's
-    /// consumers sit at strictly higher levels, so one ascending pass
-    /// reaches a fixed point.
-    pub fn settle(&mut self, prog: &Program) {
-        if self.profile.is_some() {
-            return self.settle_profiled(prog);
-        }
-        for lvl in 0..self.queues.len() {
-            if self.queues[lvl].is_empty() {
-                continue;
-            }
-            let mut q = std::mem::take(&mut self.queues[lvl]);
-            for &i in &q {
-                self.queued[i as usize] = false;
-                self.exec(prog, i, true);
-            }
-            q.clear();
-            // Reuse the buffer; consumers were queued at higher levels only.
-            debug_assert!(self.queues[lvl].is_empty());
-            self.queues[lvl] = q;
+    /// Executes instruction `i` across every lane; returns the number of
+    /// lanes whose output changed.
+    #[inline]
+    fn exec(&mut self, prog: &Program, i: u32) -> u32 {
+        debug_assert!((i as usize) < prog.instrs.len());
+        // SAFETY: instruction indices come from the worklists and the
+        // dense loop, both bounded by `prog.instrs.len()`; both arenas
+        // hold `lanes` words per program word (see `State::new`).
+        unsafe {
+            exec_lanes(
+                prog.instrs.get_unchecked(i as usize),
+                &prog.slots,
+                &prog.mems,
+                self.arena.as_mut_ptr(),
+                self.mem_arena.as_ptr(),
+                self.lanes,
+            )
         }
     }
 
-    /// [`settle`](State::settle) with activity accounting: the same
-    /// drain, plus per-level and per-instruction execution counts.
-    fn settle_profiled(&mut self, prog: &Program) {
+    /// Drains the dirty worklists level by level. An instruction's
+    /// consumers sit at strictly higher levels, so one ascending pass
+    /// reaches a fixed point; a changed output (in any lane) queues them.
+    fn settle(&mut self, prog: &Program) {
         for lvl in 0..self.queues.len() {
             if self.queues[lvl].is_empty() {
                 continue;
@@ -1548,19 +1522,20 @@ impl State {
             let mut q = std::mem::take(&mut self.queues[lvl]);
             if let Some(p) = &mut self.profile {
                 p.level_execs[lvl] += q.len() as u64;
-                for &i in &q {
-                    p.instr_execs[i as usize] += 1;
-                    p.instr_tracked[i as usize] += 1;
-                }
             }
             for &i in &q {
                 self.queued[i as usize] = false;
-                let changed = self.exec(prog, i, true);
+                let changed = self.exec(prog, i);
+                if changed > 0 {
+                    self.mark(prog, prog.instrs[i as usize].out);
+                }
                 if let Some(p) = &mut self.profile {
+                    p.instr_execs[i as usize] += 1;
                     p.instr_changes[i as usize] += changed as u64;
                 }
             }
             q.clear();
+            // Reuse the buffer; consumers were queued at higher levels only.
             debug_assert!(self.queues[lvl].is_empty());
             self.queues[lvl] = q;
         }
@@ -1569,42 +1544,13 @@ impl State {
         }
     }
 
-    /// Switches on activity profiling (idempotent). Enabled profiling
-    /// costs one counter bump per executed instruction; disabled, one
-    /// branch per settle call.
-    pub fn enable_profiling(&mut self, prog: &Program) {
-        if self.profile.is_none() {
-            self.profile = Some(Box::new(NlProfileState {
-                level_execs: vec![0; prog.num_levels as usize],
-                instr_execs: vec![0; prog.instrs.len()],
-                instr_changes: vec![0; prog.instrs.len()],
-                instr_tracked: vec![0; prog.instrs.len()],
-                settles: 0,
-                lanes: 1,
-            }));
-        }
-    }
-
-    /// The collected activity counters, if profiling is enabled.
-    pub fn profile(&self) -> Option<&NlProfileState> {
-        self.profile.as_deref()
-    }
-
     /// Recomputes every instruction in topological order with no dirty
     /// bookkeeping — the straight-line schedule. Faster than [`settle`]
-    /// when most of the netlist is active (change-compare, fan-out marking,
-    /// and queue churn cost more than blind recomputation saves).
+    /// when most of the netlist is active (fan-out marking and queue churn
+    /// cost more than blind recomputation saves).
     ///
     /// [`settle`]: State::settle
-    pub fn settle_dense(&mut self, prog: &Program) {
-        if let Some(p) = &mut self.profile {
-            // The dense schedule executes every instruction exactly once.
-            for (i, lvl) in prog.level.iter().enumerate() {
-                p.instr_execs[i] += 1;
-                p.level_execs[*lvl as usize] += 1;
-            }
-            p.settles += 1;
-        }
+    fn settle_dense(&mut self, prog: &Program) {
         for q in &mut self.queues {
             for &i in q.iter() {
                 self.queued[i as usize] = false;
@@ -1612,7 +1558,15 @@ impl State {
             q.clear();
         }
         for i in 0..prog.instrs.len() as u32 {
-            self.exec(prog, i, false);
+            let changed = self.exec(prog, i);
+            if let Some(p) = &mut self.profile {
+                p.instr_execs[i as usize] += 1;
+                p.level_execs[prog.level[i as usize] as usize] += 1;
+                p.instr_changes[i as usize] += changed as u64;
+            }
+        }
+        if let Some(p) = &mut self.profile {
+            p.settles += 1;
         }
     }
 
@@ -1634,275 +1588,369 @@ impl State {
 
     /// Whether the pending worklists cover enough of the program that a
     /// dense pass beats draining them.
-    pub fn wave_is_dense(&self, prog: &Program) -> bool {
+    fn wave_is_dense(&self, prog: &Program) -> bool {
         let seeded: usize = self.queues.iter().map(Vec::len).sum();
         seeded * 4 >= prog.instrs.len() && !prog.instrs.is_empty()
     }
 
-    /// Reads one word of the arena.
-    ///
-    /// Bounds are a construction invariant, not a runtime question: every
-    /// operand offset in a [`Program`] is a slot base laid out within
-    /// `arena_words` at compile time, and [`State::new`] allocates the
-    /// arena to exactly that size. The unchecked read keeps the per-instr
-    /// dispatch loop free of bounds branches.
-    #[inline]
-    fn w(&self, off: u32) -> u64 {
-        debug_assert!((off as usize) < self.arena.len());
-        // SAFETY: see above — offsets are in-bounds by construction.
-        unsafe { *self.arena.get_unchecked(off as usize) }
-    }
-
-    /// Whether a slot holds any set bit.
-    #[inline]
-    pub fn slot_bool(&self, slot: Slot) -> bool {
-        let off = slot.off as usize;
-        self.arena[off..off + slot.words as usize]
-            .iter()
-            .any(|&w| w != 0)
-    }
-
-    /// Materializes a slot as a [`Bits`] value.
-    pub fn slot_bits(&self, slot: Slot) -> Bits {
-        if slot.width <= 64 {
-            Bits::from_u64(slot.width, self.arena[slot.off as usize])
-        } else {
-            let off = slot.off as usize;
-            Bits::from_words(slot.width, &self.arena[off..off + slot.words as usize])
+    /// Switches on activity profiling (idempotent).
+    pub fn enable_profiling(&mut self, prog: &Program) {
+        if self.profile.is_none() {
+            self.profile = Some(Box::new(NlProfileState {
+                level_execs: vec![0; prog.num_levels as usize],
+                instr_execs: vec![0; prog.instrs.len()],
+                instr_changes: vec![0; prog.instrs.len()],
+                settles: 0,
+                lanes: self.lanes() as u32,
+            }));
         }
     }
 
-    /// Writes a value (already resized to the slot width) into a slot.
-    /// Returns whether any word changed.
-    pub fn write_slot(&mut self, slot: Slot, value: &Bits) -> bool {
-        let off = slot.off as usize;
-        let dst = &mut self.arena[off..off + slot.words as usize];
+    /// The collected activity counters, if profiling is enabled.
+    pub fn profile(&self) -> Option<&NlProfileState> {
+        self.profile.as_deref()
+    }
+
+    /// One lane of one program word.
+    #[inline]
+    pub fn word(&self, off: u32, lane: usize) -> u64 {
+        self.arena[off as usize * self.lanes() + lane]
+    }
+
+    /// Whether a slot holds any set bit in the given lane.
+    #[inline]
+    pub fn bool_lane(&self, slot: Slot, lane: usize) -> bool {
+        (0..slot.words).any(|k| self.word(slot.off + k, lane) != 0)
+    }
+
+    /// Materializes one lane of a slot as a [`Bits`] value.
+    pub fn read_lane(&self, slot: Slot, lane: usize) -> Bits {
+        assert!(lane < self.lanes());
+        // SAFETY: slots are in-bounds by construction and the arena holds
+        // `lanes` words per program word.
+        unsafe { slot_bits_lane(self.arena.as_ptr(), self.lanes(), lane, slot) }
+    }
+
+    /// Writes one lane of a slot (value already resized to the slot
+    /// width). Returns whether any word changed.
+    pub fn write_lane(&mut self, slot: Slot, lane: usize, value: &Bits) -> bool {
+        assert!(lane < self.lanes());
+        // SAFETY: as `read_lane`.
+        unsafe { write_slot_lane(self.arena.as_mut_ptr(), self.lanes(), lane, slot, value) }
+    }
+
+    /// Writes the same value into every lane of a slot. Returns whether
+    /// any word changed.
+    pub fn write_all(&mut self, slot: Slot, value: &Bits) -> bool {
+        let n = self.lanes();
         let src = value.words();
         let mut changed = false;
-        for (i, d) in dst.iter_mut().enumerate() {
-            let v = src.get(i).copied().unwrap_or(0);
-            changed |= *d != v;
-            *d = v;
+        for k in 0..slot.words as usize {
+            let w = src.get(k).copied().unwrap_or(0);
+            let base = (slot.off as usize + k) * n;
+            for d in &mut self.arena[base..base + n] {
+                changed |= *d != w;
+                *d = w;
+            }
         }
         changed
     }
 
-    /// Executes one instruction. With `mark`, the write is change-detected
-    /// and consumers of a changed output are queued; without it the value
-    /// is stored unconditionally (dense schedule). Returns whether the
-    /// output changed (always `true` on the unmarked path, where no
-    /// comparison is performed).
-    fn exec(&mut self, prog: &Program, i: u32, mark: bool) -> bool {
-        debug_assert!((i as usize) < prog.instrs.len());
-        // SAFETY: instruction indices come from the worklists and the
-        // dense loop, both bounded by `prog.instrs.len()`.
-        let ins = unsafe { prog.instrs.get_unchecked(i as usize) };
-        use Kernel as K;
-        let v = match &ins.kernel {
-            K::MemRead { mem, addr } => {
-                let m = prog.mems[*mem as usize];
-                let a = self.w(*addr);
-                if a < m.count {
-                    self.mem_arena[(m.off + a as u32 * m.words_per) as usize]
-                } else {
-                    0
-                }
-            }
-            K::Wide { op, inputs } => {
-                let values: Vec<Bits> = inputs
-                    .iter()
-                    .map(|n| self.slot_bits(prog.slots[n.0 as usize]))
-                    .collect();
-                let out_slot = prog.slots[ins.out as usize];
-                let v = crate::eval::eval_cell(*op, &values, out_slot.width).resize(out_slot.width);
-                let changed = self.write_slot(out_slot, &v);
-                if changed && mark {
-                    self.mark(prog, ins.out);
-                }
-                return changed;
-            }
-            K::WideMemRead { mem, addr } => {
-                let m = prog.mems[*mem as usize];
-                let out_slot = prog.slots[ins.out as usize];
-                let a = self.w(*addr);
-                let v = if a < m.count {
-                    let off = (m.off + a as u32 * m.words_per) as usize;
-                    Bits::from_words(m.width, &self.mem_arena[off..off + m.words_per as usize])
-                } else {
-                    Bits::zero(m.width)
-                };
-                let changed = self.write_slot(out_slot, &v.resize(out_slot.width));
-                if changed && mark {
-                    self.mark(prog, ins.out);
-                }
-                return changed;
-            }
-            // `None` is impossible here: the stateful kernels are all
-            // matched above, and `kernel_apply` evaluates every other.
-            k => kernel_apply(k, |off| self.w(off)).unwrap_or(0),
-        };
-        let v = v & ins.mask;
-        let dst = ins.dst as usize;
-        debug_assert!(dst < self.arena.len());
-        // SAFETY: `dst` is a slot base offset, in-bounds by construction
-        // (see [`w`]).
-        unsafe {
-            if mark {
-                let old = *self.arena.get_unchecked(dst);
-                if v != old {
-                    *self.arena.get_unchecked_mut(dst) = v;
-                    self.mark(prog, ins.out);
-                    true
-                } else {
-                    false
-                }
-            } else {
-                *self.arena.get_unchecked_mut(dst) = v;
-                true
-            }
-        }
-    }
-
-    /// Reads one memory word as [`Bits`] (zero beyond the end).
-    pub fn read_mem(&self, prog: &Program, mem: u32, addr: u64) -> Bits {
+    /// Reads one lane of one memory word as [`Bits`] (zero beyond the end).
+    pub fn read_mem(&self, prog: &Program, mem: u32, addr: u64, lane: usize) -> Bits {
         let m = prog.mems[mem as usize];
-        if addr >= m.count {
+        let Some(word) = m.word(addr) else {
             return Bits::zero(m.width);
-        }
-        let off = (m.off + addr as u32 * m.words_per) as usize;
-        Bits::from_words(m.width, &self.mem_arena[off..off + m.words_per as usize])
+        };
+        assert!(lane < self.lanes());
+        // SAFETY: `word` lies inside the memory's run of the memory arena,
+        // which holds `lanes` words per memory word.
+        unsafe { slot_bits_lane(self.mem_arena.as_ptr(), self.lanes(), lane, word) }
     }
 
-    /// Writes one memory word (resized to the memory width); queues the
-    /// memory's readers when the stored word changed.
-    pub fn write_mem(&mut self, prog: &Program, mem: u32, addr: u64, value: &Bits) {
-        self.write_mem_ex(prog, mem, addr, value, true);
-    }
-
-    fn write_mem_ex(&mut self, prog: &Program, mem: u32, addr: u64, value: &Bits, mark: bool) {
-        let m = prog.mems[mem as usize];
-        if addr >= m.count {
+    /// Writes one lane of one memory word (resized to the memory width).
+    /// With `mark`, queues the memory's readers when the stored word
+    /// changed.
+    pub fn write_mem(
+        &mut self,
+        prog: &Program,
+        mem: u32,
+        addr: u64,
+        value: &Bits,
+        lane: usize,
+        mark: bool,
+    ) {
+        let Some(word) = prog.mems[mem as usize].word(addr) else {
             return;
-        }
-        let v = value.resize(m.width);
-        let off = (m.off + addr as u32 * m.words_per) as usize;
-        let dst = &mut self.mem_arena[off..off + m.words_per as usize];
-        let src = v.words();
-        let mut changed = false;
-        for (i, d) in dst.iter_mut().enumerate() {
-            let w = src.get(i).copied().unwrap_or(0);
-            if mark {
-                changed |= *d != w;
-            }
-            *d = w;
-        }
-        if changed {
+        };
+        assert!(lane < self.lanes());
+        let value = value.resize(word.width);
+        // SAFETY: as `read_mem`.
+        let changed = unsafe {
+            write_slot_lane(
+                self.mem_arena.as_mut_ptr(),
+                self.lanes(),
+                lane,
+                word,
+                &value,
+            )
+        };
+        if mark && changed {
             self.mark_mem(prog, mem);
         }
     }
 
     /// Commits one clock domain's registers and memory writes: samples all
-    /// pre-edge values, then writes them back, queueing the fan-out of
-    /// every net that changed. Combinational state must be settled.
-    pub fn commit_domain(&mut self, prog: &Program, domain: usize) {
-        self.commit_domain_ex(prog, domain, true);
-    }
-
-    /// As [`commit_domain`], but with no change detection and no consumer
-    /// marking. Only valid when the next settle is a dense (full) pass,
-    /// which recomputes every instruction regardless of worklist state.
-    ///
-    /// [`commit_domain`]: State::commit_domain
-    pub fn commit_domain_nomark(&mut self, prog: &Program, domain: usize) {
-        self.commit_domain_ex(prog, domain, false);
-    }
-
-    fn commit_domain_ex(&mut self, prog: &Program, domain: usize, mark: bool) {
+    /// pre-edge values, then writes them back. Lanes flagged `finished`
+    /// are skipped — a `$finish` edge discards its commits and the lane's
+    /// registers stay frozen. With `mark`, the fan-out of every net that
+    /// changed is queued; without it nothing is, which is only sound when
+    /// the next settle is a dense pass. Combinational state must be
+    /// settled.
+    fn commit_domain(&mut self, prog: &Program, domain: usize, mark: bool) {
         let Some(plan) = prog.domains.get(domain) else {
             return;
         };
-        // Phase 1: sample every register's d into the scratch window, and
-        // every enabled write port's (addr, data). Registers may feed each
-        // other (shift chains), so no q is written until all ds are read.
+        let n = self.lanes();
+        let finished = std::mem::take(&mut self.finished);
+        let skip = &finished[..n];
+        // Phase 1: sample every register's d into the scratch window (all
+        // lanes; skipping is applied at writeback), and every live lane's
+        // enabled write ports. Registers may feed each other (shift
+        // chains), so no q is written until all ds are read.
         for rc in &plan.small {
-            self.scratch[rc.scratch as usize] = self.arena[rc.d.off as usize];
+            let (s, d) = (rc.scratch as usize * n, rc.d.off as usize * n);
+            self.scratch[s..s + n].copy_from_slice(&self.arena[d..d + n]);
         }
         for rc in &plan.regs {
-            let src = rc.d.off as usize;
-            let dst = rc.scratch as usize;
-            let words = rc.d.words as usize;
-            self.scratch[dst..dst + words].copy_from_slice(&self.arena[src..src + words]);
+            let (s, d) = (rc.scratch as usize * n, rc.d.off as usize * n);
+            let words = rc.d.words as usize * n;
+            self.scratch[s..s + words].copy_from_slice(&self.arena[d..d + words]);
         }
-        let mut writes: Vec<(u32, u64, Bits)> = Vec::new();
         for pc in &plan.ports {
-            if self.slot_bool(pc.enable) {
-                let addr = self.w(pc.addr);
-                let data = self.slot_bits(pc.data);
-                writes.push((pc.mem, addr, data));
+            for (lane, &skipped) in skip.iter().enumerate() {
+                if skipped || !self.bool_lane(pc.enable, lane) {
+                    continue;
+                }
+                let addr = self.word(pc.addr, lane);
+                let data = self.read_lane(pc.data, lane);
+                self.writes.push((pc.mem, addr, data, lane));
             }
         }
-        // Phase 2: commit.
+        // Phase 2: write back. A skipped lane keeps its q, so the select
+        // below is branch-free and the lane loop vectorizes.
         for rc in &plan.small {
-            let v = self.scratch[rc.scratch as usize] & top_word_mask(rc.q.width);
-            let q = rc.q.off as usize;
-            if mark {
-                if self.arena[q] != v {
-                    self.arena[q] = v;
-                    self.mark(prog, rc.q_net);
-                }
-            } else {
-                self.arena[q] = v;
+            let topmask = top_word_mask(rc.q.width);
+            let (s, q) = (rc.scratch as usize * n, rc.q.off as usize * n);
+            let changed = write_back(
+                &mut self.arena[q..q + n],
+                self.scratch[s..s + n].iter().copied(),
+                topmask,
+                skip,
+                mark,
+            );
+            if changed {
+                self.mark(prog, rc.q_net);
             }
         }
         for rc in &plan.regs {
-            let q_off = rc.q.off as usize;
             let q_words = rc.q.words as usize;
-            let d_words = rc.d.words as usize;
-            let topmask = top_word_mask(rc.q.width);
             let mut changed = false;
             for k in 0..q_words {
-                let mut v = if k < d_words {
-                    self.scratch[rc.scratch as usize + k]
+                let topmask = if k == q_words - 1 {
+                    top_word_mask(rc.q.width)
                 } else {
-                    0
+                    u64::MAX
                 };
-                if k == q_words - 1 {
-                    v &= topmask;
-                }
-                if mark {
-                    changed |= self.arena[q_off + k] != v;
-                }
-                self.arena[q_off + k] = v;
+                let dst = &mut self.arena[(rc.q.off as usize + k) * n..][..n];
+                // A q word past the end of d takes zero.
+                changed |= if k < rc.d.words as usize {
+                    let s = (rc.scratch as usize + k) * n;
+                    write_back(
+                        dst,
+                        self.scratch[s..s + n].iter().copied(),
+                        topmask,
+                        skip,
+                        mark,
+                    )
+                } else {
+                    write_back(dst, std::iter::repeat(0), topmask, skip, mark)
+                };
             }
             if changed {
                 self.mark(prog, rc.q_net);
             }
         }
-        for (mem, addr, data) in writes {
-            self.write_mem_ex(prog, mem, addr, &data, mark);
+        if !self.writes.is_empty() {
+            let mut writes = std::mem::take(&mut self.writes);
+            for (mem, addr, data, lane) in writes.drain(..) {
+                self.write_mem(prog, mem, addr, &data, lane, mark);
+            }
+            self.writes = writes;
         }
+        self.finished = finished;
+    }
+
+    /// Executes one edge of the given clock domain across every live
+    /// lane: samples task triggers and register/memory inputs at their
+    /// pre-edge values, commits them, and repropagates. A no-op once every
+    /// lane has finished.
+    pub fn step_clock(&mut self, nl: &Netlist, prog: &Program, clock_index: u32) {
+        if self.all_finished {
+            return;
+        }
+        self.settle_auto(prog);
+        self.fire_tasks(nl, prog, clock_index);
+        // `$finish` executes before the nonblocking-update region: an edge
+        // that finishes a lane discards that lane's pending commits, the
+        // same boundary the event-driven simulator observes.
+        self.commit_domain(prog, clock_index as usize, true);
+        self.bump_cycles();
+        self.settle_auto(prog);
+    }
+
+    /// Runs up to `n` edges of clock domain 0, stopping early when every
+    /// lane has finished or when `budget` task firings are buffered (so a
+    /// host can drain `$display` output promptly). Returns the number of
+    /// edges executed.
+    pub fn run_cycles(&mut self, nl: &Netlist, prog: &Program, n: u64, budget: usize) -> u64 {
+        // When a settle goes dense, activity bookkeeping stops paying for
+        // itself entirely: the next PROBE-1 commits skip consumer marking
+        // (the dense pass recomputes everything anyway), then one marked
+        // commit re-seeds the worklists so the schedule can drop back to
+        // sparse if the design quiesces.
+        const PROBE: u64 = 64;
+        let mut dense_left = 0u64;
+        let mut done = 0;
+        while done < n && !self.all_finished {
+            if dense_left > 0 {
+                self.settle_dense(prog);
+            } else if self.wave_is_dense(prog) {
+                self.settle_dense(prog);
+                dense_left = PROBE;
+            } else {
+                self.settle(prog);
+            }
+            self.fire_tasks(nl, prog, 0);
+            if self.all_finished {
+                // A `$finish` edge drops its commits (see `step_clock`).
+                self.bump_cycles();
+                done += 1;
+                break;
+            }
+            if dense_left > 1 {
+                self.commit_domain(prog, 0, false);
+                dense_left -= 1;
+            } else {
+                self.commit_domain(prog, 0, true);
+                dense_left = 0;
+            }
+            self.bump_cycles();
+            done += 1;
+            if self.tasks.len() >= budget {
+                break;
+            }
+        }
+        if dense_left > 0 {
+            // The last commit skipped marking; only a full pass is sound.
+            self.settle_dense(prog);
+        } else {
+            self.settle_auto(prog);
+        }
+        done
+    }
+
+    /// Samples one domain's task triggers per live lane at their pre-edge
+    /// values. A lane finishing on this edge still observes the remaining
+    /// tasks of the edge, then stops.
+    fn fire_tasks(&mut self, nl: &Netlist, prog: &Program, clock_index: u32) {
+        // Lane slices are cut at `n` throughout the run loop: for `One`
+        // that is a constant, and the per-lane loops vanish.
+        let n = self.lanes();
+        self.pre_finished[..n].copy_from_slice(&self.finished[..n]);
+        let Some(plan) = prog.domains.get(clock_index as usize) else {
+            return;
+        };
+        for &ti in &plan.tasks {
+            let task = &nl.tasks[ti as usize];
+            let trigger = prog.slots[task.trigger.0 as usize];
+            for lane in 0..n {
+                if self.pre_finished[lane] || !self.bool_lane(trigger, lane) {
+                    continue;
+                }
+                let args: Vec<Bits> = task
+                    .args
+                    .iter()
+                    .map(|a| self.read_lane(prog.slots[a.0 as usize], lane))
+                    .collect();
+                if matches!(task.kind, TaskKind::Finish | TaskKind::Fatal) {
+                    self.finished[lane] = true;
+                }
+                let fire = TaskFire {
+                    kind: task.kind,
+                    text: render_task(task, &args),
+                };
+                self.tasks.push(W::fire(lane, fire));
+            }
+        }
+        self.all_finished = self.finished[..n].iter().all(|&f| f);
+    }
+
+    /// Advances the edge counters: every lane live at the edge's start
+    /// counts it (a finishing edge is a lane's last counted edge).
+    fn bump_cycles(&mut self) {
+        let n = self.lanes();
+        for (lc, &pre) in self.lane_cycles[..n]
+            .iter_mut()
+            .zip(&self.pre_finished[..n])
+        {
+            *lc += (!pre) as u64;
+        }
+        self.cycles += 1;
     }
 }
 
-// --- Lane-group execution -------------------------------------------------
+/// Writes one register word's sampled lanes `src & topmask` into `dst`,
+/// leaving the lanes flagged in `skip` alone. With `mark`, returns whether
+/// any lane changed; without it, `false`.
+#[inline(always)]
+fn write_back(
+    dst: &mut [u64],
+    src: impl Iterator<Item = u64>,
+    topmask: u64,
+    skip: &[bool],
+    mark: bool,
+) -> bool {
+    let mut changed = false;
+    for ((d, v), &skipped) in dst.iter_mut().zip(src).zip(skip) {
+        let v = if skipped { *d } else { v & topmask };
+        if mark {
+            changed |= *d != v;
+        }
+        *d = v;
+    }
+    changed
+}
+
+// --- The kernels -----------------------------------------------------------
 //
-// The batched engine widens every arena word to a group of `lanes`
-// consecutive words (lane-major: scalar word offset `o`, lane `l` lives at
-// `o * lanes + l`), so one instruction dispatch evaluates `lanes`
-// independent stimulus vectors. The dispatcher below matches the kernel
-// once and runs a tight per-lane loop — logic ops vectorize trivially and
-// the arithmetic/compare/select/Lookup loops are simple enough for the
-// compiler to auto-vectorize. With `lanes == 1` this is exactly the dense
-// scalar schedule.
+// Every word operation is written once, here, as a per-lane loop over a
+// lane-major arena (word `o`, lane `l` at `o * lanes + l`). The dispatcher
+// matches the kernel once and runs the loop over all lanes: logic ops
+// vectorize trivially, and the arithmetic/compare/select/Lookup loops are
+// simple enough for the compiler to auto-vectorize. At `One` lane the loop
+// bound is the constant 1 and the loop is the scalar evaluator.
 
 /// Per-lane unary kernel loop. Returns the number of lanes whose output
 /// word changed.
 ///
 /// # Safety
 /// `arena` must hold `lanes` words per program arena word, and `dst`/`a`
-/// must be in-bounds slot offsets of the same program (a construction
-/// invariant, see [`State::w`]). `dst` never aliases an operand: operands
-/// come from strictly lower levels.
+/// must be in-bounds slot offsets of the same program: every operand
+/// offset is a slot base laid out within `arena_words` at compile time,
+/// and [`State::new`] sizes the arena to exactly that, so the unchecked
+/// accesses keep the dispatch loop free of bounds branches. `dst` never
+/// aliases an operand: operands come from strictly lower levels.
 #[inline(always)]
 unsafe fn lanes1(
     arena: *mut u64,
@@ -2008,14 +2056,10 @@ unsafe fn lanes4(
 /// Reads one lane of a slot as [`Bits`] from a lane-major arena.
 ///
 /// # Safety
-/// `arena` must hold `lanes` words per program arena word and `slot` must
-/// belong to the same program; `lane < lanes`.
-pub(crate) unsafe fn slot_bits_lane(
-    arena: *const u64,
-    lanes: usize,
-    lane: usize,
-    slot: Slot,
-) -> Bits {
+/// `slot` must lie inside `arena`'s program-word range — a net slot of the
+/// net arena, or a [`MemLayout::word`] of the memory arena — and `arena`
+/// must hold `lanes` words per program word; `lane < lanes`.
+unsafe fn slot_bits_lane(arena: *const u64, lanes: usize, lane: usize, slot: Slot) -> Bits {
     if slot.width <= 64 {
         Bits::from_u64(slot.width, *arena.add(slot.off as usize * lanes + lane))
     } else {
@@ -2032,7 +2076,7 @@ pub(crate) unsafe fn slot_bits_lane(
 ///
 /// # Safety
 /// As [`slot_bits_lane`], with `arena` writable.
-pub(crate) unsafe fn write_slot_lane(
+unsafe fn write_slot_lane(
     arena: *mut u64,
     lanes: usize,
     lane: usize,
@@ -2051,24 +2095,24 @@ pub(crate) unsafe fn write_slot_lane(
 }
 
 /// Executes one instruction across all lanes of a lane-major arena,
-/// storing unconditionally (dense semantics). Returns the number of lanes
-/// whose output changed — the batch-aware dirty signal (a consumer is
-/// dirty if *any* lane changed).
+/// storing unconditionally. Returns the number of lanes whose output
+/// changed — the dirty signal (a consumer is dirty if *any* lane changed).
+/// `slots` and `mems` are the program's layouts, read only by memory reads
+/// and the multi-word fallback.
 ///
 /// # Safety
-/// `arena` must hold `lanes * prog.arena_words` words and `mem` must hold
-/// `lanes * prog.mem_arena_words` words, both lane-major; `i` must index
-/// `prog.instrs`. The caller must guarantee exclusive access to the
-/// destination slot.
-pub(crate) unsafe fn exec_lanes(
-    prog: &Program,
+/// `arena` must hold `lanes` words per arena word the instruction reads
+/// or writes and `mem` `lanes` words per memory word, both lane-major; the
+/// caller must guarantee exclusive access to the destination slot.
+pub(crate) unsafe fn exec_lanes<W: Lanes>(
+    ins: &Instr,
+    slots: &[Slot],
+    mems: &[MemLayout],
     arena: *mut u64,
     mem: *const u64,
-    lanes: usize,
-    i: u32,
+    lanes: W,
 ) -> u32 {
-    debug_assert!((i as usize) < prog.instrs.len());
-    let ins = prog.instrs.get_unchecked(i as usize);
+    let lanes = lanes.n();
     let dst = ins.dst;
     let m = ins.mask;
     use Kernel as K;
@@ -2295,7 +2339,7 @@ pub(crate) unsafe fn exec_lanes(
             lanes1(arena, lanes, dst, m, *a, move |x| x.wrapping_mul(factor))
         }
         K::MemRead { mem: mi, addr } => {
-            let ml = prog.mems[*mi as usize];
+            let ml = mems[*mi as usize];
             let pa = arena.add(*addr as usize * lanes) as *const u64;
             let pd = arena.add(dst as usize * lanes);
             let mut changed = 0u32;
@@ -2312,47 +2356,43 @@ pub(crate) unsafe fn exec_lanes(
             }
             changed
         }
-        K::Wide { .. } | K::WideMemRead { .. } => exec_lanes_wide(prog, arena, mem, lanes, ins),
+        K::Wide { .. } | K::WideMemRead { .. } => {
+            exec_lanes_wide(ins, slots, mems, arena, mem, lanes)
+        }
     }
 }
 
 /// The multi-word fallback lane of [`exec_lanes`]: materialize each lane's
 /// operands as [`Bits`], evaluate, write the lane back.
 unsafe fn exec_lanes_wide(
-    prog: &Program,
+    ins: &Instr,
+    slots: &[Slot],
+    mems: &[MemLayout],
     arena: *mut u64,
     mem: *const u64,
     lanes: usize,
-    ins: &Instr,
 ) -> u32 {
     let mut changed = 0u32;
     match &ins.kernel {
         Kernel::Wide { op, inputs } => {
-            let out_slot = prog.slots[ins.out as usize];
+            let out_slot = slots[ins.out as usize];
             let mut values: Vec<Bits> = Vec::with_capacity(inputs.len());
             for lane in 0..lanes {
                 values.clear();
                 for n in inputs.iter() {
-                    values.push(slot_bits_lane(arena, lanes, lane, prog.slots[n.0 as usize]));
+                    values.push(slot_bits_lane(arena, lanes, lane, slots[n.0 as usize]));
                 }
                 let v = crate::eval::eval_cell(*op, &values, out_slot.width).resize(out_slot.width);
                 changed += write_slot_lane(arena, lanes, lane, out_slot, &v) as u32;
             }
         }
         Kernel::WideMemRead { mem: mi, addr } => {
-            let ml = prog.mems[*mi as usize];
-            let out_slot = prog.slots[ins.out as usize];
+            let ml = mems[*mi as usize];
+            let out_slot = slots[ins.out as usize];
             for lane in 0..lanes {
-                let a = *arena.add(*addr as usize * lanes + lane);
-                let v = if a < ml.count {
-                    let off = (ml.off + a as u32 * ml.words_per) as usize;
-                    let mut words = Vec::with_capacity(ml.words_per as usize);
-                    for k in 0..ml.words_per as usize {
-                        words.push(*mem.add((off + k) * lanes + lane));
-                    }
-                    Bits::from_words(ml.width, &words)
-                } else {
-                    Bits::zero(ml.width)
+                let v = match ml.word(*arena.add(*addr as usize * lanes + lane)) {
+                    Some(word) => slot_bits_lane(mem, lanes, lane, word),
+                    None => Bits::zero(ml.width),
                 };
                 changed +=
                     write_slot_lane(arena, lanes, lane, out_slot, &v.resize(out_slot.width)) as u32;

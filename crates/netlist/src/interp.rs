@@ -7,7 +7,7 @@
 //! benchmarked against (`cascade-bench`'s `bench_netlist`), and as a second
 //! independent oracle for the equivalence property tests.
 
-use crate::eval::{eval_cell_refs, TaskFire};
+use crate::eval::{eval_cell_refs, render_task, TaskFire};
 use crate::ir::*;
 use crate::level::{levelize, LevelError};
 use cascade_bits::Bits;
@@ -212,28 +212,12 @@ impl ReferenceSim {
                     .iter()
                     .map(|a| self.values[a.0 as usize].clone())
                     .collect();
-                let text = match (&task.format, task.kind) {
-                    (_, TaskKind::Finish) => String::new(),
-                    (Some(f), _) => cascade_sim::format_verilog(f, &args),
-                    (None, _) => args
-                        .iter()
-                        .zip(task.arg_signed.iter().chain(std::iter::repeat(&false)))
-                        .map(|(v, &s)| {
-                            if s {
-                                v.to_signed_decimal_string()
-                            } else {
-                                v.to_decimal_string()
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                };
                 if matches!(task.kind, TaskKind::Finish | TaskKind::Fatal) {
                     self.finished = true;
                 }
                 self.tasks.push(TaskFire {
                     kind: task.kind,
-                    text,
+                    text: render_task(task, &args),
                 });
             }
         }

@@ -8,12 +8,15 @@
 use cascade_bits::{Bits, Prng};
 use cascade_core::{ExecMode, JitConfig, Runtime};
 use cascade_fpga::{Board, FaultPlan, Fleet};
+use cascade_netlist::{synthesize, MemId, NetlistSim};
 use cascade_serve::{InProcClient, ServeConfig, Server};
+use cascade_sim::{elaborate, library_from_source};
 use cascade_trace::{export_jsonl, TimeMode, TraceSink};
 use cascade_workloads::regex::{compile, matcher_verilog, Flavor as RegexFlavor};
 use cascade_workloads::sha256::{miner_verilog, Flavor as MinerFlavor, MinerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // A per-thread counting allocator (the `tests/trace_pipeline.rs` pattern:
@@ -1162,6 +1165,61 @@ fn native_ticks_with_a_peripheral_allocate_nothing() {
     rt.enter_native().expect("native");
     assert_eq!(rt.mode(), ExecMode::Native);
     assert_eq!(allocations_per_window(&mut rt, &board, true), 0);
+}
+
+/// (d) The netlist evaluator itself, under a design whose every edge
+/// writes a ≤64-bit memory and fires no task: an edge allocates nothing,
+/// one at a time or in an open-loop batch.
+#[test]
+fn netlist_edges_that_write_a_memory_allocate_nothing() {
+    const RAM: &str = "module Ram(input wire clk, output wire [15:0] o);\n\
+                       reg [15:0] mem [0:15];\n\
+                       reg [3:0] a = 0;\n\
+                       reg [15:0] v = 1;\n\
+                       always @(posedge clk) begin\n\
+                         mem[a] <= v;\n\
+                         a <= a + 1;\n\
+                         v <= v * 3 + 1;\n\
+                       end\n\
+                       assign o = mem[a];\n\
+                       endmodule";
+    let lib = library_from_source(RAM).expect("parse");
+    let design = elaborate("Ram", &lib, &Default::default()).expect("elaborate");
+    let mut hw =
+        NetlistSim::new(Arc::new(synthesize(&design).expect("synthesize"))).expect("levelize");
+    assert!(
+        hw.program_stats().mem_arena_words > 0,
+        "the memory survives synthesis"
+    );
+    hw.run_cycles(256, usize::MAX);
+    for _ in 0..256 {
+        hw.step_clock(0);
+    }
+    let open_loop = allocations_in(|| {
+        assert_eq!(hw.run_cycles(256, usize::MAX), 256);
+    });
+    let stepped = allocations_in(|| {
+        for _ in 0..256 {
+            hw.step_clock(0);
+        }
+    });
+    assert_eq!((open_loop, stepped), (0, 0), "(run_cycles, step_clock)");
+    assert_eq!(hw.cycles(), 1024);
+    assert!(!hw.has_tasks());
+    // Every edge wrote the memory: it holds what a model of the design says.
+    let (mut model, mut a, mut v) = ([0u64; 16], 0, 1u64);
+    for _ in 0..1024 {
+        model[a] = v;
+        a = (a + 1) % 16;
+        v = (v * 3 + 1) & 0xffff;
+    }
+    for (addr, &want) in model.iter().enumerate() {
+        assert_eq!(
+            hw.read_mem(MemId(0), addr as u64).to_u64(),
+            want,
+            "mem[{addr}]"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,7 @@
 
 use cascade_core::{ExecMode, JitConfig, Runtime};
 use cascade_fpga::Board;
-use cascade_netlist::{synthesize, NetlistSim};
+use cascade_netlist::{synthesize, NetlistSim, ProgramStats};
 use cascade_sim::{elaborate, library_from_source, Simulator};
 use cascade_workloads::sha256::{
     find_nonce, miner_verilog, Flavor, MinerConfig, CYCLES_PER_ATTEMPT,
@@ -159,4 +159,48 @@ fn function_style_miner_matches_wire_style() {
         hw.get_by_name("hash_hi").unwrap().to_u64(),
         expect_digest[0] as u64
     );
+}
+
+/// The compiled program is pinned: the peephole passes (Pass 4's
+/// compile-time cone evaluation above all) must fold the miner into
+/// exactly this program, in both source styles.
+#[test]
+fn miner_program_is_pinned() {
+    for (use_functions, arena_words) in [(false, 1063), (true, 1073)] {
+        let (mut cfg, _, _) = easy_config();
+        cfg.use_functions = use_functions;
+        let src = miner_verilog(&cfg, Flavor::Ported);
+        let lib = library_from_source(&src).expect("parse");
+        let design = elaborate("Miner", &lib, &Default::default()).expect("elaborate");
+        let nl = synthesize(&design).expect("synthesize");
+        let hw = NetlistSim::new(Arc::new(nl)).expect("levelize");
+        assert_eq!(
+            hw.program_stats(),
+            ProgramStats {
+                instrs: 150,
+                wide_instrs: 0,
+                arena_words,
+                mem_arena_words: 0,
+                levels: 50,
+            },
+            "use_functions {use_functions}"
+        );
+        assert_eq!(
+            hw.kernel_histogram(),
+            [
+                ("Mux", 83),
+                ("Add", 19),
+                ("Xor", 11),
+                ("ZExt", 11),
+                ("Rot", 10),
+                ("And", 5),
+                ("Eq", 4),
+                ("Lookup", 3),
+                ("Shr", 2),
+                ("LtU", 1),
+                ("Not", 1),
+            ],
+            "use_functions {use_functions}"
+        );
+    }
 }

@@ -255,9 +255,15 @@ fn arb_batch_module(rng: &mut Prng) -> String {
     )
 }
 
-/// Every `(width, seed)` case of the batch-equivalence tests. Width 1 is
-/// deliberate: it is the only way `exec_lanes` runs at `lanes = 1`, the
-/// configuration `netlist.batch1_cycle_ns` measures.
+/// Every `(width, seed)` case of the batch-equivalence tests. The
+/// single-vector runs they check against are the one-lane instance of the
+/// same engine, so what they hold is lane independence: a lane's outputs,
+/// tasks and `$finish` edge do not depend on its siblings, however their
+/// stimulus and finish edges differ. Width 1 checks that a runtime width
+/// of one (what `netlist.batch1_cycle_ns` measures) agrees with the
+/// compile-time one. The engine itself is held to the oracles by
+/// `compiled_matches_simulator_with_tasks` and
+/// `compiled_matches_reference_walker`.
 fn batch_cases(seeds: u64) -> impl Iterator<Item = (u32, u64)> {
     [1, 4, 8]
         .into_iter()

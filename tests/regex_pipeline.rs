@@ -4,7 +4,7 @@
 use cascade_bits::Bits;
 use cascade_core::{ExecMode, JitConfig, Runtime};
 use cascade_fpga::Board;
-use cascade_netlist::{synthesize, NetlistSim};
+use cascade_netlist::{synthesize, NetlistSim, ProgramStats};
 use cascade_sim::{elaborate, library_from_source, Simulator};
 use cascade_workloads::regex::{compile, matcher_verilog, Flavor};
 use std::sync::Arc;
@@ -49,6 +49,40 @@ fn matcher_netlist_matches_reference() {
     assert_eq!(
         hw.get_by_name("matches").unwrap().to_u64(),
         expected_matches()
+    );
+}
+
+/// The compiled program is pinned: the peephole passes (Pass 4's
+/// compile-time cone evaluation above all) must fold the matcher's
+/// transition logic into exactly this program.
+#[test]
+fn matcher_program_is_pinned() {
+    let dfa = compile(PATTERN).unwrap();
+    let src = matcher_verilog(&dfa, Flavor::Ported);
+    let lib = library_from_source(&src).expect("parse");
+    let design = elaborate("Matcher", &lib, &Default::default()).expect("elaborate");
+    let nl = synthesize(&design).expect("synthesize");
+    let hw = NetlistSim::new(Arc::new(nl)).expect("levelize");
+    assert_eq!(
+        hw.program_stats(),
+        ProgramStats {
+            instrs: 33,
+            wide_instrs: 0,
+            arena_words: 221,
+            mem_arena_words: 0,
+            levels: 16,
+        }
+    );
+    assert_eq!(
+        hw.kernel_histogram(),
+        [
+            ("Lookup", 10),
+            ("MuxEq", 10),
+            ("MuxLtU", 7),
+            ("Mux", 3),
+            ("ZExt", 2),
+            ("Add", 1),
+        ]
     );
 }
 

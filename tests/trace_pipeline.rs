@@ -627,11 +627,11 @@ fn profile_report_names_verilog_sources() {
     assert!(text.contains("opcode"), "no opcode histogram:\n{text}");
 }
 
-/// The hardware-engine profile renders the lane `occ`upancy column on
-/// change-tracking kernels. The design mixes both settle schedules: a
-/// long combinational chain hangs off a register that updates every 16th
-/// cycle, so most waves are narrow (sparse settles, which track
-/// occupancy) while the chain's update waves go dense (which do not).
+/// The hardware-engine profile renders the lane `occ`upancy column. The
+/// design mixes both settle schedules: a long combinational chain hangs
+/// off a register that updates every 16th cycle, so most waves are narrow
+/// (sparse settles) while the chain's update waves go dense; both count
+/// the lanes whose output changed.
 #[test]
 fn hw_profile_shows_occupancy_column() {
     let mut src = String::from(
