@@ -15,14 +15,22 @@
 //!   `BackgroundCompiler` submits through a [`CompileQueue`] handle.
 //!   Concurrent submissions of the same synthesized netlist are coalesced
 //!   by content hash — one compile runs, every waiter gets the result.
+//!
+//! Either way the toolchain runs *behind* the interactive loop: a job
+//! carries the program's [`HwSource`], which is elaborated on the toolchain
+//! thread rather than at eval, and every toolchain thread runs at
+//! background priority ([`run_in_background`]).
 
 use cascade_durable::BitstreamStore;
 use cascade_fpga::{
     wrapper_overhead_les, Bitstream, CompileError, FaultPlan, Toolchain, ToolchainFault,
 };
-use cascade_netlist::{fingerprint, synthesize, Netlist};
+use cascade_netlist::{fingerprint, synthesize, Netlist, SynthError};
 use cascade_sim::Design;
 use cascade_trace::{Arg, Counter, Histogram, Registry, SpanRef, TraceSink, LATENCY_BUCKETS_S};
+use cascade_verilog::ast::ModuleItem;
+use cascade_verilog::typecheck::{ModuleLibrary, ParamEnv};
+use cascade_verilog::Diagnostic;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,6 +66,72 @@ const STORE_HIT_LATENCY_S: f64 = 2.0;
 /// placed netlist, so an unbounded cache in a long-lived shared server
 /// would grow without limit.
 pub const DEFAULT_BITSTREAM_CACHE_CAPACITY: usize = 64;
+
+/// Lowers the calling thread to background priority: nice 10, the `nice`
+/// command's default increment. Every toolchain thread calls it first
+/// thing, so the compile the paper runs "in the background" takes only the
+/// CPU the interactive threads leave idle, and a superseded compile costs
+/// an edit nothing. On Linux `setpriority(PRIO_PROCESS, 0, ..)` applies to
+/// the calling thread alone; other targets keep the default priority.
+fn run_in_background() {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+        }
+        const PRIO_PROCESS: i32 = 0;
+        // SAFETY: a plain system call on the calling thread; a failure
+        // (an unprivileged thread may always lower its own priority)
+        // leaves the priority as it was.
+        unsafe {
+            setpriority(PRIO_PROCESS, 0, 10);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The hardware form of a program
+// ---------------------------------------------------------------------
+
+/// The name a subprogram takes inside its elaboration library.
+pub(crate) const SUBPROGRAM: &str = "__cascade_sub";
+
+/// A program's hardware form before elaboration: the library its software
+/// design was elaborated against, holding the subprogram as
+/// [`SUBPROGRAM`]. It is elaborated where it is consumed — on the
+/// toolchain thread, or when native mode is entered — so an eval
+/// elaborates once, and not at all for hardware nobody compiles.
+pub struct HwSource {
+    lib: ModuleLibrary,
+}
+
+impl HwSource {
+    /// Wraps a library that holds a [`SUBPROGRAM`] module.
+    pub(crate) fn new(lib: ModuleLibrary) -> HwSource {
+        debug_assert!(lib.contains(SUBPROGRAM));
+        HwSource { lib }
+    }
+
+    /// Elaborates the subprogram without its one-shot items (statements
+    /// and `initial` blocks): the form that goes to the toolchain. One-shot
+    /// items declare nothing and every check is per item, so this succeeds
+    /// whenever the software design did.
+    ///
+    /// # Errors
+    ///
+    /// Returns the elaboration diagnostic.
+    pub fn elaborate(&self) -> Result<Design, Diagnostic> {
+        let mut lib = self.lib.clone();
+        let mut sub = lib
+            .get(SUBPROGRAM)
+            .expect("HwSource holds its subprogram")
+            .clone();
+        sub.items
+            .retain(|i| !matches!(i, ModuleItem::Statement(_) | ModuleItem::Initial(_)));
+        lib.insert(sub);
+        cascade_sim::elaborate(SUBPROGRAM, &lib, &ParamEnv::new())
+    }
+}
 
 // ---------------------------------------------------------------------
 // Bounded LRU bitstream cache
@@ -252,7 +326,7 @@ impl CompilerMetrics {
 // ---------------------------------------------------------------------
 
 struct Job {
-    design: Arc<Design>,
+    source: Arc<HwSource>,
     toolchain: Toolchain,
     version: u64,
     tx: Sender<CompileOutcome>,
@@ -329,6 +403,16 @@ impl QueueShared {
             shutdown: AtomicBool::new(false),
             trace: Mutex::new(TraceSink::disabled()),
         })
+    }
+
+    /// Stops the workers. The flag is set under the queue lock: a worker
+    /// between its shutdown check and its wait would otherwise miss the
+    /// wake-up and never return (a freshly spawned, lower-priority worker
+    /// of a pool dropped at once sits in that window often).
+    fn shut_down(&self) {
+        let _jobs = lock(&self.jobs);
+        self.shutdown.store(true, Ordering::Release);
+        self.available.notify_all();
     }
 }
 
@@ -436,7 +520,10 @@ impl CompilePool {
         let handles = (0..workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::spawn(move || {
+                    run_in_background();
+                    worker_loop(&shared)
+                })
             })
             .collect();
         CompilePool {
@@ -453,8 +540,7 @@ impl CompilePool {
 
 impl Drop for CompilePool {
     fn drop(&mut self) {
-        self.queue.shared.shutdown.store(true, Ordering::Release);
-        self.queue.shared.available.notify_all();
+        self.queue.shared.shut_down();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -534,7 +620,7 @@ impl Drop for InProgressGuard<'_> {
 }
 
 fn run_pooled_job(shared: &QueueShared, job: Job) {
-    let (netlist, tc, key, fp) = match synth_for_compile(&job.design, &job.toolchain, job.version) {
+    let (netlist, tc, key, fp) = match synth_for_compile(&job.source, &job.toolchain, job.version) {
         Ok(parts) => parts,
         Err(outcome) => {
             let _ = job.tx.send(outcome);
@@ -674,7 +760,7 @@ pub struct BackgroundCompiler {
     policy: RetryPolicy,
     faults: FaultPlan,
     /// The current submission, kept for re-dispatch on transient failure.
-    job: Option<(Arc<Design>, Toolchain)>,
+    job: Option<(Arc<HwSource>, Toolchain)>,
     /// Tries of the current submission so far (1 = first).
     attempts: u32,
     /// Registry-backed counters — handles outlive this compiler, so a
@@ -821,17 +907,23 @@ impl BackgroundCompiler {
         self.submitted_version
     }
 
-    /// Submits a design for compilation with the Cascade MMIO wrapper's
+    /// Submits a program for compilation with the Cascade MMIO wrapper's
     /// overhead charged to area and latency. Supersedes any prior
     /// submission.
-    pub fn submit(&mut self, design: Arc<Design>, toolchain: Toolchain, version: u64, wall_s: f64) {
+    pub fn submit(
+        &mut self,
+        source: Arc<HwSource>,
+        toolchain: Toolchain,
+        version: u64,
+        wall_s: f64,
+    ) {
         self.submitted_version = version;
         self.attempts = 1;
-        self.job = Some((Arc::clone(&design), toolchain.clone()));
-        self.dispatch(design, toolchain, wall_s);
+        self.job = Some((Arc::clone(&source), toolchain.clone()));
+        self.dispatch(source, toolchain, wall_s);
     }
 
-    fn dispatch(&mut self, design: Arc<Design>, toolchain: Toolchain, at_s: f64) {
+    fn dispatch(&mut self, source: Arc<HwSource>, toolchain: Toolchain, at_s: f64) {
         let (tx, rx) = channel();
         let version = self.submitted_version;
         let faults = self.faults.clone();
@@ -840,7 +932,7 @@ impl BackgroundCompiler {
             let live = Arc::new(AtomicBool::new(true));
             self.live = Some(Arc::clone(&live));
             queue.submit(Job {
-                design,
+                source,
                 toolchain,
                 version,
                 tx,
@@ -854,10 +946,11 @@ impl BackgroundCompiler {
             let cache = Arc::clone(&self.cache);
             let scale = toolchain.time_scale;
             let handle = std::thread::spawn(move || {
+                run_in_background();
                 // The solo worker contains its own panics (the pooled
                 // equivalent lives in `worker_loop`).
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    compile_with_wrapper(&design, &toolchain, version, &cache, &faults)
+                    compile_with_wrapper(&source, &toolchain, version, &cache, &faults)
                 }))
                 .unwrap_or_else(|_| panic_outcome(version, scale));
                 let _ = tx.send(outcome);
@@ -1027,7 +1120,7 @@ impl BackgroundCompiler {
     fn retry_or_surface(&mut self, err: CompileError, wall_s: f64) -> Option<CompileOutcome> {
         let job = self.job.clone();
         match job {
-            Some((design, toolchain)) if self.attempts <= self.policy.max_retries => {
+            Some((source, toolchain)) if self.attempts <= self.policy.max_retries => {
                 let backoff = self.policy.backoff_s * f64::powi(2.0, self.attempts as i32 - 1);
                 self.attempts += 1;
                 self.metrics.retries.inc();
@@ -1047,7 +1140,7 @@ impl BackgroundCompiler {
                         ],
                     );
                 }
-                self.dispatch(design, toolchain, wall_s + backoff);
+                self.dispatch(source, toolchain, wall_s + backoff);
                 None
             }
             _ => {
@@ -1104,20 +1197,24 @@ impl BackgroundCompiler {
 // The compile flow (shared by solo and pooled workers)
 // ---------------------------------------------------------------------
 
-/// Synthesis plus cache-key derivation: the common prefix of every compile.
-/// The key is a content hash of the synthesized netlist (plus toolchain
-/// knobs), so semantically identical resubmissions — a re-eval of unchanged
-/// source, a whitespace edit, another tenant running the same program —
-/// share one cache entry.
+/// Elaboration, synthesis and cache-key derivation: the common prefix of
+/// every compile. The key is a content hash of the synthesized netlist
+/// (plus toolchain knobs), so semantically identical resubmissions — a
+/// re-eval of unchanged source, a whitespace edit, another tenant running
+/// the same program — share one cache entry.
 // The large `Err` is deliberate: a synthesis failure IS a compile outcome
 // (cold path), not an error to box and rethrow.
 #[allow(clippy::type_complexity, clippy::result_large_err)]
 fn synth_for_compile(
-    design: &Design,
+    source: &HwSource,
     toolchain: &Toolchain,
     version: u64,
 ) -> Result<(Arc<Netlist>, Toolchain, u64, u64), CompileOutcome> {
-    let netlist = match synthesize(design) {
+    let synthesized = source
+        .elaborate()
+        .map_err(|d| SynthError::new(d.to_string()))
+        .and_then(|design| synthesize(&design));
+    let netlist = match synthesized {
         Ok(nl) => Arc::new(nl),
         Err(e) => {
             return Err(CompileOutcome {
@@ -1229,7 +1326,7 @@ fn run_toolchain(
 /// Runs the full solo flow: synthesis, wrapper-overhead accounting, cache
 /// lookup, placement, timing.
 fn compile_with_wrapper(
-    design: &Design,
+    source: &HwSource,
     toolchain: &Toolchain,
     version: u64,
     cache: &BitstreamCache,
@@ -1238,7 +1335,7 @@ fn compile_with_wrapper(
     if faults.next_worker_panic() {
         panic!("injected compile-worker panic");
     }
-    let (netlist, tc, key, fp) = match synth_for_compile(design, toolchain, version) {
+    let (netlist, tc, key, fp) = match synth_for_compile(source, toolchain, version) {
         Ok(parts) => parts,
         Err(outcome) => return outcome,
     };
@@ -1256,16 +1353,33 @@ mod tests {
     use super::*;
     use cascade_fpga::Device;
 
-    fn design() -> Arc<Design> {
+    fn design() -> Arc<HwSource> {
         let lib = cascade_sim::library_from_source(
-            "module C(input wire clk, output wire [7:0] q);\n\
+            "module __cascade_sub(input wire clk, output wire [7:0] q);\n\
                reg [7:0] n = 0;\n\
                always @(posedge clk) n <= n + 1;\n\
                assign q = n;\n\
              endmodule",
         )
         .expect("parse");
-        Arc::new(cascade_sim::elaborate("C", &lib, &Default::default()).expect("elaborate"))
+        Arc::new(HwSource::new(lib))
+    }
+
+    /// A pool dropped as soon as it is built still shuts down: its workers,
+    /// just spawned at background priority, are often between their
+    /// shutdown check and their wait when the flag is raised.
+    #[test]
+    fn a_pool_dropped_at_once_shuts_down() {
+        let (tx, rx) = channel();
+        let dropper = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(CompilePool::new(2, 4, 4));
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(120))
+            .expect("a dropped pool's worker missed the shutdown wake-up");
+        dropper.join().expect("dropper");
     }
 
     /// Every job is queued before the worker starts, so which jobs it meets
@@ -1331,8 +1445,7 @@ mod tests {
             assert_eq!(failed(shed), Some(true), "a shed job reads as transient");
         }
 
-        shared.shutdown.store(true, Ordering::Release);
-        shared.available.notify_all();
+        shared.shut_down();
         worker.join().expect("worker");
     }
 }

@@ -42,8 +42,8 @@ mod runtime;
 pub mod transform;
 
 pub use compiler::{
-    BackgroundCompiler, BitstreamCache, CompileOutcome, CompilePool, CompileQueue, RetryPolicy,
-    DEFAULT_BITSTREAM_CACHE_CAPACITY,
+    BackgroundCompiler, BitstreamCache, CompileOutcome, CompilePool, CompileQueue, HwSource,
+    RetryPolicy, DEFAULT_BITSTREAM_CACHE_CAPACITY,
 };
 pub use config::JitConfig;
 pub use engine::{Engine, EngineKind, EngineState, TaskEvent};

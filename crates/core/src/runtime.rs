@@ -7,7 +7,9 @@
 //! which is also when hardware engines replace software engines and
 //! interrupts (system-task side effects) are serviced.
 
-use crate::compiler::{BackgroundCompiler, CompileQueue, CompilerMetrics, RetryPolicy};
+use crate::compiler::{
+    BackgroundCompiler, CompileQueue, CompilerMetrics, HwSource, RetryPolicy, SUBPROGRAM,
+};
 use crate::config::JitConfig;
 use crate::engine::clock::{self, ClockEngine};
 use crate::engine::hw::{Forwarded, HwEngine};
@@ -20,7 +22,7 @@ use crate::plane::{Counts, Endpoint, Plan, ResolvedWire, Slot, SlotEngine};
 use crate::transform::{transform_module, Externals, Wire};
 use cascade_bits::Bits;
 use cascade_fpga::{Board, FabricFault, Fleet, Lease, VirtualWall};
-use cascade_sim::{Design, PortVcd};
+use cascade_sim::PortVcd;
 use cascade_trace::{
     expose, Arg, Counter, Histogram, MetricSnapshot, Registry, RequestCtx, SnapValue, SpanRef,
     TraceSink, LATENCY_BUCKETS_S,
@@ -248,8 +250,8 @@ pub struct Runtime {
     iterations: u64,
 
     compiler: BackgroundCompiler,
-    /// Design of the current main subprogram (what gets compiled).
-    hw_design: Option<Arc<Design>>,
+    /// Hardware form of the current main subprogram (what gets compiled).
+    hw_source: Option<Arc<HwSource>>,
     native: bool,
     open_loop_last: bool,
     /// Adaptive open-loop budget in cycles (paper Sec. 4.4: "adaptive
@@ -332,10 +334,7 @@ impl Runtime {
     /// Returns [`CascadeError`] only on internal stdlib declaration
     /// failures.
     pub fn new(board: Board, config: JitConfig) -> Result<Self, CascadeError> {
-        let mut lib = ModuleLibrary::new();
-        for m in cascade_stdlib::stdlib_modules() {
-            lib.insert(m);
-        }
+        let lib = cascade_stdlib::stdlib_library().clone();
         // Seed the adaptive open-loop budget from the device clock: one
         // batch ≈ one control-return period at full fabric speed. The
         // controller rescales from measured cost after the first batch.
@@ -366,7 +365,7 @@ impl Runtime {
             wall: VirtualWall::new(),
             iterations: 0,
             compiler: BackgroundCompiler::with_capacity(cache_capacity),
-            hw_design: None,
+            hw_source: None,
             native: false,
             open_loop_last: false,
             open_loop_budget,
@@ -976,7 +975,7 @@ impl Runtime {
             self.wires.clear();
             self.clock_idx = 0;
             self.main_idx = None;
-            self.hw_design = None;
+            self.hw_source = None;
             self.plan = None;
         }
     }
@@ -1093,9 +1092,11 @@ impl Runtime {
     pub fn enter_native(&mut self) -> Result<(), CascadeError> {
         self.verify_speculation()?;
         let design = self
-            .hw_design
-            .clone()
-            .ok_or_else(|| CascadeError::NativeIneligible("no user logic".to_string()))?;
+            .hw_source
+            .as_ref()
+            .ok_or_else(|| CascadeError::NativeIneligible("no user logic".to_string()))?
+            .elaborate()
+            .map_err(CascadeError::Elaborate)?;
         let mut tc = self.config.toolchain.clone();
         tc.overhead_les = 0;
         let bitstream = tc.compile(&design)?;
@@ -1110,7 +1111,7 @@ impl Runtime {
         let forwarded = self.collect_forwarded();
         let native = NativeEngine::new(Arc::clone(&bitstream.netlist), forwarded)
             .map_err(|e| CascadeError::NativeIneligible(e.to_string()))?;
-        let main_idx = self.main_idx.expect("hw_design implies main");
+        let main_idx = self.main_idx.expect("hw_source implies main");
         self.slots[main_idx].install(SlotEngine::Native(Box::new(native)));
         self.rebind(main_idx);
         // Only the clock and the native engine remain.
@@ -1147,6 +1148,12 @@ impl Runtime {
         self.native = false;
         self.version += 1;
         self.rebuild()
+    }
+
+    /// The hardware form of the current main subprogram (test support).
+    #[cfg(test)]
+    pub(crate) fn hw_source(&self) -> Option<&HwSource> {
+        self.hw_source.as_deref()
     }
 
     /// Test and instrumentation support: blocks until any in-flight
@@ -1558,13 +1565,20 @@ impl Runtime {
         // The main engine (if there is user logic).
         let has_user_logic = !transformed.items.is_empty();
         let mut main_idx = None;
-        let mut hw_design = None;
+        let mut hw_source = None;
         if has_user_logic {
-            // Software design includes not-yet-executed statements/initials.
-            let sw_design = Arc::new(self.elaborate_subprogram(&transformed)?);
-            // The hardware design excludes one-shot items entirely.
-            let hw_module = strip_one_shot(&transformed);
-            let hw = Arc::new(self.elaborate_subprogram(&hw_module)?);
+            // The software design includes not-yet-executed statements and
+            // initials; the hardware form, which excludes them, is
+            // elaborated where it is compiled. (Function inlining happens
+            // inside `cascade_sim::elaborate`.)
+            let mut lib = self.lib.clone();
+            let mut sub = transformed;
+            sub.name = SUBPROGRAM.to_string();
+            lib.insert(sub);
+            let sw_design = Arc::new(
+                cascade_sim::elaborate(SUBPROGRAM, &lib, &ParamEnv::new())
+                    .map_err(CascadeError::Elaborate)?,
+            );
             // Prior state is restored *before* initial blocks and freshly
             // eval'ed statements execute, so probes observe live values.
             let engine = SwEngine::with_options(
@@ -1578,7 +1592,7 @@ impl Runtime {
                 ROOT.to_string(),
                 SlotEngine::Software(Box::new(engine)),
             ));
-            hw_design = Some(hw);
+            hw_source = Some(Arc::new(HwSource::new(lib)));
         }
 
         // 4. Resolve wires (plus the implicit clock wire to peripherals).
@@ -1616,7 +1630,7 @@ impl Runtime {
         self.wires = resolved;
         self.clock_idx = clock_idx;
         self.main_idx = main_idx;
-        self.hw_design = hw_design;
+        self.hw_source = hw_source;
         self.rebind_tap();
         self.lower_plan();
 
@@ -1662,7 +1676,7 @@ impl Runtime {
         // configuration: a partitioned program would need one compile per
         // engine, which the paper's flow sidesteps by inlining first).
         if self.config.auto_compile && self.config.inline {
-            if let Some(design) = &self.hw_design {
+            if let Some(source) = &self.hw_source {
                 // The compile work is attributed to the submitting request:
                 // one child span covers the whole toolchain flow (attempts,
                 // backoff) and rides into the shared pool so dedup joins can
@@ -1670,7 +1684,7 @@ impl Runtime {
                 let (at, parent) = self.req_at();
                 self.compiler.set_origin(at, parent);
                 self.compiler.submit(
-                    Arc::clone(design),
+                    Arc::clone(source),
                     self.config.toolchain.clone(),
                     self.version,
                     self.wall.seconds(),
@@ -1690,17 +1704,6 @@ impl Runtime {
         }
         self.trace_mode();
         Ok(())
-    }
-
-    /// Elaborates a transformed subprogram against the user library.
-    /// (Function inlining happens inside `cascade_sim::elaborate`.)
-    fn elaborate_subprogram(&self, module: &Module) -> Result<Design, CascadeError> {
-        let mut lib = self.lib.clone();
-        let mut m = module.clone();
-        m.name = "__cascade_sub".to_string();
-        lib.insert(m);
-        cascade_sim::elaborate("__cascade_sub", &lib, &ParamEnv::new())
-            .map_err(CascadeError::Elaborate)
     }
 
     // ------------------------------------------------------------------
@@ -2551,15 +2554,6 @@ fn compose_root(entries: &[RootEntry], for_engine: bool) -> Module {
         items,
         span: Span::synthetic(),
     }
-}
-
-/// A copy of the module without one-shot (statement/initial) items — the
-/// form that goes to the hardware toolchain.
-fn strip_one_shot(module: &Module) -> Module {
-    let mut out = module.clone();
-    out.items
-        .retain(|i| !matches!(i, ModuleItem::Statement(_) | ModuleItem::Initial(_)));
-    out
 }
 
 /// Determines the external components visible to the root subprogram: the

@@ -918,17 +918,17 @@ fn negedge_design_runs_in_hardware_closed_loop() {
 
 #[test]
 fn resubmitting_unchanged_design_hits_bitstream_cache() {
-    use crate::BackgroundCompiler;
+    use crate::{BackgroundCompiler, HwSource};
     use std::sync::Arc;
 
     let lib = cascade_sim::library_from_source(
-        "module M(input wire clk_val, output wire [7:0] led_val);\n\
+        "module __cascade_sub(input wire clk_val, output wire [7:0] led_val);\n\
          reg [7:0] c = 0;\n\
          always @(posedge clk_val) c <= c + 1;\n\
          assign led_val = c;\nendmodule",
     )
     .unwrap();
-    let design = Arc::new(cascade_sim::elaborate("M", &lib, &Default::default()).unwrap());
+    let design = Arc::new(HwSource::new(lib));
     let tc = Toolchain::new(Device::cyclone_v());
     let mut bc = BackgroundCompiler::new();
 
@@ -982,4 +982,80 @@ fn runtime_stats_expose_compile_cache_counters() {
     // worker ran, none could hit.
     assert_eq!(stats.compile_cache_hits, 0);
     assert!(stats.compile_cache_misses >= 1);
+}
+
+/// One generated REPL line over a small shared vocabulary (regs `r0..r3`,
+/// wires `w0..w1`, functions `f0..f1`, integers `i0..i1`), so most lines
+/// resolve against earlier ones. One-shot items — bare statements and
+/// `initial` blocks — are frequent, including ones that are the only user
+/// of a function, an integer or a system task.
+fn arb_repl_line(rng: &mut cascade_bits::Prng) -> String {
+    fn expr(rng: &mut cascade_bits::Prng) -> String {
+        let r = rng.below(4);
+        match rng.below(5) {
+            0 => format!("r{r}"),
+            1 => format!("(r{r} + 8'd{})", rng.below(256)),
+            2 => format!("w{}", rng.below(2)),
+            3 => format!("f{}(r{r})", rng.below(2)),
+            _ => format!("(r{r} ^ r{})", rng.below(4)),
+        }
+    }
+    let (r, n, k) = (rng.below(4), rng.below(2), rng.below(256));
+    match rng.below(12) {
+        0 => format!("reg [7:0] r{r} = {k};"),
+        1 => format!("wire [7:0] w{n} = {};", expr(rng)),
+        2 => format!("always @(posedge clk.val) r{r} <= {};", expr(rng)),
+        3 => format!("initial r{r} = {};", expr(rng)),
+        4 => format!(
+            "initial begin : b{k} r{r} = {}; $display(\"%d\", {}); end",
+            expr(rng),
+            expr(rng)
+        ),
+        5 => format!("r{r} = {};", expr(rng)),
+        6 => format!("$display(\"r=%d\", {});", expr(rng)),
+        7 => format!("function [7:0] f{n}(input [7:0] x); f{n} = x ^ 8'd{k}; endfunction"),
+        8 => format!("integer i{n};"),
+        9 => format!("initial for (i{n} = 0; i{n} < 3; i{n} = i{n} + 1) r{r} = r{r} + f{n}(r{r});"),
+        10 => format!("assign led.val = {};", expr(rng)),
+        _ => format!("always @(posedge clk.val) if (r{r} == 8'd{k}) $display(\"hit\");"),
+    }
+}
+
+/// The hardware form is elaborated where it is compiled, not at eval, so
+/// a hardware form that failed to elaborate would no longer fail the eval.
+/// None can: stripping one-shot items from a program whose software form
+/// elaborated leaves one that elaborates — they declare nothing, and every
+/// check is per item. Checked on generated programs after every line.
+#[test]
+fn a_program_that_evals_has_a_hardware_form_that_elaborates() {
+    let mut rng = cascade_bits::Prng::new(0x0e1a_b0a7);
+    let mut one_shot = 0;
+    for case in 0..150 {
+        let (mut rt, _) = runtime(no_compile_config());
+        // Most of the vocabulary up front, so most later lines resolve.
+        for r in 0..4 {
+            rt.eval(&format!("reg [7:0] r{r} = {r};")).expect("reg");
+        }
+        rt.eval("function [7:0] f0(input [7:0] x); f0 = x + 8'd1; endfunction")
+            .expect("function");
+        for _ in 0..12 {
+            let line = arb_repl_line(&mut rng);
+            if rt.eval(&line).is_err() {
+                continue;
+            }
+            let statement = line.starts_with('r') && !line.starts_with("reg");
+            if statement || line.starts_with("initial") || line.starts_with('$') {
+                one_shot += 1;
+            }
+            if let Some(hw) = rt.hw_source() {
+                if let Err(e) = hw.elaborate() {
+                    panic!("case {case}: `{line}` evaluated, but the hardware form fails: {e}");
+                }
+            }
+        }
+    }
+    assert!(
+        one_shot > 300,
+        "only {one_shot} one-shot lines were accepted"
+    );
 }

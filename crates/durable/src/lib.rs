@@ -296,6 +296,47 @@ impl DurableFs {
         }
     }
 
+    /// Removes `paths` in order (missing files are skipped), then fsyncs
+    /// their parent directory — the write-ahead rule applied to deletion:
+    /// a removal is acknowledged only once it is durable. Foreground:
+    /// consults the fault schedule. A fault removes a prefix of `paths` —
+    /// none when the process dies before the write, the first half on a
+    /// torn write, all but the last on a partial one, every file on a lost
+    /// fsync (the unlinks landed, their durability was never confirmed) —
+    /// so callers list the newest file last.
+    pub fn remove_all(&self, paths: &[PathBuf]) -> Result<(), DurableError> {
+        self.check()?;
+        let Some(fault) = self.inner.faults.next_durable_fault() else {
+            for path in paths {
+                match std::fs::remove_file(path) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                        return Err(DurableError::Io(e.to_string()));
+                    }
+                    _ => {}
+                }
+            }
+            // Skipped only where directories cannot be opened, as for a
+            // rename in `write_atomic`.
+            if let Some(dir) = paths.first().and_then(|p| p.parent()) {
+                if let Ok(d) = File::open(dir) {
+                    Self::io(d.sync_all())?;
+                }
+            }
+            return Ok(());
+        };
+        let cut = match fault {
+            DurableFault::Crash => 0,
+            DurableFault::TornWrite => paths.len() / 2,
+            DurableFault::PartialWrite => paths.len().saturating_sub(1),
+            DurableFault::LostFsync => paths.len(),
+        };
+        for path in &paths[..cut] {
+            let _ = std::fs::remove_file(path);
+        }
+        self.crash();
+        Err(DurableError::Injected(fault))
+    }
+
     /// Reads a single-record file written by [`DurableFs::write_atomic`].
     /// Trailing bytes after the record are corruption, not slack.
     pub fn read_record(&self, path: &Path) -> Result<Vec<u8>, ReadError> {
@@ -502,6 +543,39 @@ mod tests {
         assert!(fs.write_atomic(&p, b"new-version").is_err());
         assert!(matches!(fs0.read_record(&p), Err(ReadError::Corrupt(_))));
         let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn removal_faults_leave_a_prefix_removed() {
+        let cases = [
+            (None, 3),
+            (Some(F::Crash), 0),
+            (Some(F::TornWrite), 1),
+            (Some(F::PartialWrite), 2),
+            (Some(F::LostFsync), 3),
+        ];
+        for (fault, removed) in cases {
+            let d = tdir(&format!("rm-{fault:?}"));
+            let fs0 = DurableFs::new(FaultPlan::none());
+            let paths: Vec<PathBuf> = (0..3).map(|g| d.join(format!("s1-{g}.jnl"))).collect();
+            for p in &paths {
+                fs0.append(p, b"rec").unwrap();
+            }
+            let plan = match fault {
+                Some(f) => FaultPlan::builder().durable_fault(1, f).build(),
+                None => FaultPlan::none(),
+            };
+            let fs = DurableFs::new(plan);
+            assert_eq!(fs.remove_all(&paths).is_ok(), fault.is_none(), "{fault:?}");
+            let gone: Vec<bool> = paths.iter().map(|p| !p.exists()).collect();
+            let want: Vec<bool> = (0..3).map(|i| i < removed).collect();
+            assert_eq!(gone, want, "{fault:?}");
+            // Missing files are skipped, not errors.
+            if fault.is_none() {
+                fs.remove_all(&paths).unwrap();
+            }
+            let _ = std::fs::remove_dir_all(&d);
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub struct SynthError {
 }
 
 impl SynthError {
-    fn new(message: impl Into<String>) -> Self {
+    /// A synthesis failure with this message.
+    pub fn new(message: impl Into<String>) -> Self {
         SynthError {
             message: message.into(),
         }

@@ -39,7 +39,7 @@ use cascade_core::{
     panic_message, CascadeError, CompilePool, CompileQueue, ExecMode, HibernateImage, JitConfig,
     Repl, ReplResponse, Runtime,
 };
-use cascade_durable::{codec, quarantine, BitstreamStore, DurableFs};
+use cascade_durable::{codec, quarantine, BitstreamStore, DurableError, DurableFs};
 use cascade_fpga::{ArbiterConfig, Board, Fleet};
 use cascade_trace::{
     export_jsonl, expose, merge, render_timeline, Arg, Histogram, MetricSnapshot, Registry,
@@ -427,12 +427,21 @@ impl Durability {
 }
 
 /// Per-session journal state; the lock also serializes appends against
-/// compaction.
+/// compaction and close.
 struct JournalState {
     /// Current journal generation. Compaction writes generation `n+1`
     /// complete (one checkpoint record) before removing generation `n`,
     /// so a fault mid-compaction never destroys acknowledged state.
     gen: u64,
+    /// Oldest generation that may still be on disk (an older one whose
+    /// removal failed stays until close).
+    oldest: u64,
+}
+
+impl JournalState {
+    fn at(gen: u64) -> JournalState {
+        JournalState { gen, oldest: gen }
+    }
 }
 
 /// One journaled command, re-applied at the session's first post-recovery
@@ -1028,7 +1037,7 @@ impl Server {
             needs_resume: AtomicBool::new(false),
             last_seq: AtomicU64::new(0),
             last_reply: Mutex::new(None),
-            journal: Mutex::new(JournalState { gen: 0 }),
+            journal: Mutex::new(JournalState::at(0)),
             replay: Mutex::new(None),
             dirty: AtomicBool::new(false),
         });
@@ -2022,6 +2031,9 @@ impl Shared {
         codec::put_u64(&mut payload, m.output_bytes.load(Ordering::Relaxed));
         codec::put_u64(&mut payload, self.lease_us_total(session));
         let mut journal = session.journal.lock_unpoisoned();
+        if session.closed.load(Ordering::Relaxed) {
+            return false; // its journal is removed, and must stay removed
+        }
         let next = journal.gen + 1;
         if d.fs
             .write_atomic(&d.journal_path(session.id, next), &payload)
@@ -2029,11 +2041,40 @@ impl Shared {
         {
             return false; // old generation remains authoritative
         }
-        let _ = std::fs::remove_file(d.journal_path(session.id, journal.gen));
+        let removed = std::fs::remove_file(d.journal_path(session.id, journal.gen)).is_ok();
+        if removed && journal.oldest == journal.gen {
+            journal.oldest = next;
+        }
         journal.gen = next;
         drop(journal);
         session.dirty.store(false, Ordering::Relaxed);
         true
+    }
+
+    /// Closes a session durably: every journal generation is removed, oldest
+    /// first, and the removal is fsynced before the close may be
+    /// acknowledged — so a closed session does not come back at recovery.
+    /// The session is marked closed under the journal lock, which keeps a
+    /// concurrent compaction from writing a generation behind the removal,
+    /// and leaves the session table before the close is acknowledged, so
+    /// the old token cannot resume it. A failed removal leaves the session
+    /// open and unacknowledged.
+    fn close_session(&self, session: &Session) -> Result<(), DurableError> {
+        let journal = session.journal.lock_unpoisoned();
+        if let Some(d) = &self.durable {
+            let paths: Vec<PathBuf> = (journal.oldest..=journal.gen)
+                .map(|gen| d.journal_path(session.id, gen))
+                .collect();
+            if let Err(e) = d.fs.remove_all(&paths) {
+                drop(journal);
+                self.dump_flight("journal removal failed");
+                return Err(e);
+            }
+        }
+        session.closed.store(true, Ordering::Relaxed);
+        drop(journal);
+        self.sessions.lock_unpoisoned().remove(&session.id);
+        Ok(())
     }
 
     /// Compacts a dormant session's journal from its stored image
@@ -2303,12 +2344,17 @@ fn ensure_repl(
             }
             Cmd::Close { tx } => {
                 // Close without waking: discard the image, drop the session.
+                if let Err(e) = shared.close_session(session) {
+                    shared.restore_dormant(session, image);
+                    if let Some(tx) = tx {
+                        let _ = tx.send(err(format!("close not acknowledged: {e}")));
+                    }
+                    return Disposition::Handled;
+                }
                 if let Dormant::Disk { path, .. } = &image {
                     let _ = std::fs::remove_file(path);
                 }
                 drop(image);
-                session.closed.store(true, Ordering::Relaxed);
-                shared.sessions.lock_unpoisoned().remove(&session.id);
                 match tx {
                     Some(tx) => {
                         let _ = tx.send(ok([]));
@@ -2612,7 +2658,7 @@ fn parse_journal_name(name: &str) -> Option<(u64, u64)> {
 }
 
 /// Installs one recovered session as a dormant tenant awaiting `resume`.
-fn install_recovered(shared: &Shared, id: u64, gen: u64, rec: RecoveredSession) {
+fn install_recovered(shared: &Shared, id: u64, gen: u64, oldest: u64, rec: RecoveredSession) {
     let has_replay = !rec.replay.is_empty();
     let session = Arc::new(Session {
         id,
@@ -2647,7 +2693,7 @@ fn install_recovered(shared: &Shared, id: u64, gen: u64, rec: RecoveredSession) 
         needs_resume: AtomicBool::new(true),
         last_seq: AtomicU64::new(rec.last_seq),
         last_reply: Mutex::new(rec.last_reply),
-        journal: Mutex::new(JournalState { gen }),
+        journal: Mutex::new(JournalState { gen, oldest }),
         replay: Mutex::new(if has_replay { Some(rec.replay) } else { None }),
         // A pending replay means the stored image alone is stale —
         // compaction must wait until the suffix has been applied.
@@ -2679,7 +2725,6 @@ fn rehydrate(shared: &Shared) {
     let mut max_id = 0u64;
     for (id, mut generations) in gens {
         generations.sort_unstable_by(|a, b| b.cmp(a));
-        let mut chosen: Option<u64> = None;
         for &gen in &generations {
             let path = d.journal_path(id, gen);
             let scan = match d.fs.read_journal(&path) {
@@ -2696,21 +2741,20 @@ fn rehydrate(shared: &Shared) {
             }
             match decode_journal(&scan.records) {
                 Ok(rec) => {
-                    install_recovered(shared, id, gen, rec);
-                    chosen = Some(gen);
+                    // This generation supersedes every older one.
+                    let mut oldest = gen;
+                    for &older in generations.iter().filter(|&&g| g < gen) {
+                        if std::fs::remove_file(d.journal_path(id, older)).is_err() {
+                            oldest = older;
+                        }
+                    }
+                    install_recovered(shared, id, gen, oldest, rec);
+                    max_id = max_id.max(id);
                     break;
                 }
                 Err(_) => {
                     let _ = quarantine(&path);
                     shared.recovery_quarantined.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        if let Some(kept) = chosen {
-            max_id = max_id.max(id);
-            for &gen in &generations {
-                if gen < kept {
-                    let _ = std::fs::remove_file(d.journal_path(id, gen));
                 }
             }
         }
@@ -3022,11 +3066,18 @@ fn execute(
         }
         Cmd::Hibernate { tx } => return Flow::Hibernate(tx),
         Cmd::Close { tx } => {
-            session.closed.store(true, Ordering::Relaxed);
-            if let Some(tx) = tx {
-                let _ = tx.send(ok([]));
-            } else {
-                shared.sessions_reaped.fetch_add(1, Ordering::Relaxed);
+            let closed = shared.close_session(session);
+            match (tx, closed) {
+                (Some(tx), Ok(())) => {
+                    let _ = tx.send(ok([]));
+                }
+                (Some(tx), Err(e)) => {
+                    let _ = tx.send(err(format!("close not acknowledged: {e}")));
+                }
+                (None, Ok(())) => {
+                    shared.sessions_reaped.fetch_add(1, Ordering::Relaxed);
+                }
+                (None, Err(_)) => {}
             }
         }
     }

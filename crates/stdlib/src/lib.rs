@@ -12,9 +12,10 @@
 use cascade_bits::Bits;
 use cascade_fpga::Board;
 use cascade_verilog::ast::Module;
-use cascade_verilog::typecheck::ParamEnv;
+use cascade_verilog::typecheck::{ModuleLibrary, ParamEnv};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 mod components;
 
@@ -80,6 +81,20 @@ pub fn stdlib_modules() -> Vec<Module> {
             _ => None,
         })
         .collect()
+}
+
+/// The standard-library declarations as a module library, parsed once per
+/// process. A runtime starts from a clone of it, which shares the parsed
+/// modules instead of re-parsing them.
+pub fn stdlib_library() -> &'static ModuleLibrary {
+    static LIB: OnceLock<ModuleLibrary> = OnceLock::new();
+    LIB.get_or_init(|| {
+        let mut lib = ModuleLibrary::new();
+        for m in stdlib_modules() {
+            lib.insert(m);
+        }
+        lib
+    })
 }
 
 /// An integer handle for one port of a component (or of an engine in the

@@ -24,6 +24,10 @@
 //!   trace ring to `last-crash.trace.jsonl` through the raw sidecar path,
 //!   and recovery surfaces a decodable dump whose final record is the
 //!   `dump` marker naming why the recorder fired.
+//! - **Closed stays closed**: one tenant closes near the end of the
+//!   script. An acknowledged close leaves no session to resume and no
+//!   journal file; after an unacknowledged one, a session that is still
+//!   there holds the oracle's pre-close state.
 //!
 //! A separate graceful pass per seed checks **counter monotonicity**: a
 //! drain → recover restart must never make a `serve_*_total` counter go
@@ -36,7 +40,7 @@
 
 use cascade_fpga::{DurableFault, FaultPlan};
 use cascade_serve::{InProcClient, Json, Request, ServeConfig, Server};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Crash campaign parameters.
@@ -98,6 +102,7 @@ enum Op {
     Run(u64, u64),
     Drain(u64),
     Fifo(u64, Vec<u64>, u64),
+    Close,
 }
 
 /// The deterministic script: a flat interleaving of tenant ops.
@@ -152,6 +157,11 @@ fn generate_script(seed: u64, tenants: u32, bursts: u32) -> Script {
     for t in 0..tenants {
         let s = seq(&mut seqs, t);
         ops.push((t, Op::Drain(s)));
+        // The first tenant leaves once drained, before the others' last
+        // drains, so crash points follow its close as well as precede it.
+        if t == 0 {
+            ops.push((t, Op::Close));
+        }
     }
     Script { ops, tenants }
 }
@@ -164,6 +174,8 @@ struct TenantState {
     lines: Vec<String>,
     ticks: u64,
     fifo_accepted: u64,
+    /// The tenant's close took effect.
+    closed: bool,
     /// Last acknowledged sequenced op and its reply text (dedup check).
     last_acked: Option<(Op, String)>,
 }
@@ -188,6 +200,7 @@ fn op_request(session: u64, op: &Op) -> Request {
             data: data.clone(),
             seq: *seq,
         },
+        Op::Close => Request::Close { session },
     }
 }
 
@@ -211,9 +224,10 @@ fn absorb(state: &mut TenantState, op: &Op, reply: &Json) {
         Op::Fifo(..) => {
             state.fifo_accepted += reply.get("pushed").and_then(Json::as_u64).unwrap_or(0);
         }
+        Op::Close => state.closed = true,
         Op::Eval(..) => {}
     }
-    if !matches!(op, Op::Open) {
+    if !matches!(op, Op::Open | Op::Close) {
         state.last_acked = Some((op.clone(), reply.to_string()));
     }
 }
@@ -243,6 +257,46 @@ fn run_ops(
         absorb(state, op, &reply);
     }
     script.ops.len()
+}
+
+/// Whether any journal generation of session `id` is on disk.
+fn journal_left(dir: &Path, id: u64) -> bool {
+    let prefix = format!("s{id}-");
+    std::fs::read_dir(dir.join("sessions")).is_ok_and(|entries| {
+        entries.flatten().any(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.starts_with(&prefix) && name.ends_with(".jnl")
+        })
+    })
+}
+
+/// Checks that a closed tenant left nothing behind.
+fn assert_gone(
+    client: &mut InProcClient,
+    dir: &Path,
+    t: usize,
+    state: &TenantState,
+    report: &mut CrashReport,
+    here: &dyn Fn(&str) -> String,
+) {
+    let Some(id) = state.session else { return };
+    let resumed = client
+        .raw(&Request::Resume {
+            session: id,
+            token: state.token,
+        })
+        .is_ok_and(|r| r.get("ok").and_then(Json::as_bool) == Some(true));
+    if resumed {
+        report
+            .violations
+            .push(here(&format!("tenant {t} resumed after its close")));
+    }
+    if journal_left(dir, id) {
+        report
+            .violations
+            .push(here(&format!("tenant {t} left a journal after its close")));
+    }
 }
 
 fn server_stat(server: &Arc<Server>, key: &str) -> u64 {
@@ -347,7 +401,7 @@ fn sweep_point(
     let server = Server::new(durable_config(&dir, plan));
     let mut client = InProcClient::connect(&server);
     let mut states = vec![TenantState::default(); script.tenants];
-    let cursor = run_ops(&mut client, script, &mut states, 0);
+    let mut cursor = run_ops(&mut client, script, &mut states, 0);
     drop(client);
     drop(server);
 
@@ -393,10 +447,20 @@ fn sweep_point(
         ))),
     }
     let mut client = InProcClient::connect(&recovered);
+    let here_k = |s: &str| here(&format!("k={k} {fault:?}: {s}"));
+    // The tenant whose close the crash interrupted, if it did.
+    let closing = match script.ops.get(cursor) {
+        Some((t, Op::Close)) => Some(*t),
+        _ => None,
+    };
     for (t, state) in states.iter_mut().enumerate() {
         let Some(id) = state.session else {
             continue; // crashed before this tenant's open; retried below
         };
+        if state.closed {
+            assert_gone(&mut client, &dir, t, state, report, &here_k);
+            continue;
+        }
         match client.raw(&Request::Resume {
             session: id,
             token: state.token,
@@ -404,12 +468,38 @@ fn sweep_point(
             Ok(r) if r.get("ok").and_then(Json::as_bool) == Some(true) => {
                 report.resumes += 1;
             }
+            // The unacknowledged close took effect before the crash: the
+            // session is gone, so the script moves past the close.
+            Ok(_) if closing == Some(t) => {
+                state.closed = true;
+                cursor += 1;
+                assert_gone(&mut client, &dir, t, state, report, &here_k);
+                continue;
+            }
             Ok(r) => report.violations.push(here(&format!(
                 "k={k} {fault:?}: tenant {t} resume rejected: {r}"
             ))),
             Err(e) => report.violations.push(here(&format!(
                 "k={k} {fault:?}: tenant {t} resume failed: {e}"
             ))),
+        }
+        if closing == Some(t) {
+            // Still here after an unacknowledged close: it must hold the
+            // oracle's pre-close state (the close follows its last run).
+            let expected = oracle.states[t].ticks & 0xffff;
+            let got = client
+                .raw(&Request::Probe {
+                    session: id,
+                    port: "cnt".to_string(),
+                })
+                .ok()
+                .and_then(|r| r.get("value").and_then(Json::as_u64));
+            if got != Some(expected) {
+                report.violations.push(here_k(&format!(
+                    "tenant {t} holds cnt {got:?} after an unacknowledged close, \
+                     not the pre-close {expected}"
+                )));
+            }
         }
         // Exactly-once dedup: re-sending the last acknowledged seq must
         // return the stored reply verbatim, not re-execute.
@@ -468,6 +558,15 @@ fn sweep_point(
                 .push(here(&format!("k={k} {fault:?}: tenant {t} never opened")));
             continue;
         };
+        if want.closed {
+            if !state.closed {
+                report
+                    .violations
+                    .push(here_k(&format!("tenant {t} never closed")));
+            }
+            assert_gone(&mut client, &dir, t, state, report, &here_k);
+            continue;
+        }
         let expected = want.ticks & 0xffff; // step 1
         match client.raw(&Request::Probe {
             session: id,
@@ -544,6 +643,10 @@ fn graceful_pass(script: &Script, report: &mut CrashReport, here: &dyn Fn(&str) 
     // Every tenant must resume and still hold its acknowledged state.
     for (t, state) in states.iter().enumerate() {
         let Some(id) = state.session else { continue };
+        if state.closed {
+            assert_gone(&mut client, &dir, t, state, report, here);
+            continue;
+        }
         let resumed = client
             .raw(&Request::Resume {
                 session: id,

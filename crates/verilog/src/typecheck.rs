@@ -9,6 +9,7 @@ use crate::ast::*;
 use crate::source::{Diagnostic, FrontendResult, Phase, Span};
 use cascade_bits::Bits;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Resolved parameter values, in declaration order.
 pub type ParamEnv = BTreeMap<String, Bits>;
@@ -321,9 +322,13 @@ pub fn resolve_params(module: &Module, overrides: &ParamEnv) -> FrontendResult<P
 }
 
 /// A library of module declarations used to resolve instantiations.
+///
+/// Declarations are immutable once inserted and shared behind an [`Arc`],
+/// so cloning a library (a runtime stages one per eval) bumps reference
+/// counts instead of copying ASTs.
 #[derive(Debug, Clone, Default)]
 pub struct ModuleLibrary {
-    modules: BTreeMap<String, Module>,
+    modules: BTreeMap<String, Arc<Module>>,
 }
 
 impl ModuleLibrary {
@@ -334,12 +339,12 @@ impl ModuleLibrary {
 
     /// Adds (or replaces) a module declaration.
     pub fn insert(&mut self, module: Module) {
-        self.modules.insert(module.name.clone(), module);
+        self.modules.insert(module.name.clone(), Arc::new(module));
     }
 
     /// Looks up a module by name.
     pub fn get(&self, name: &str) -> Option<&Module> {
-        self.modules.get(name)
+        self.modules.get(name).map(|m| &**m)
     }
 
     /// Whether a module with this name exists.
@@ -349,7 +354,7 @@ impl ModuleLibrary {
 
     /// Iterates over the declared modules.
     pub fn iter(&self) -> impl Iterator<Item = &Module> {
-        self.modules.values()
+        self.modules.values().map(|m| &**m)
     }
 }
 

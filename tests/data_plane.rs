@@ -29,10 +29,12 @@ thread_local! {
     // Const-initialised and without a destructor, so touching it from
     // inside the allocator never allocates or registers anything.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+fn count_alloc(bytes: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations (and reallocations) made by the calling thread in `f`.
@@ -42,16 +44,24 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
+/// Bytes allocated (a reallocation counts its new size) by the calling
+/// thread in `f`.
+fn bytes_allocated_in(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -681,6 +691,23 @@ fn sink_plane_ticks_allocate_nothing() {
     rt.eval(TENANT).expect("eval");
     assert_eq!(allocations_per_window(&mut rt, &board, false), 0);
     assert_eq!(rt.data_plane_batched_ticks(), 2500);
+}
+
+/// An eval allocates for what it adds, not for the whole program: the
+/// sixth line of the edit session, typed into a runtime that holds the
+/// first five, with nothing compiled. The bound sits between a runtime
+/// that deep-copies its module library and elaborates the hardware form on
+/// the calling thread (156 062 bytes) and one that shares the library and
+/// leaves that elaboration to the toolchain (108 247 bytes).
+#[test]
+fn an_eval_allocates_for_the_edit_not_the_library() {
+    let config = JitConfig::default().without("auto_compile");
+    let mut rt = Runtime::new(Board::new(), config).expect("runtime");
+    for src in &EDIT_SESSION[..5] {
+        rt.eval(src).expect("eval");
+    }
+    let bytes = bytes_allocated_in(|| rt.eval(EDIT_SESSION[5]).expect("eval"));
+    assert!(bytes < 132 << 10, "the sixth eval allocated {bytes} bytes");
 }
 
 /// The FNV-1a offset basis: the hash of an empty transcript.

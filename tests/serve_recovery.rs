@@ -346,3 +346,75 @@ fn fifo_residue_survives_drain_and_recovery() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A closed session stays closed: close removes every journal generation,
+/// durably, before it is acknowledged, so recovery neither finds a file
+/// nor lets the old token resume it. Covers a session closed live, one
+/// closed dormant after hibernation compacted its journal to a later
+/// generation, and one reaped idle; an open session is the control.
+#[test]
+fn closed_sessions_do_not_come_back_after_recovery() {
+    let dir = scratch("close");
+    let mut config = durable_config(&dir);
+    // Long enough that no other session idles out while the test runs.
+    config.idle_timeout_s = 2.0;
+    let server = Server::new(config);
+    let session = |ticks: u64| {
+        let mut c = InProcClient::connect(&server);
+        let id = c.open().expect("open");
+        let token = c.token().expect("token");
+        c.eval_all(COUNTER).expect("eval");
+        assert_eq!(c.run(ticks).expect("run").ticks, ticks);
+        (c, id, token)
+    };
+    let (reaped, reaped_id, reaped_token) = session(30);
+    drop(reaped);
+    let mut stats = InProcClient::connect(&server);
+    let idle = std::time::Instant::now();
+    while stat_u64(&stats.server_stats().expect("stats"), "sessions_reaped") == 0 {
+        assert!(idle.elapsed().as_secs() < 60, "the idle session is reaped");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let (mut live, live_id, live_token) = session(10);
+    live.close().expect("close live");
+    let (mut dormant, dormant_id, dormant_token) = session(20);
+    assert!(dormant.hibernate().expect("hibernate"), "hibernated");
+    assert!(
+        journal_files(&dir)
+            .iter()
+            .any(|p| p.ends_with(format!("s{dormant_id}-1.jnl"))),
+        "hibernation compacts the journal to generation 1"
+    );
+    dormant.close().expect("close dormant");
+    let (mut kept, kept_id, kept_token) = session(5);
+    assert_eq!(kept.probe("cnt").expect("probe"), Some(5));
+    let names: Vec<String> = journal_files(&dir)
+        .iter()
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        names,
+        [format!("s{kept_id}-0.jnl")],
+        "only the open journal"
+    );
+    drop((live, dormant, kept, stats));
+    drop(server);
+
+    let recovered = Server::recover(durable_config(&dir));
+    let mut client = InProcClient::connect(&recovered);
+    let stats = client.server_stats().expect("stats");
+    assert_eq!(stat_u64(&stats, "recovered_sessions"), 1);
+    for (id, token) in [
+        (live_id, live_token),
+        (dormant_id, dormant_token),
+        (reaped_id, reaped_token),
+    ] {
+        client
+            .resume(id, token)
+            .expect_err("a closed session cannot be resumed");
+    }
+    client
+        .resume(kept_id, kept_token)
+        .expect("resume the open one");
+    assert_eq!(client.probe("cnt").expect("probe"), Some(5));
+}
