@@ -145,7 +145,7 @@ pub fn emit_served_cycle(sink: &TraceSink, cycle: u64) {
                 0,
                 at(1),
                 root,
-                &[version[0], ("bytecode", Arg::Bool(true))],
+                &version,
             );
             sink.instant_ctx(track, "compile", "submit", virt_ns, at(2), root, &version);
             sink.span_ctx(track, "jit", "eval", virt_ns, 0, at(3), root, &version);

@@ -67,6 +67,10 @@ const STORE_HIT_LATENCY_S: f64 = 2.0;
 /// would grow without limit.
 pub const DEFAULT_BITSTREAM_CACHE_CAPACITY: usize = 64;
 
+/// Default bound on a shared [`CompilePool`]'s pending-job queue (oldest
+/// jobs are shed past it).
+pub const DEFAULT_COMPILE_QUEUE_CAPACITY: usize = 16;
+
 /// Lowers the calling thread to background priority: nice 10, the `nice`
 /// command's default increment. Every toolchain thread calls it first
 /// thing, so the compile the paper runs "in the background" takes only the
@@ -97,10 +101,11 @@ fn run_in_background() {
 pub(crate) const SUBPROGRAM: &str = "__cascade_sub";
 
 /// A program's hardware form before elaboration: the library its software
-/// design was elaborated against, holding the subprogram as
-/// [`SUBPROGRAM`]. It is elaborated where it is consumed — on the
-/// toolchain thread, or when native mode is entered — so an eval
-/// elaborates once, and not at all for hardware nobody compiles.
+/// design was elaborated against, holding the subprogram under the
+/// crate's internal subprogram name. It is elaborated where it is
+/// consumed — on the toolchain thread, or when native mode is entered —
+/// so an eval elaborates once, and not at all for hardware nobody
+/// compiles.
 pub struct HwSource {
     lib: ModuleLibrary,
 }
@@ -797,12 +802,10 @@ impl Default for BackgroundCompiler {
 impl BackgroundCompiler {
     /// An idle compiler with a private, default-bounded cache.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_BITSTREAM_CACHE_CAPACITY)
-    }
-
-    /// An idle compiler with a private cache bounded to `cache_capacity`.
-    pub fn with_capacity(cache_capacity: usize) -> Self {
-        Self::build(Arc::new(BitstreamCache::new(cache_capacity)), None)
+        Self::build(
+            Arc::new(BitstreamCache::new(DEFAULT_BITSTREAM_CACHE_CAPACITY)),
+            None,
+        )
     }
 
     /// An idle compiler submitting into a shared pool (the pool's cache
@@ -881,8 +884,8 @@ impl BackgroundCompiler {
     }
 
     /// Compiles whose synthesized netlist + toolchain matched a cached
-    /// bitstream (and so returned in ~[`CACHE_HIT_LATENCY_S`]). Shared
-    /// across sessions when pooled.
+    /// bitstream (and so returned in the modeled ~1 s cache-hit latency).
+    /// Shared across sessions when pooled.
     pub fn cache_hits(&self) -> u64 {
         self.cache.hits()
     }

@@ -5,6 +5,17 @@ use cascade_trace::TraceSink;
 
 /// Cascade's optimization policy (paper Sec. 4). Every stage can be toggled
 /// independently — the ablation benchmarks exercise exactly these switches.
+///
+/// A field is here because some caller sets it. What nobody varies is a
+/// constant instead: software engines always run bytecode (the
+/// tree-walking `Simulator` is a test oracle, not a runtime option), the
+/// implicit `pad`/`led` take the stdlib's own `WIDTH` defaults (4 and 8),
+/// compile retries back off and time out per [`RetryPolicy::default`],
+/// and the private bitstream cache holds
+/// [`DEFAULT_BITSTREAM_CACHE_CAPACITY`] entries.
+///
+/// [`RetryPolicy::default`]: crate::RetryPolicy
+/// [`DEFAULT_BITSTREAM_CACHE_CAPACITY`]: crate::DEFAULT_BITSTREAM_CACHE_CAPACITY
 #[derive(Debug, Clone)]
 pub struct JitConfig {
     /// Inline user logic into a single subprogram (Sec. 4.2, Fig. 9.2).
@@ -18,9 +29,6 @@ pub struct JitConfig {
     pub open_loop: bool,
     /// Start background hardware compilations automatically.
     pub auto_compile: bool,
-    /// Bytecode-compile software engines (the tree-walking interpreter is
-    /// kept as the semantic oracle and ablation baseline).
-    pub sw_compile: bool,
     /// Target modeled time between open-loop control returns, in seconds
     /// (the adaptive profiler aims here; paper: "a small number of
     /// seconds").
@@ -29,30 +37,17 @@ pub struct JitConfig {
     pub toolchain: Toolchain,
     /// Modeled per-operation costs.
     pub costs: CostModel,
-    /// Width of the implicit button pad.
-    pub pad_width: u32,
-    /// Width of the implicit LED bank.
-    pub led_width: u32,
-    /// Bound on the bitstream compile cache (entries, LRU-evicted). Only
-    /// used for the runtime's private cache; a shared
-    /// [`CompilePool`](crate::CompilePool) brings its own bound.
-    pub bitstream_cache_capacity: usize,
     /// Deterministic fault schedule injected into the toolchain, fabric,
     /// and workers. Inactive by default.
     pub faults: FaultPlan,
     /// How many times a transiently-failed compilation (fault, hang,
     /// worker panic) is retried before the failure surfaces. Terminal
-    /// design errors are never retried.
+    /// design errors are never retried. The backoff between tries and the
+    /// watchdog on each are [`RetryPolicy::default`]'s, in modeled seconds
+    /// scaled by the toolchain's `time_scale`.
+    ///
+    /// [`RetryPolicy::default`]: crate::RetryPolicy
     pub compile_max_retries: u32,
-    /// Base of the exponential retry backoff, in *modeled* seconds
-    /// (scaled by the toolchain's `time_scale` like compile latency).
-    pub compile_backoff_s: f64,
-    /// Modeled watchdog deadline for one toolchain run: a compile that
-    /// has not surfaced an outcome this long after submission is
-    /// cancelled as hung and retried. Must exceed the modeled compile
-    /// latency of legitimate designs (defaults leave ~5× headroom).
-    /// `0` disables the watchdog.
-    pub compile_watchdog_s: f64,
     /// While a hardware engine runs the main program, verify its
     /// configuration by readback scrubbing every this many ticks;
     /// user-visible output produced between scrubs is quarantined until
@@ -78,17 +73,11 @@ impl Default for JitConfig {
             forwarding: true,
             open_loop: true,
             auto_compile: true,
-            sw_compile: true,
             open_loop_target_s: 1.0,
             toolchain: Toolchain::new(Device::cyclone_v()),
             costs: CostModel::default(),
-            pad_width: 4,
-            led_width: 8,
-            bitstream_cache_capacity: crate::compiler::DEFAULT_BITSTREAM_CACHE_CAPACITY,
             faults: FaultPlan::none(),
             compile_max_retries: 3,
-            compile_backoff_s: 30.0,
-            compile_watchdog_s: 3600.0,
             scrub_interval_ticks: 4096,
             checkpoint_interval_ticks: 4096,
             trace: TraceSink::disabled(),
@@ -116,7 +105,6 @@ impl JitConfig {
             "forwarding" => self.forwarding = false,
             "open_loop" => self.open_loop = false,
             "auto_compile" => self.auto_compile = false,
-            "sw_compile" => self.sw_compile = false,
             other => panic!("unknown JIT stage `{other}`"),
         }
         self

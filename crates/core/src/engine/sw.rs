@@ -1,24 +1,25 @@
-//! Software engines: subprograms executed by `cascade-sim`
-//! (paper Sec. 5.1). These begin execution in under a second and run until
-//! the background hardware compilation delivers a replacement.
+//! Software engines: subprograms executed by `cascade-sim`'s bytecode
+//! [`CompiledSim`] (paper Sec. 5.1). These begin execution in under a
+//! second and run until the background hardware compilation delivers a
+//! replacement. The tree-walking `Simulator` is the semantic oracle the
+//! tests, `verify` and the Fig. 11 baseline check this engine against; it
+//! is not a runtime option.
 //!
-//! The execution backend is selected by `JitConfig::sw_compile`: the
-//! bytecode-compiling [`SwSim::Compiled`] backend by default, or the
-//! tree-walking oracle for ablation. A software engine has no open loop: it
-//! is driven through the [`Engine`] calls of the scheduler's walk, made
-//! either by the walk itself or by the plane batch (`crate::plane`), which
-//! makes the same calls in the same order without the runtime in the loop
-//! and which the virtual clock charges alike.
+//! A software engine has no open loop: it is driven through the [`Engine`]
+//! calls of the scheduler's walk, made either by the walk itself or by the
+//! plane batch (`crate::plane`), which makes the same calls in the same
+//! order without the runtime in the loop and which the virtual clock
+//! charges alike.
 
 use crate::engine::{Engine, EngineError, EngineKind, EngineState, PortId, TaskEvent};
 use cascade_bits::Bits;
 use cascade_fpga::CostModel;
-use cascade_sim::{Design, SimEvent, SwSim, VarClass, VarId};
+use cascade_sim::{CompiledSim, Design, SimEvent, VarClass, VarId};
 use std::sync::Arc;
 
-/// An engine interpreting or bytecode-executing one subprogram.
+/// An engine bytecode-executing one subprogram.
 pub struct SwEngine {
-    sim: SwSim,
+    sim: CompiledSim,
     design: Arc<Design>,
     last_activations: u64,
     last_statements: u64,
@@ -30,44 +31,43 @@ impl SwEngine {
     /// Builds and initializes a software engine, restoring `prior` state
     /// *before* running `initial` blocks — newly eval'ed statements must
     /// observe the live program state they were typed against (paper
-    /// Sec. 3.5). `compiled = false` selects the tree-walking oracle over
-    /// the bytecode backend.
+    /// Sec. 3.5).
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] if time-zero settlement fails.
-    pub fn with_options(
-        design: Arc<Design>,
-        prior: Option<&EngineState>,
-        compiled: bool,
-    ) -> Result<Self, EngineError> {
-        let mut sim = SwSim::new(Arc::clone(&design), compiled);
-        if let Some(state) = prior {
-            for (name, value) in &state.regs {
-                if let Some(id) = design.var(name) {
-                    sim.force(id, value.clone());
-                }
-            }
-            for (name, words) in &state.mems {
-                if let Some(id) = design.var(name) {
-                    for (i, w) in words.iter().enumerate() {
-                        sim.poke_array(id, i as u64, w.clone());
-                    }
-                }
-            }
-        }
-        sim.initialize()?;
-        Ok(SwEngine {
-            sim,
+    pub fn new(design: Arc<Design>, prior: Option<&EngineState>) -> Result<Self, EngineError> {
+        let mut engine = SwEngine {
+            sim: CompiledSim::new(Arc::clone(&design)),
             design,
             last_activations: 0,
             last_statements: 0,
             half_steps: 0,
-        })
+        };
+        if let Some(state) = prior {
+            engine.write_state(state);
+        }
+        engine.sim.initialize()?;
+        Ok(engine)
     }
 
-    /// Switches on execution profiling in the underlying simulator
-    /// (compiled backend only).
+    /// Writes `state`'s registers and memories without triggering events.
+    fn write_state(&mut self, state: &EngineState) {
+        for (name, value) in &state.regs {
+            if let Some(id) = self.design.var(name) {
+                self.sim.force(id, value.clone());
+            }
+        }
+        for (name, words) in &state.mems {
+            if let Some(id) = self.design.var(name) {
+                for (i, w) in words.iter().enumerate() {
+                    self.sim.poke_array(id, i as u64, w.clone());
+                }
+            }
+        }
+    }
+
+    /// Switches on execution profiling in the underlying simulator.
     pub fn enable_profiling(&mut self) {
         self.sim.enable_profiling();
     }
@@ -95,7 +95,7 @@ impl SwEngine {
     /// `read` of a level into a one-bit input (the clock, resolved by
     /// [`SwEngine::input_var`]), without `Bits`.
     pub(crate) fn drive_clock(&mut self, var: VarId, level: bool) {
-        self.sim.drive_clock(var, level);
+        self.sim.poke_bit(var, level as u64);
     }
 
     /// Whether `drain_tasks` has anything to hand over. Task events stay
@@ -130,18 +130,7 @@ impl Engine for SwEngine {
     }
 
     fn set_state(&mut self, state: &EngineState) {
-        for (name, value) in &state.regs {
-            if let Some(id) = self.design.var(name) {
-                self.sim.force(id, value.clone());
-            }
-        }
-        for (name, words) in &state.mems {
-            if let Some(id) = self.design.var(name) {
-                for (i, w) in words.iter().enumerate() {
-                    self.sim.poke_array(id, i as u64, w.clone());
-                }
-            }
-        }
+        self.write_state(state);
         // Re-settle combinational logic around the restored state (force
         // does not generate events).
         let _ = self.sim.resettle();
@@ -207,10 +196,10 @@ impl Engine for SwEngine {
     }
 
     fn take_cost_ns(&mut self, costs: &CostModel) -> f64 {
-        let acts = self.sim.activations() - self.last_activations;
-        self.last_activations = self.sim.activations();
-        let stmts = self.sim.statements() - self.last_statements;
-        self.last_statements = self.sim.statements();
+        let acts = self.sim.activations - self.last_activations;
+        self.last_activations = self.sim.activations;
+        let stmts = self.sim.statements - self.last_statements;
+        self.last_statements = self.sim.statements;
         acts as f64 * costs.sw_activation_ns + stmts as f64 * costs.sw_statement_ns
     }
 

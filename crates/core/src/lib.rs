@@ -43,7 +43,7 @@ pub mod transform;
 
 pub use compiler::{
     BackgroundCompiler, BitstreamCache, CompileOutcome, CompilePool, CompileQueue, HwSource,
-    RetryPolicy, DEFAULT_BITSTREAM_CACHE_CAPACITY,
+    RetryPolicy, DEFAULT_BITSTREAM_CACHE_CAPACITY, DEFAULT_COMPILE_QUEUE_CAPACITY,
 };
 pub use config::JitConfig;
 pub use engine::{Engine, EngineKind, EngineState, TaskEvent};

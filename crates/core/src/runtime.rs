@@ -343,7 +343,6 @@ impl Runtime {
             .device
             .open_loop_batch_hint(config.open_loop_target_s)
             .min(1 << 22) as f64;
-        let cache_capacity = config.bitstream_cache_capacity;
         let registry = Registry::new();
         let metrics = RuntimeMetrics::from_registry(&registry);
         let trace = config.trace.clone();
@@ -364,7 +363,7 @@ impl Runtime {
             finished: false,
             wall: VirtualWall::new(),
             iterations: 0,
-            compiler: BackgroundCompiler::with_capacity(cache_capacity),
+            compiler: BackgroundCompiler::new(),
             hw_source: None,
             native: false,
             open_loop_last: false,
@@ -500,10 +499,11 @@ impl Runtime {
     /// by the toolchain's time scale (like compile latency itself).
     fn retry_policy(&self) -> RetryPolicy {
         let scale = self.config.toolchain.time_scale;
+        let modeled = RetryPolicy::default();
         RetryPolicy {
             max_retries: self.config.compile_max_retries,
-            backoff_s: self.config.compile_backoff_s * scale,
-            watchdog_s: self.config.compile_watchdog_s * scale,
+            backoff_s: modeled.backoff_s * scale,
+            watchdog_s: modeled.watchdog_s * scale,
         }
     }
 
@@ -889,7 +889,7 @@ impl Runtime {
         }
         // Validate the composed root module.
         let root_module = compose_root(&staged_root, false);
-        let externals = root_externals(&root_module, &staged_lib, &self.config)?;
+        let externals = root_externals(&root_module, &staged_lib)?;
         let mut wires = Vec::new();
         let transformed =
             transform_module(ROOT, &root_module, &externals, &staged_lib, &mut wires)?;
@@ -1200,8 +1200,9 @@ impl Runtime {
         Ok(true)
     }
 
-    /// Freezes this runtime into a portable [`HibernateImage`]: the
-    /// committed source log plus a verified checkpoint of every engine.
+    /// Freezes this runtime into a portable
+    /// [`HibernateImage`](crate::HibernateImage): the committed source log
+    /// plus a verified checkpoint of every engine.
     /// Routes through the same machinery as [`Runtime::checkpoint_now`],
     /// so any open speculation window is scrubbed (and re-executed on
     /// corruption) before its state is trusted. After this returns the
@@ -1474,7 +1475,7 @@ impl Runtime {
         // data/control plane; with inlining (Fig. 9.2) they stay inside the
         // single main subprogram.
         let root_module = compose_root(&self.root, true);
-        let mut externals = root_externals(&root_module, &self.lib, &self.config)?;
+        let mut externals = root_externals(&root_module, &self.lib)?;
         let mut child_specs: Vec<(String, String, ParamEnv)> = Vec::new();
         if !self.config.inline {
             for item in &root_module.items {
@@ -1550,12 +1551,8 @@ impl Runtime {
         for (inst_name, module_name, params) in &child_specs {
             let design = cascade_sim::elaborate(module_name, &self.lib, params)
                 .map_err(CascadeError::Elaborate)?;
-            let engine = SwEngine::with_options(
-                Arc::new(design),
-                saved.get(inst_name.as_str()),
-                self.config.sw_compile,
-            )
-            .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
+            let engine = SwEngine::new(Arc::new(design), saved.get(inst_name.as_str()))
+                .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
             slots.push(Slot::new(
                 inst_name.clone(),
                 SlotEngine::Software(Box::new(engine)),
@@ -1581,12 +1578,8 @@ impl Runtime {
             );
             // Prior state is restored *before* initial blocks and freshly
             // eval'ed statements execute, so probes observe live values.
-            let engine = SwEngine::with_options(
-                Arc::clone(&sw_design),
-                saved.get(ROOT),
-                self.config.sw_compile,
-            )
-            .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
+            let engine = SwEngine::new(Arc::clone(&sw_design), saved.get(ROOT))
+                .map_err(|e| CascadeError::Unsupported(e.to_string()))?;
             main_idx = Some(slots.len());
             slots.push(Slot::new(
                 ROOT.to_string(),
@@ -1648,10 +1641,10 @@ impl Runtime {
         // Initial propagation so peripherals see time-zero outputs.
         self.propagate();
 
-        // Building (or bytecode-compiling) the software engine is itself a
-        // JIT phase: announce it so the timeline shows the interpreter →
-        // compiled-software step. Modeled duration is zero — software
-        // compilation is instantaneous on the virtual clock.
+        // Bytecode-compiling the software engine is itself a JIT phase:
+        // announce it so the timeline shows the software step. Modeled
+        // duration is zero — software compilation is instantaneous on the
+        // virtual clock.
         if let (Some(idx), true) = (self.main_idx, self.trace.enabled()) {
             if let Some(sw) = self.slots[idx].engine.software() {
                 sw.enable_profiling();
@@ -1665,10 +1658,7 @@ impl Runtime {
                 0,
                 at,
                 parent,
-                &[
-                    ("version", Arg::U64(self.version)),
-                    ("bytecode", Arg::Bool(self.config.sw_compile)),
-                ],
+                &[("version", Arg::U64(self.version))],
             );
         }
 
@@ -1925,26 +1915,17 @@ impl Runtime {
         let Some(main_idx) = self.main_idx else {
             return Ok(());
         };
-        self.last_scrub_iter = self.iterations;
-        let ok = match self.slots[main_idx].engine.hardware() {
-            Some(hw) => hw.scrub_ok(),
+        match self.scrub_readback() {
+            Some(true) => {}
+            Some(false) => {
+                self.recovery_log.push(
+                    "scrub detected a fabric soft error; rolled back to the last checkpoint"
+                        .to_string(),
+                );
+                return self.rollback_to_checkpoint();
+            }
             None => return Ok(()),
-        };
-        self.metrics.scrubs.inc();
-        self.trace_instant("scrub", &[("ok", Arg::Bool(ok))]);
-        if !ok {
-            self.metrics.scrub_detections.inc();
-            self.trace_instant("scrub_detection", &[]);
-            self.recovery_log.push(
-                "scrub detected a fabric soft error; rolled back to the last checkpoint"
-                    .to_string(),
-            );
-            return self.rollback_to_checkpoint();
         }
-        // Clean window: the quarantined output is real.
-        let q = std::mem::take(&mut self.quarantine);
-        self.output.extend(q);
-        self.take_checkpoint();
         match self.config.faults.next_scrub_fault() {
             Some(FabricFault::SoftError { salt }) => {
                 let slot = &mut self.slots[main_idx];
@@ -2029,33 +2010,34 @@ impl Runtime {
     /// explicit checkpoints). On corruption the window is re-executed in
     /// software before control returns.
     fn verify_speculation(&mut self) -> Result<(), CascadeError> {
-        if !self.speculating() {
+        if !self.speculating() || self.scrub_readback() != Some(false) {
             return Ok(());
         }
-        let Some(main_idx) = self.main_idx else {
-            return Ok(());
-        };
-        let ok = match self.slots[main_idx].engine.hardware() {
-            Some(hw) => hw.scrub_ok(),
-            None => return Ok(()),
-        };
+        self.recovery_log.push(
+            "scrub detected a fabric soft error; re-executed the window in software".to_string(),
+        );
+        self.rollback_and_replay()
+    }
+
+    /// The readback both scrub paths share: checks the fabric's
+    /// configuration, counts and traces the scrub, and then commits the
+    /// quarantined output and advances the checkpoint on a clean window,
+    /// or counts the detection. `None` when the main engine is not
+    /// hardware; the caller logs and recovers from a detection.
+    fn scrub_readback(&mut self) -> Option<bool> {
+        let ok = self.slots[self.main_idx?].engine.hardware()?.scrub_ok();
+        self.last_scrub_iter = self.iterations;
         self.metrics.scrubs.inc();
         self.trace_instant("scrub", &[("ok", Arg::Bool(ok))]);
-        self.last_scrub_iter = self.iterations;
         if ok {
             let q = std::mem::take(&mut self.quarantine);
             self.output.extend(q);
             self.take_checkpoint();
-            Ok(())
         } else {
             self.metrics.scrub_detections.inc();
             self.trace_instant("scrub_detection", &[]);
-            self.recovery_log.push(
-                "scrub detected a fabric soft error; re-executed the window in software"
-                    .to_string(),
-            );
-            self.rollback_and_replay()
         }
+        Some(ok)
     }
 
     // ------------------------------------------------------------------
@@ -2559,33 +2541,11 @@ fn compose_root(entries: &[RootEntry], for_engine: bool) -> Module {
 /// Determines the external components visible to the root subprogram: the
 /// implicit stdlib instances plus any stdlib modules instantiated in the
 /// root items.
-fn root_externals(
-    root: &Module,
-    lib: &ModuleLibrary,
-    config: &JitConfig,
-) -> Result<Externals, CascadeError> {
+fn root_externals(root: &Module, lib: &ModuleLibrary) -> Result<Externals, CascadeError> {
     let mut ext = Externals::new();
     ext.insert("clk".to_string(), ("Clock".to_string(), ParamEnv::new()));
-    ext.insert(
-        "pad".to_string(),
-        (
-            "Pad".to_string(),
-            ParamEnv::from([(
-                "WIDTH".to_string(),
-                Bits::from_u64(32, config.pad_width as u64),
-            )]),
-        ),
-    );
-    ext.insert(
-        "led".to_string(),
-        (
-            "Led".to_string(),
-            ParamEnv::from([(
-                "WIDTH".to_string(),
-                Bits::from_u64(32, config.led_width as u64),
-            )]),
-        ),
-    );
+    ext.insert("pad".to_string(), ("Pad".to_string(), ParamEnv::new()));
+    ext.insert("led".to_string(), ("Led".to_string(), ParamEnv::new()));
     ext.insert("rst".to_string(), ("Reset".to_string(), ParamEnv::new()));
     ext.insert("gpio".to_string(), ("GPIO".to_string(), ParamEnv::new()));
     // Explicit stdlib instances.

@@ -36,7 +36,7 @@ impl Transport for InProc {
 }
 
 /// TCP transport: newline-delimited JSON over a socket, framed by the
-/// rules in [`crate::frame`] (one write per request, `TCP_NODELAY`).
+/// rules in the `frame` module (one write per request, `TCP_NODELAY`).
 pub struct Tcp {
     reader: BufReader<TcpStream>,
     writer: TcpStream,

@@ -37,7 +37,7 @@ use crate::json::Json;
 use crate::protocol::{err, ok, Request};
 use cascade_core::{
     panic_message, CascadeError, CompilePool, CompileQueue, ExecMode, HibernateImage, JitConfig,
-    Repl, ReplResponse, Runtime,
+    Repl, ReplResponse, Runtime, DEFAULT_BITSTREAM_CACHE_CAPACITY, DEFAULT_COMPILE_QUEUE_CAPACITY,
 };
 use cascade_durable::{codec, quarantine, BitstreamStore, DurableError, DurableFs};
 use cascade_fpga::{ArbiterConfig, Board, Fleet};
@@ -200,12 +200,10 @@ pub struct ServeConfig {
     /// Lease arbitration tuning: hysteresis margin, modeled revocation
     /// cost, minimum tenure, dwell, and heat decay.
     pub arbiter: ArbiterConfig,
-    /// Background toolchain worker threads shared by all sessions.
+    /// Background toolchain worker threads shared by all sessions. Their
+    /// pool sheds the oldest job past [`DEFAULT_COMPILE_QUEUE_CAPACITY`]
+    /// pending and caches [`DEFAULT_BITSTREAM_CACHE_CAPACITY`] bitstreams.
     pub compile_workers: usize,
-    /// Bound on the pending compile-job queue (oldest jobs are shed).
-    pub compile_queue_capacity: usize,
-    /// Bound on the shared bitstream cache (entries, LRU).
-    pub compile_cache_capacity: usize,
     /// Session executor threads (one run-queue shard each).
     pub workers: usize,
     /// Bound on each session's `$display` output queue (lines).
@@ -244,7 +242,7 @@ pub struct ServeConfig {
     /// reservation in flight, so this is the *idle* scan period.
     pub sweeper_poll_ms: u64,
     /// Template JIT configuration for new sessions (toolchain model,
-    /// optimization switches, cache bound for solo runtimes).
+    /// optimization switches).
     pub jit: JitConfig,
     /// The shared trace sink every session records into (the session id
     /// is the track, so one ring holds the whole server's timeline).
@@ -259,8 +257,6 @@ impl Default for ServeConfig {
             fabrics: 2,
             arbiter: ArbiterConfig::default(),
             compile_workers: 2,
-            compile_queue_capacity: 16,
-            compile_cache_capacity: 64,
             workers: 4,
             output_capacity: 4096,
             idle_timeout_s: 300.0,
@@ -725,8 +721,8 @@ impl Server {
             .collect();
         let pool = CompilePool::with_store(
             config.compile_workers.max(1),
-            config.compile_queue_capacity.max(1),
-            config.compile_cache_capacity.max(1),
+            DEFAULT_COMPILE_QUEUE_CAPACITY,
+            DEFAULT_BITSTREAM_CACHE_CAPACITY,
             durable.as_ref().map(|d| Arc::clone(&d.store)),
         );
         let nworkers = config.workers.max(1);
@@ -2944,7 +2940,7 @@ fn execute(
                 ("ticks", done.into()),
                 ("backpressure", backpressure.into()),
                 ("finished", rt.is_finished().into()),
-                ("mode", mode_str(rt.mode()).into()),
+                ("mode", rt.mode().name().into()),
                 ("lease_held", rt.lease_held().into()),
             ]);
             // The journal records the ticks actually *performed* (`done`),
@@ -2983,7 +2979,7 @@ fn execute(
             let t_compile = Instant::now();
             let reply = match wait_compile(rt) {
                 Ok(()) => ok([
-                    ("mode", mode_str(rt.mode()).into()),
+                    ("mode", rt.mode().name().into()),
                     ("lease_held", rt.lease_held().into()),
                     ("hw_pending", rt.stats().hw_pending.into()),
                 ]),
@@ -3008,7 +3004,7 @@ fn execute(
                 ("version", stats.version.into()),
                 ("ticks", stats.ticks.into()),
                 ("wall_seconds", stats.wall_seconds.into()),
-                ("mode", mode_str(stats.mode).into()),
+                ("mode", stats.mode.name().into()),
                 ("lease_held", stats.lease_held.into()),
                 ("hw_pending", stats.hw_pending.into()),
                 ("promotions", stats.hw_promotions.into()),
@@ -3202,16 +3198,6 @@ fn finish_request(shared: &Shared, session: &Session, meta: &ReqMeta, acc: &mut 
                 ("other_us", Arg::U64(acc.ns[PH_OTHER] / 1000)),
             ],
         );
-    }
-}
-
-fn mode_str(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Idle => "idle",
-        ExecMode::Software => "software",
-        ExecMode::Hardware => "hardware",
-        ExecMode::HardwareForwarded => "hardware_forwarded",
-        ExecMode::Native => "native",
     }
 }
 

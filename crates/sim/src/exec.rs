@@ -569,9 +569,9 @@ impl CompiledSim {
     }
 
     /// Narrow single-bit poke without constructing a `Bits` (the tick hot
-    /// path).
+    /// path: the runtime delivers every clock edge through here).
     #[inline]
-    pub(crate) fn poke_bit(&mut self, id: VarId, v: u64) {
+    pub fn poke_bit(&mut self, id: VarId, v: u64) {
         match self.prog.vstore[id.0 as usize] {
             VStore::Narrow { width, .. } => {
                 self.apply_write_n(id, 0, 0, v & wmask(width), width);

@@ -38,7 +38,6 @@ mod exec;
 mod rir;
 #[allow(clippy::module_inception)]
 mod sim;
-mod swsim;
 mod vcd;
 
 pub use compile::{SwProgram, SwProgramStats};
@@ -51,7 +50,6 @@ pub use rir::{
     VarId, VarInfo,
 };
 pub use sim::{format_verilog, SimError, SimEvent, Simulator};
-pub use swsim::SwSim;
 pub use vcd::{PortVcd, VcdWriter};
 
 #[cfg(test)]

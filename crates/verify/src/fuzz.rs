@@ -5,7 +5,7 @@
 //! light up new `(key, log2-bucket)` coverage pairs — kernel kinds and
 //! levels from the arena evaluator's profile, opcodes from the bytecode
 //! engine's, structural features of the spec itself. Divergences are
-//! shrunk on the spot ([`crate::shrink`]) to a minimal design that still
+//! shrunk on the spot ([`crate::shrink()`]) to a minimal design that still
 //! reproduces the same `(engine, kind)` divergence class, and written as
 //! a self-contained `.v` repro the corpus replayer
 //! ([`replay_repro`]) can re-run without the spec.

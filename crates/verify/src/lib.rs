@@ -12,7 +12,7 @@
 //!    feedback loop over the per-kernel / per-opcode profile histograms
 //!    ([`coverage`]); every candidate runs across all engines
 //!    ([`diff`]) and any divergence is delta-debugged to a minimal
-//!    reproducing `.v` file ([`shrink`]).
+//!    reproducing `.v` file ([`shrink()`]).
 //! 2. **Bounded sequential equivalence checking** ([`bmc`]): two
 //!    synthesized netlists are unrolled K cycles into CNF and proven
 //!    equivalent (or a counterexample extracted) by an in-tree CDCL SAT

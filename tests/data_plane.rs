@@ -483,18 +483,13 @@ fn fifo_fallback_script(config: JitConfig) -> SinkPins {
 #[test]
 fn sink_planes_are_the_parents_modeled_machine() {
     let d = JitConfig::default;
-    let cases: [(&str, SinkPins, SinkPins); 5] = [
+    let cases: [(&str, SinkPins, SinkPins); 4] = [
         ("tenant", sink_script(&[TENANT], d()), PINS_TENANT),
         ("edit session", sink_script(&EDIT_SESSION, d()), PINS_EDIT),
         (
             "display tenant",
             sink_script(&DISPLAY_TENANT, d()),
             PINS_DISPLAY,
-        ),
-        (
-            "tenant, sw_compile off",
-            sink_script(&[TENANT], d().without("sw_compile")),
-            PINS_TREE,
         ),
         ("FIFO fallback", fifo_fallback_script(d()), PINS_FIFO),
     ];
@@ -607,7 +602,6 @@ fn planes_run_inside_the_software_engine() {
         500,
         "miner, software phase"
     );
-    assert_eq!(batched(TENANT, d().without("sw_compile"), false), 500);
     assert_eq!(
         batched(&matcher_src(), d(), false),
         500,
@@ -754,8 +748,6 @@ const PINS_DISPLAY: SinkPins = SinkPins {
     transcript_lines: 152,
     transcript: 10491522384437606611,
 };
-/// The tree-walking backend simulates the same machine.
-const PINS_TREE: SinkPins = PINS_TENANT;
 const PINS_FIFO: SinkPins = SinkPins {
     wall_bits: 4580167608861152805,
     ticks: 400,
@@ -858,12 +850,14 @@ fn traced_batches_attribute_like_the_walk() {
     assert_eq!(batched, walked);
 }
 
-/// `(seed, export length, FNV-1a of the export)` at the parent commit.
+/// `(seed, export length, FNV-1a of the export)` at the parent commit,
+/// less the `"bytecode":true` arg its `software_compile` spans carried
+/// (the arg is gone; every other byte is the parent's).
 const PARENT_TRACES: [(u64, usize, u64); 4] = [
-    (3, 31221, 0x892d_5a11_a04d_9470),
-    (11, 31221, 0xdec2_6ce2_f5e7_8b31),
-    (29, 33458, 0x4f2f_b2ed_b34a_3a9f),
-    (77, 34175, 0x177a_cfc7_6421_8677),
+    (3, 31109, 0x0f88_a9f1_cc3f_e025),
+    (11, 31109, 0xa006_5111_d491_c2b2),
+    (29, 33330, 0x6172_1585_9431_5ffb),
+    (77, 34031, 0xcd4e_fdaf_c4c2_68ec),
 ];
 
 #[test]

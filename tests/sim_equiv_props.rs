@@ -10,6 +10,10 @@
 //! division/remainder/arithmetic-shift, memories indexed by live state, and
 //! `$random` (side effects must line up activation for activation).
 //!
+//! A software engine's modeled cost is charged from the `activations` and
+//! `statements` counters, so the two backends must also count alike when
+//! driven the way the runtime drives a software engine.
+//!
 //! Randomized with the in-tree deterministic [`Prng`] (no registry access
 //! in the build environment, so `proptest` is unavailable). Every assertion
 //! carries the case seed; rerun a failure by fixing the seed locally.
@@ -248,5 +252,100 @@ fn compiled_matches_tree_walker_with_tasks() {
             );
             assert_eq!(sim.time(), c.time(), "time diverged (seed {seed})\n{src}");
         }
+    }
+}
+
+/// One scheduler iteration as the runtime's software engine makes it on
+/// `$sim`: `end_step` (time advances on every second one), the inputs and
+/// the clock level through `$drive`, then evaluation and update rounds
+/// until the engine is quiet.
+macro_rules! iteration {
+    ($sim:expr, $half:expr, $drive:expr) => {{
+        $sim.end_step();
+        if $half % 2 == 1 {
+            $sim.advance_time();
+        }
+        $drive;
+        loop {
+            while $sim.has_evals() {
+                $sim.eval_phase().unwrap();
+            }
+            if !$sim.has_updates() {
+                break;
+            }
+            $sim.apply_updates();
+        }
+    }};
+}
+
+/// The modeled clock charges a software engine by its `activations` and
+/// `statements` counters, so both backends, driven through the calls the
+/// runtime makes (clock level by `poke_id` on the tree walker and by
+/// `poke_bit` on the compiled engine), must count alike every half-tick.
+///
+/// Two divergences are known and accounted for exactly, so any other one
+/// fails. `statements` may differ on the activation that runs `$finish`
+/// (documented in `exec.rs`), so the counters are compared up to it. And
+/// the compiled engine elides full-width variable copies (`assign ow = w0;`
+/// here; `alias_elision` in `compile.rs`) into shared storage: the tree
+/// walker runs the copy as a process, one activation at time zero and one
+/// per half-tick in which `w0` changed, and the compiled engine runs
+/// nothing. That second one is a modeled-clock divergence between the
+/// backends, not a test artefact: a runtime program with such a copy
+/// (`assign led.val = cnt;`) is charged less than the tree walker would be.
+#[test]
+fn compiled_charges_the_modeled_clock_like_the_tree_walker() {
+    for seed in 0..48 {
+        let mut rng = Prng::new(seed);
+        let src = arb_module(&mut rng);
+        let design = design_of(&src);
+        let [clk, a, b] = ["clk", "a", "b"].map(|n| design.var(n).expect("port"));
+        let mut sim = Simulator::new(Arc::clone(&design));
+        let mut c = CompiledSim::new(Arc::clone(&design));
+        sim.seed_random(seed + 7);
+        c.seed_random(seed + 7);
+        sim.initialize().unwrap();
+        c.initialize().unwrap();
+        let w0 = design.var("w0").expect("w0");
+        let mut copies = 1u64;
+        let mut finished = false;
+        for half in 0..48u64 {
+            let level = half % 2 == 0;
+            let (va, vb) = (
+                Bits::from_u64(16, rng.next_u64() & 0xffff),
+                Bits::from_u64(16, rng.next_u64() & 0xffff),
+            );
+            let ctx = format!("half-tick {half} (seed {seed})\n{src}");
+            assert_eq!(
+                sim.activations,
+                c.activations + copies,
+                "activations at {ctx}"
+            );
+            assert_eq!(sim.statements, c.statements, "statements at {ctx}");
+            let before = sim.peek_id(w0);
+            iteration!(sim, half, {
+                sim.poke_id(a, va.clone());
+                sim.poke_id(b, vb.clone());
+                sim.poke_id(clk, Bits::from_bool(level));
+            });
+            iteration!(c, half, {
+                c.poke_id(a, va);
+                c.poke_id(b, vb);
+                c.poke_bit(clk, level as u64);
+            });
+            copies += u64::from(sim.peek_id(w0) != before);
+            assert_eq!(sim.is_finished(), c.is_finished(), "$finish at {ctx}");
+            assert_eq!(sim.time(), c.time(), "time at {ctx}");
+            if sim.is_finished() {
+                assert_eq!(
+                    sim.activations,
+                    c.activations + copies,
+                    "activations at {ctx}"
+                );
+                finished = true;
+                break;
+            }
+        }
+        assert!(finished, "no $finish (seed {seed})\n{src}");
     }
 }
