@@ -31,5 +31,29 @@ pub use bv::Bits;
 pub use parse::ParseBitsError;
 pub use prng::Prng;
 
+/// Mask covering the low `w` bits of a word: `0` at width 0, all ones
+/// from width 64 up.
+#[inline]
+pub fn wmask(w: u32) -> u64 {
+    if w >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << w) - 1
+    }
+}
+
+/// Sign-extends the low `w` bits of `v` to an `i64`: `0` at width 0, `v`
+/// itself from width 64 up.
+#[inline]
+pub fn sext(v: u64, w: u32) -> i64 {
+    if w == 0 {
+        0
+    } else if w >= 64 {
+        v as i64
+    } else {
+        ((v << (64 - w)) as i64) >> (64 - w)
+    }
+}
+
 #[cfg(test)]
 mod tests;

@@ -314,3 +314,22 @@ fn common_traits() {
     let d: Bits = 7u64.into();
     assert_eq!(d.width(), 64);
 }
+
+#[test]
+fn word_helpers_match_bits_exhaustively() {
+    use crate::{sext, wmask};
+    for w in 0..=8 {
+        assert_eq!(wmask(w), Bits::ones(w).to_u64(), "wmask({w})");
+        // Every 8-bit word, so bits above `w` must be ignored.
+        for v in 0..=u8::MAX as u64 {
+            let b = Bits::from_u64(w, v);
+            assert_eq!(sext(v, w), b.to_i64(), "sext({v:#x}, {w})");
+            assert_eq!(sext(v, w) as u64, b.resize_signed(64).to_u64());
+        }
+    }
+    for w in [63, 64, 65] {
+        assert_eq!(wmask(w), Bits::ones(w).resize(64).to_u64(), "wmask({w})");
+    }
+    assert_eq!(sext(1 << 62, 63), Bits::from_u64(63, 1 << 62).to_i64());
+    assert_eq!(sext(u64::MAX, 64), -1);
+}

@@ -6,20 +6,20 @@
 //! virtual wall clock — the runtime swaps the software engine for a hardware
 //! engine. From the user's perspective the program simply gets faster.
 //!
-//! Two execution arrangements share this module:
+//! Every compile runs as a job on a [`CompilePool`]: worker threads
+//! draining a bounded queue into one [`BitstreamCache`]. A runtime's
+//! [`BackgroundCompiler`] submits through a [`CompileQueue`] handle — a
+//! server's shared one, attached before the first eval, or else a private
+//! one-worker pool the compiler starts at its first submission and shuts
+//! down on drop. A job whose submitter has dispatched again (a newer
+//! version, a retry) or was dropped is skipped before it runs; concurrent
+//! submissions of the same synthesized netlist are coalesced by content
+//! hash — one compile runs, every waiter gets the result.
 //!
-//! - **Solo** (the single-user REPL): each [`BackgroundCompiler`] spawns a
-//!   worker thread per submission, with a private [`BitstreamCache`].
-//! - **Pooled** (the multi-tenant server): a [`CompilePool`] owns K worker
-//!   threads, a bounded job queue, and one shared cache; every session's
-//!   `BackgroundCompiler` submits through a [`CompileQueue`] handle.
-//!   Concurrent submissions of the same synthesized netlist are coalesced
-//!   by content hash — one compile runs, every waiter gets the result.
-//!
-//! Either way the toolchain runs *behind* the interactive loop: a job
-//! carries the program's [`HwSource`], which is elaborated on the toolchain
-//! thread rather than at eval, and every toolchain thread runs at
-//! background priority ([`run_in_background`]).
+//! The toolchain runs *behind* the interactive loop: a job carries the
+//! program's [`HwSource`], which is elaborated on the worker rather than at
+//! eval, and every worker runs at background priority
+//! ([`run_in_background`]).
 
 use cascade_durable::BitstreamStore;
 use cascade_fpga::{
@@ -67,8 +67,8 @@ const STORE_HIT_LATENCY_S: f64 = 2.0;
 /// would grow without limit.
 pub const DEFAULT_BITSTREAM_CACHE_CAPACITY: usize = 64;
 
-/// Default bound on a shared [`CompilePool`]'s pending-job queue (oldest
-/// jobs are shed past it).
+/// Default bound on a [`CompilePool`]'s pending-job queue (oldest jobs are
+/// shed past it).
 pub const DEFAULT_COMPILE_QUEUE_CAPACITY: usize = 16;
 
 /// Lowers the calling thread to background priority: nice 10, the `nice`
@@ -273,11 +273,10 @@ impl CompileOutcome {
 
 /// Registry-backed counters incremented by a [`BackgroundCompiler`].
 ///
-/// The runtime owns these handles and re-attaches them whenever it
-/// replaces its compiler (e.g. switching from a solo compiler to a shared
-/// [`CompileQueue`]), which is what keeps `RuntimeStats` recovery counters
-/// **monotonic across compiler swaps** — previously a swap silently reset
-/// retries/watchdog/panic counts to zero.
+/// The runtime owns these handles and re-attaches them when it replaces
+/// its compiler (attaching a shared [`CompileQueue`]), which is what keeps
+/// `RuntimeStats` recovery counters **monotonic across compiler swaps** —
+/// previously a swap silently reset retries/watchdog/panic counts to zero.
 #[derive(Clone, Debug)]
 pub struct CompilerMetrics {
     /// Transient-failure retries dispatched.
@@ -327,7 +326,7 @@ impl CompilerMetrics {
 }
 
 // ---------------------------------------------------------------------
-// Shared compile pool (the server's K toolchain workers)
+// Compile pool (toolchain workers over a bounded job queue)
 // ---------------------------------------------------------------------
 
 struct Job {
@@ -583,7 +582,7 @@ fn worker_loop(shared: &QueueShared) {
         let tx = job.tx.clone();
         let version = job.version;
         let scale = job.toolchain.time_scale;
-        if catch_unwind(AssertUnwindSafe(|| run_pooled_job(shared, job))).is_err() {
+        if catch_unwind(AssertUnwindSafe(|| run_job(shared, job))).is_err() {
             shared.worker_panics.fetch_add(1, Ordering::Relaxed);
             let _ = tx.send(panic_outcome(version, scale));
         }
@@ -624,7 +623,7 @@ impl Drop for InProgressGuard<'_> {
     }
 }
 
-fn run_pooled_job(shared: &QueueShared, job: Job) {
+fn run_job(shared: &QueueShared, job: Job) {
     let (netlist, tc, key, fp) = match synth_for_compile(&job.source, &job.toolchain, job.version) {
         Ok(parts) => parts,
         Err(outcome) => {
@@ -748,20 +747,23 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A single-slot background compiler (a newer submission supersedes an
-/// in-flight one: its result will be dropped as stale). Standalone by
-/// default; attach a [`CompileQueue`] to share a server-wide worker pool
-/// and cache instead of spawning a thread per submission.
+/// A single-slot background compiler: a newer submission supersedes an
+/// in-flight one, whose result is dropped as stale and whose job is skipped
+/// if no worker has taken it yet. It submits into a server-wide
+/// [`CompileQueue`] when one is attached; a bare compiler starts a private
+/// one-worker [`CompilePool`] at its first submission, and dropping the
+/// compiler shuts that pool down, waiting at most for the job in progress.
 pub struct BackgroundCompiler {
     rx: Option<Receiver<CompileOutcome>>,
-    handle: Option<JoinHandle<()>>,
     /// Wall time (modeled seconds) at submission.
     submitted_s: f64,
     submitted_version: u64,
     /// Completed outcome waiting for its modeled latency to elapse.
     staged: Option<CompileOutcome>,
-    cache: Arc<BitstreamCache>,
+    /// Where jobs go; `None` until a bare compiler's first submission.
     queue: Option<CompileQueue>,
+    /// The private pool behind `queue` when none was attached.
+    pool: Option<CompilePool>,
     policy: RetryPolicy,
     faults: FaultPlan,
     /// The current submission, kept for re-dispatch on transient failure.
@@ -773,23 +775,23 @@ pub struct BackgroundCompiler {
     metrics: CompilerMetrics,
     /// Phase spans (synthesis, place-and-route, backoff) are emitted from
     /// `poll`, which runs on the session thread against the modeled clock
-    /// — so traces stay deterministic even with pooled workers.
+    /// — so traces stay deterministic even with several workers.
     trace: TraceSink,
     /// Trace track (serve session id; 0 standalone).
     track: u64,
     /// The current submission's request span (zeroed when the submitter
-    /// has no request context): compile spans and pooled jobs carry it so
+    /// has no request context): compile spans and jobs carry it so
     /// one request's compile work stays in its span tree.
     origin: SpanRef,
     /// Parent span id for emitted compile spans (the request root).
     origin_parent: u64,
-    /// The liveness handle of the pooled job last dispatched.
+    /// The liveness handle of the job last dispatched.
     live: Option<Arc<AtomicBool>>,
 }
 
 impl Drop for BackgroundCompiler {
     fn drop(&mut self) {
-        self.abandon();
+        self.reset_in_flight();
     }
 }
 
@@ -800,29 +802,25 @@ impl Default for BackgroundCompiler {
 }
 
 impl BackgroundCompiler {
-    /// An idle compiler with a private, default-bounded cache.
+    /// An idle compiler that will compile on a private one-worker pool
+    /// with a default-bounded cache.
     pub fn new() -> Self {
-        Self::build(
-            Arc::new(BitstreamCache::new(DEFAULT_BITSTREAM_CACHE_CAPACITY)),
-            None,
-        )
+        Self::build(None)
     }
 
-    /// An idle compiler submitting into a shared pool (the pool's cache
-    /// replaces the private one).
+    /// An idle compiler submitting into a shared pool.
     pub fn with_queue(queue: CompileQueue) -> Self {
-        Self::build(Arc::clone(queue.cache()), Some(queue))
+        Self::build(Some(queue))
     }
 
-    fn build(cache: Arc<BitstreamCache>, queue: Option<CompileQueue>) -> Self {
+    fn build(queue: Option<CompileQueue>) -> Self {
         BackgroundCompiler {
             rx: None,
-            handle: None,
             submitted_s: 0.0,
             submitted_version: 0,
             staged: None,
-            cache,
             queue,
+            pool: None,
             policy: RetryPolicy::default(),
             faults: FaultPlan::none(),
             job: None,
@@ -836,8 +834,11 @@ impl BackgroundCompiler {
         }
     }
 
-    /// Tells the pool nobody awaits the job last dispatched.
-    fn abandon(&mut self) {
+    /// Ends the current run: nothing is awaited or staged any more, and
+    /// the pool skips its job if no worker has taken it yet.
+    fn reset_in_flight(&mut self) {
+        self.rx = None;
+        self.staged = None;
         if let Some(live) = self.live.take() {
             live.store(false, Ordering::Relaxed);
         }
@@ -861,7 +862,7 @@ impl BackgroundCompiler {
 
     /// Attributes the *next* submission (and its retries) to a request
     /// span: emitted compile spans carry `origin` with `parent`, and
-    /// pooled jobs carry `origin` so dedup joins can link to it. A default
+    /// jobs carry `origin` so dedup joins can link to it. A default
     /// `origin` clears attribution.
     pub fn set_origin(&mut self, origin: SpanRef, parent: u64) {
         self.origin = origin;
@@ -883,21 +884,26 @@ impl BackgroundCompiler {
         self.metrics.worker_panics.get()
     }
 
+    /// The cache of the queue this compiler submits into, once it has one.
+    fn cache(&self) -> Option<&BitstreamCache> {
+        self.queue.as_ref().map(|q| &**q.cache())
+    }
+
     /// Compiles whose synthesized netlist + toolchain matched a cached
     /// bitstream (and so returned in the modeled ~1 s cache-hit latency).
-    /// Shared across sessions when pooled.
+    /// Shared across sessions when the queue is.
     pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
+        self.cache().map_or(0, BitstreamCache::hits)
     }
 
     /// Compiles that ran the full modeled toolchain flow.
     pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
+        self.cache().map_or(0, BitstreamCache::misses)
     }
 
     /// Bitstreams evicted from the (bounded) cache.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
+        self.cache().map_or(0, BitstreamCache::evictions)
     }
 
     /// Whether a compile is in flight or staged.
@@ -928,73 +934,58 @@ impl BackgroundCompiler {
 
     fn dispatch(&mut self, source: Arc<HwSource>, toolchain: Toolchain, at_s: f64) {
         let (tx, rx) = channel();
-        let version = self.submitted_version;
-        let faults = self.faults.clone();
-        self.abandon();
-        if let Some(queue) = &self.queue {
-            let live = Arc::new(AtomicBool::new(true));
-            self.live = Some(Arc::clone(&live));
-            queue.submit(Job {
-                source,
-                toolchain,
-                version,
-                tx,
-                faults,
-                origin: self.origin,
-                origin_parent: self.origin_parent,
-                live,
-            });
-            self.handle = None;
-        } else {
-            let cache = Arc::clone(&self.cache);
-            let scale = toolchain.time_scale;
-            let handle = std::thread::spawn(move || {
-                run_in_background();
-                // The solo worker contains its own panics (the pooled
-                // equivalent lives in `worker_loop`).
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    compile_with_wrapper(&source, &toolchain, version, &cache, &faults)
-                }))
-                .unwrap_or_else(|_| panic_outcome(version, scale));
-                let _ = tx.send(outcome);
-            });
-            self.handle = Some(handle);
-        }
+        self.reset_in_flight();
+        let live = Arc::new(AtomicBool::new(true));
+        self.live = Some(Arc::clone(&live));
+        let job = Job {
+            source,
+            toolchain,
+            version: self.submitted_version,
+            tx,
+            faults: self.faults.clone(),
+            origin: self.origin,
+            origin_parent: self.origin_parent,
+            live,
+        };
+        let pool = &mut self.pool;
+        let queue = self.queue.get_or_insert_with(|| {
+            pool.insert(CompilePool::new(
+                1,
+                DEFAULT_COMPILE_QUEUE_CAPACITY,
+                DEFAULT_BITSTREAM_CACHE_CAPACITY,
+            ))
+            .queue()
+        });
+        queue.submit(job);
         self.rx = Some(rx);
         self.submitted_s = at_s;
-        self.staged = None;
     }
 
-    /// Moves a completed worker result into the staging slot. A
-    /// disconnected channel (pool shut down or shed the job) stages a
-    /// transient failure so the retry policy decides what happens next.
-    fn pump(&mut self) {
-        if self.staged.is_some() {
-            return;
-        }
+    /// Moves the worker's outcome into the staging slot, blocking for it
+    /// when `block`. A disconnected channel (the pool shed the job or shut
+    /// down) stages a transient failure so the retry policy decides what
+    /// happens next.
+    fn pump(&mut self, block: bool) {
         let Some(rx) = &self.rx else { return };
-        match rx.try_recv() {
-            Ok(outcome) => {
-                self.staged = Some(outcome);
-                self.rx = None;
-                if let Some(h) = self.handle.take() {
-                    let _ = h.join();
-                }
+        let received = if block {
+            rx.recv().ok()
+        } else {
+            match rx.try_recv() {
+                Ok(outcome) => Some(outcome),
+                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Disconnected) => None,
             }
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => {
-                self.rx = None;
-                self.handle = None;
-                self.staged = Some(CompileOutcome {
-                    version: self.submitted_version,
-                    result: Err(CompileError::TransientFault(
-                        "compile job shed by the pool".to_string(),
-                    )),
-                    latency: Duration::ZERO,
-                    cached: false,
-                });
-            }
-        }
+        };
+        let outcome = received.unwrap_or_else(|| CompileOutcome {
+            version: self.submitted_version,
+            result: Err(CompileError::TransientFault(
+                "compile job shed by the pool".to_string(),
+            )),
+            latency: Duration::ZERO,
+            cached: false,
+        });
+        self.reset_in_flight();
+        self.staged = Some(outcome);
     }
 
     /// Whether the current run cannot surface an outcome by its watchdog
@@ -1020,13 +1011,11 @@ impl BackgroundCompiler {
     /// to the policy bound and only then surfaced; terminal design errors
     /// surface immediately.
     pub fn poll(&mut self, wall_s: f64) -> Option<CompileOutcome> {
-        self.pump();
+        self.pump(false);
         if self.watchdog_expired(wall_s) {
             self.metrics.watchdog_cancels.inc();
             self.emit_attempt(self.policy.watchdog_s, Some("watchdog: toolchain hang"));
-            self.rx = None;
-            self.handle = None;
-            self.staged = None;
+            self.reset_in_flight();
             return self.retry_or_surface(CompileError::ToolchainHang, wall_s);
         }
         let ready = self
@@ -1184,20 +1173,12 @@ impl BackgroundCompiler {
     /// Blocks the calling thread until the worker finishes (test support;
     /// the modeled latency gate still applies to `poll`).
     pub fn wait_worker(&mut self) {
-        if let Some(rx) = &self.rx {
-            if let Ok(outcome) = rx.recv() {
-                self.staged = Some(outcome);
-            }
-            self.rx = None;
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
-            }
-        }
+        self.pump(true);
     }
 }
 
 // ---------------------------------------------------------------------
-// The compile flow (shared by solo and pooled workers)
+// The compile flow
 // ---------------------------------------------------------------------
 
 /// Elaboration, synthesis and cache-key derivation: the common prefix of
@@ -1326,31 +1307,6 @@ fn run_toolchain(
     }
 }
 
-/// Runs the full solo flow: synthesis, wrapper-overhead accounting, cache
-/// lookup, placement, timing.
-fn compile_with_wrapper(
-    source: &HwSource,
-    toolchain: &Toolchain,
-    version: u64,
-    cache: &BitstreamCache,
-    faults: &FaultPlan,
-) -> CompileOutcome {
-    if faults.next_worker_panic() {
-        panic!("injected compile-worker panic");
-    }
-    let (netlist, tc, key, fp) = match synth_for_compile(source, toolchain, version) {
-        Ok(parts) => parts,
-        Err(outcome) => return outcome,
-    };
-    if let Some(bs) = cache.get(key) {
-        cache.hits.fetch_add(1, Ordering::Relaxed);
-        return hit_outcome(bs, &tc, version, CACHE_HIT_LATENCY_S);
-    }
-    // The solo (single-user REPL) flow has no persistent store: warm
-    // restarts are a property of the pooled server.
-    run_toolchain(netlist, &tc, key, fp, version, cache, None, faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1444,11 +1400,58 @@ mod tests {
         assert_eq!(failed(&d), Some(false));
         assert_eq!(queue.skipped(), 4);
         for shed in [&mut a, &mut c] {
-            shed.pump();
+            shed.pump(false);
             assert_eq!(failed(shed), Some(true), "a shed job reads as transient");
         }
 
         shared.shut_down();
         worker.join().expect("worker");
+    }
+
+    /// A job the pool sheds reaches a submitter blocked in `wait_worker`
+    /// as a retryable failure, exactly as it reaches one that polls.
+    #[test]
+    fn a_shed_job_is_retried_after_wait_worker() {
+        let queue = CompileQueue {
+            shared: QueueShared::new(1, 8, None),
+        };
+        let tc = Toolchain::new(Device::cyclone_v());
+        let mut a = BackgroundCompiler::with_queue(queue.clone());
+        let mut b = BackgroundCompiler::with_queue(queue.clone());
+        a.submit(design(), tc.clone(), 1, 0.0);
+        b.submit(design(), tc, 1, 0.0);
+        assert_eq!(queue.dropped(), 1, "b's job sheds a's");
+        a.wait_worker();
+        assert!(a.busy(), "the shed job is staged, not lost");
+        assert!(a.poll(0.0).is_none(), "a shed job is retried");
+        assert_eq!(a.retries(), 1);
+        assert!(a.busy() && a.wake_at().is_some(), "the retry is in flight");
+    }
+
+    /// A bare compiler's one worker contains an injected panic and runs
+    /// the retry itself.
+    #[test]
+    fn a_bare_compilers_worker_survives_a_panic() {
+        let mut c = BackgroundCompiler::new();
+        c.configure(
+            RetryPolicy::default(),
+            FaultPlan::builder().worker_panic(1).build(),
+        );
+        c.submit(design(), Toolchain::new(Device::cyclone_v()), 1, 0.0);
+        let worker = |c: &BackgroundCompiler| {
+            let pool = c.pool.as_ref().expect("started at the first submission");
+            assert_eq!(pool.workers.len(), 1);
+            assert!(!pool.workers[0].is_finished(), "the worker is alive");
+            pool.workers[0].thread().id()
+        };
+        let first = worker(&c);
+        c.wait_worker();
+        assert!(c.poll(f64::INFINITY).is_none(), "the panic is retried");
+        assert_eq!((c.worker_panics(), c.retries()), (1, 1));
+        assert_eq!(c.queue.as_ref().map(CompileQueue::worker_panics), Some(1));
+        c.wait_worker();
+        let outcome = c.poll(f64::INFINITY).expect("the retry's outcome");
+        assert!(outcome.result.is_ok(), "{:?}", outcome.result);
+        assert_eq!(worker(&c), first, "the retry ran on the same worker");
     }
 }

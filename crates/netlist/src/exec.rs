@@ -28,7 +28,7 @@
 use crate::eval::{render_task, TaskFire};
 use crate::ir::*;
 use crate::level::{levelize, levels, LevelError};
-use cascade_bits::Bits;
+use cascade_bits::{sext, wmask, Bits};
 
 /// One net's run of words in the arena.
 #[derive(Debug, Clone, Copy)]
@@ -36,31 +36,6 @@ pub(crate) struct Slot {
     pub off: u32,
     pub words: u32,
     pub width: u32,
-}
-
-/// Mask covering the valid bits of a `w`-bit value's top word, as a full
-/// single-word mask (`0` for zero-width nets).
-#[inline]
-pub(crate) fn wmask(w: u32) -> u64 {
-    if w == 0 {
-        0
-    } else if w >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << w) - 1
-    }
-}
-
-/// Sign-extends the low `w` bits of `v` to an `i64`.
-#[inline]
-fn sext(v: u64, w: u32) -> i64 {
-    if w == 0 {
-        0
-    } else if w >= 64 {
-        v as i64
-    } else {
-        ((v << (64 - w)) as i64) >> (64 - w)
-    }
 }
 
 /// A single-word compute kernel. Operand fields are arena word offsets of

@@ -18,33 +18,13 @@
 
 use crate::elaborate::{collect_reads, Design};
 use crate::rir::*;
-use cascade_bits::Bits;
+use cascade_bits::{sext, Bits};
 use cascade_verilog::ast::{BinaryOp, CaseKind, Edge, SystemTask, UnaryOp};
 
 /// Index of a narrow (≤64-bit) scratch register.
 pub(crate) type Reg = u16;
 /// Index of a wide (`Bits`) scratch register.
 pub(crate) type WReg = u16;
-
-/// Mask covering the low `w` bits of a word (`w ≤ 64`).
-#[inline]
-pub(crate) fn wmask(w: u32) -> u64 {
-    if w >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << w) - 1
-    }
-}
-
-/// Sign-extends the canonical `w`-bit value `v` to 64 bits.
-#[inline]
-pub(crate) fn sext(v: u64, w: u32) -> i64 {
-    if w == 0 || w >= 64 {
-        v as i64
-    } else {
-        ((v << (64 - w)) as i64) >> (64 - w)
-    }
-}
 
 /// Narrow ALU operations (operands and result are canonical `u64`s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

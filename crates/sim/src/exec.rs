@@ -17,11 +17,11 @@
 //! only the profiling `statements` counter (which feeds the modeled cost
 //! clock) differs microscopically on the final activation.
 
-use crate::compile::{op_name, sext, wmask, ArgV, NOp, Op, RedKind, SwProgram, TaskOp, VStore};
+use crate::compile::{op_name, ArgV, NOp, Op, RedKind, SwProgram, TaskOp, VStore};
 use crate::elaborate::Design;
 use crate::rir::{ProcId, VarId};
 use crate::sim::{extend, format_verilog, signed_div, signed_rem, SimError, SimEvent};
-use cascade_bits::Bits;
+use cascade_bits::{sext, wmask, Bits};
 use cascade_verilog::ast::{BinaryOp, Edge, SystemTask};
 use std::collections::VecDeque;
 use std::fmt;

@@ -8,7 +8,7 @@
 //! lock-step, so a width-64 batch grades 64 sequence pairs (or scans 64
 //! packet streams) for roughly the cost of one.
 
-use cascade_bits::Bits;
+use cascade_bits::{sext, Bits};
 use cascade_netlist::{synthesize, BatchHarness};
 use cascade_sim::{elaborate, library_from_source};
 
@@ -21,15 +21,6 @@ fn harness_for(src: &str, top: &str, lanes: u32) -> Result<BatchHarness, String>
     let design = elaborate(top, &lib, &Default::default()).map_err(|e| e.to_string())?;
     let netlist = synthesize(&design).map_err(|e| e.to_string())?;
     BatchHarness::new(netlist.into(), lanes).map_err(|e| e.to_string())
-}
-
-/// Sign-extends a `width`-bit two's-complement value.
-fn sign_extend(raw: u64, width: u32) -> i64 {
-    if width >= 64 || raw & (1 << (width - 1)) == 0 {
-        raw as i64
-    } else {
-        (raw | !((1u64 << width) - 1)) as i64
-    }
 }
 
 /// Scores a corpus of equal-length sequence pairs on the hardware grader,
@@ -85,7 +76,7 @@ pub fn grade_corpus_batched(
             if h.get_lane(done, lane).to_u64() != 1 {
                 return Err(format!("lane {lane} did not finish"));
             }
-            out.push(sign_extend(h.get_lane(score, lane).to_u64(), cell_width));
+            out.push(sext(h.get_lane(score, lane).to_u64(), cell_width));
         }
     }
     Ok(out)

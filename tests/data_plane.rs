@@ -461,8 +461,12 @@ fn fifo_fallback_script(config: JitConfig) -> SinkPins {
     let board = Board::new();
     board.set_fifo_capacity(1 << 10);
     let mut rt = Runtime::new(board.clone(), config).expect("runtime");
+    // Each eval's compile runs before the next eval supersedes it, so the
+    // one compile worker cannot skip it and the cache counters are fixed.
     rt.eval(TENANT).expect("eval");
+    rt.wait_for_compile_worker();
     rt.eval("assign gpio.out = cnt;").expect("gpio");
+    rt.wait_for_compile_worker();
     rt.run_ticks(100).expect("two pins");
     rt.eval(
         "FIFO #(.WIDTH(8)) f();\n\

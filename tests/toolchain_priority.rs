@@ -1,8 +1,9 @@
 //! The toolchain runs behind the interactive loop: every toolchain thread
-//! — a server's compile-pool workers, a bare runtime's per-compile thread
-//! — sits at nice 10, and every other thread stays at nice 0. One test in
-//! a binary of its own, so the process holds no threads but the ones it
-//! inspects.
+//! — a server's compile-pool workers, a bare runtime's one compile worker
+//! — sits at nice 10, and every other thread stays at nice 0. A bare
+//! runtime compiles every version on that one worker, which lives until
+//! the runtime is dropped. One test in a binary of its own, so the process
+//! holds no threads but the ones it inspects.
 
 #![cfg(target_os = "linux")]
 
@@ -86,11 +87,19 @@ fn toolchain_threads_run_at_background_priority() {
     drop(client);
     drop(server);
 
-    // Solo: a bare runtime spawns one compile thread per submission, inside
-    // `eval`; it reads nice 10 while its compile (the miner's synthesis
-    // and place-and-route) runs.
+    // Bare: a runtime starts one compile worker at its first eval; it
+    // reads nice 10 while its compile (the miner's synthesis and
+    // place-and-route) runs, and the next eval's compile runs on it too.
     let before: Vec<u64> = threads().into_iter().map(|(tid, _)| tid).collect();
+    let spawned = |table: &[(u64, i64)]| -> Vec<(u64, i64)> {
+        table
+            .iter()
+            .filter(|(tid, _)| !before.contains(tid))
+            .copied()
+            .collect()
+    };
     let mut rt = Runtime::new(Board::new(), JitConfig::default()).expect("runtime");
+    assert!(spawned(&threads()).is_empty(), "no worker before an eval");
     let miner = miner_verilog(
         &MinerConfig {
             data: 0x5eed_b10c,
@@ -101,17 +110,29 @@ fn toolchain_threads_run_at_background_priority() {
         },
         Flavor::Cascade,
     );
-    rt.eval(&miner).expect("eval miner");
-    let table = wait_for("the compile thread lowered, or gone", |t| {
-        let spawned: Vec<_> = t.iter().filter(|(tid, _)| !before.contains(tid)).collect();
-        spawned.is_empty() || spawned.iter().any(|(_, n)| *n == 10)
+    let mut worker = None;
+    for (i, src) in [
+        miner.as_str(),
+        "reg [7:0] edit = 0;\n\
+         always @(posedge clk.val) edit <= edit + 1;\n\
+         assign gpio.out = edit;",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        rt.eval(src).expect("eval");
+        let table = wait_for("the compile worker lowered", |t| {
+            spawned(t).iter().any(|(_, n)| *n == 10)
+        });
+        let new = spawned(&table);
+        assert_eq!(new.len(), 1, "one compile worker, eval {i}: {table:?}");
+        assert_eq!(*worker.get_or_insert(new[0].0), new[0].0, "eval {i}");
+        assert_eq!(at(&table, 0), table.len() - 1, "{table:?}");
+        rt.wait_for_compile_worker();
+    }
+    assert_eq!(rt.stats().compile_cache_misses, 2, "both versions compiled");
+    drop(rt);
+    wait_for("the compile worker gone with its runtime", |t| {
+        spawned(t).is_empty()
     });
-    let spawned: Vec<_> = table
-        .iter()
-        .filter(|(tid, _)| !before.contains(tid))
-        .collect();
-    assert_eq!(spawned.len(), 1, "one compile thread: {table:?}");
-    assert_eq!(spawned[0].1, 10, "the compile thread at nice 10: {table:?}");
-    assert_eq!(at(&table, 0), table.len() - 1, "{table:?}");
-    rt.wait_for_compile_worker();
 }
