@@ -1905,12 +1905,12 @@ impl Runtime {
         Ok(())
     }
 
-    /// One readback scrub: re-derive the configuration CRC from the fabric
-    /// and compare against the golden CRC recorded at programming time. A
-    /// clean scrub commits the quarantined output and advances the
-    /// checkpoint; a detection rolls back. Scrub boundaries are also where
-    /// the fault plan's scheduled fabric faults strike, so the *next*
-    /// window observes them.
+    /// One readback scrub: read the fabric's configuration back and
+    /// compare it against its programming-time image. A clean scrub
+    /// commits the quarantined output and advances the checkpoint; a
+    /// detection rolls back. Scrub boundaries are also where the fault
+    /// plan's scheduled fabric faults strike, so the *next* window
+    /// observes them.
     fn scrub(&mut self) -> Result<(), CascadeError> {
         let Some(main_idx) = self.main_idx else {
             return Ok(());

@@ -16,7 +16,7 @@
 //! and freezes its registers, and the remaining lanes keep running.
 
 use crate::eval::{build_profile_report, NlProfileReport, TaskFire};
-use crate::exec::{Program, ProgramStats, State};
+use crate::exec::{Isa, Program, ProgramStats, State, Wide};
 use crate::ir::*;
 use crate::level::LevelError;
 use cascade_bits::Bits;
@@ -64,7 +64,7 @@ pub const MAX_BATCH_LANES: u32 = 4096;
 pub struct BatchHarness {
     nl: Arc<Netlist>,
     prog: Arc<Program>,
-    st: State<usize>,
+    st: State<Wide>,
 }
 
 impl BatchHarness {
@@ -75,9 +75,15 @@ impl BatchHarness {
     ///
     /// Returns [`LevelError`] when the netlist has a combinational cycle.
     pub fn new(nl: Arc<Netlist>, lanes: u32) -> Result<Self, LevelError> {
+        Self::on(nl, lanes, Isa::host())
+    }
+
+    /// [`BatchHarness::new`] with the kernels compiled for `isa`, which
+    /// this host must run.
+    fn on(nl: Arc<Netlist>, lanes: u32, isa: Isa) -> Result<Self, LevelError> {
         let lanes = lanes.clamp(1, MAX_BATCH_LANES) as usize;
         let prog = Arc::new(Program::compile(&nl)?);
-        let st = State::new(&nl, &prog, lanes);
+        let st = State::new(&nl, &prog, Wide::new(lanes, isa));
         Ok(BatchHarness { nl, prog, st })
     }
 
@@ -164,7 +170,8 @@ impl BatchHarness {
         self.set_all(net, value);
     }
 
-    /// Reads one lane of a net, settling any deferred input writes first.
+    /// Reads one lane of a net, settling any deferred input writes and
+    /// edge commits first.
     pub fn get_lane(&mut self, net: NetId, lane: u32) -> Bits {
         self.st.settle_auto(&self.prog);
         self.st
@@ -203,6 +210,10 @@ impl BatchHarness {
     }
 
     /// Executes one edge of the given clock domain across all live lanes.
+    /// The commit propagates at the next edge or read ([`get_lane`]
+    /// settles first), so a lockstep loop pays one settle per edge.
+    ///
+    /// [`get_lane`]: BatchHarness::get_lane
     pub fn step_clock(&mut self, clock_index: u32) {
         self.st.step_clock(&self.nl, &self.prog, clock_index);
     }
@@ -216,3 +227,6 @@ impl BatchHarness {
         self.st.run_cycles(&self.nl, &self.prog, n, usize::MAX)
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -248,6 +248,10 @@ impl NetlistSim {
     /// corresponds to one hardware clock cycle.
     pub fn step_clock(&mut self, clock_index: u32) {
         self.st.step_clock(&self.nl, &self.prog, clock_index);
+        // Settled on return: `get`, `get_u64` and `updates_pending` read
+        // the arena without settling, and the runtime reads nets between
+        // edges (`ForwardTable::exchange`).
+        self.st.settle_auto(&self.prog);
     }
 
     /// Runs `n` cycles of clock domain 0, stopping early on `$finish`.

@@ -13,8 +13,10 @@
 //! `l` at `o·W + l`), and [`exec_lanes`] is the only place a word
 //! operation is written. `NetlistSim` is the one-lane instance (`W` is the
 //! zero-sized [`One`], so every lane loop compiles to straight-line scalar
-//! code), `BatchHarness` the runtime-width one; the compile-time cone
-//! evaluation of Pass 4 runs the same kernels over one lane per root value.
+//! code), `BatchHarness` the runtime-width one ([`Wide`], whose lane loops
+//! run on the host's widest vector unit: see [`Isa`]); the compile-time
+//! cone evaluation of Pass 4 runs the same kernels over one lane per root
+//! value.
 //!
 //! Scheduling is activity-driven: each instruction carries its
 //! combinational level, and a per-level dirty worklist re-evaluates only
@@ -358,13 +360,26 @@ pub(crate) struct Program {
 /// The lane count of a [`State`], fixed by its type: the zero-sized
 /// [`One`] for [`NetlistSim`](crate::NetlistSim), so that after
 /// monomorphisation every lane loop's bound is the constant 1, and a
-/// runtime `usize` for [`BatchHarness`](crate::BatchHarness).
+/// runtime [`Wide`] for [`BatchHarness`](crate::BatchHarness).
 pub(crate) trait Lanes: Copy + std::fmt::Debug {
     /// A task firing as this width reports it: bare for one lane, tagged
     /// with its lane for many.
     type Fire: Clone + std::fmt::Debug;
     fn n(self) -> usize;
     fn fire(lane: usize, fire: TaskFire) -> Self::Fire;
+    /// Runs one instruction over every lane: [`exec_lanes`], in the
+    /// instance this width runs.
+    ///
+    /// # Safety
+    /// As [`exec_lanes`].
+    unsafe fn exec(
+        self,
+        ins: &Instr,
+        slots: &[Slot],
+        mems: &[MemLayout],
+        arena: *mut u64,
+        mem: *const u64,
+    ) -> u32;
 }
 
 /// The one-lane width of the scalar evaluator.
@@ -380,16 +395,121 @@ impl Lanes for One {
     fn fire(_lane: usize, fire: TaskFire) -> TaskFire {
         fire
     }
+    #[inline(always)]
+    unsafe fn exec(
+        self,
+        ins: &Instr,
+        slots: &[Slot],
+        mems: &[MemLayout],
+        arena: *mut u64,
+        mem: *const u64,
+    ) -> u32 {
+        exec_lanes(ins, slots, mems, arena, mem, self)
+    }
 }
 
-impl Lanes for usize {
+/// The vector unit a [`Wide`] state's kernels are compiled for. Each is
+/// one instance of [`exec_lanes`]; they differ only in the instructions
+/// the compiler may emit for its lane loops, never in a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The target's baseline (SSE2 on x86-64), and every non-x86-64 host.
+    Generic,
+    /// AVX2: four lanes per vector, and 64-bit variable shifts.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX-512 F/BW/VL/DQ: eight lanes per vector, 64-bit compares into
+    /// mask registers, and a 64-bit multiply.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// Whether this host's CPU has the instance's vector unit.
+    pub fn runs_here(self) -> bool {
+        match self {
+            Isa::Generic => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512dq")
+            }
+        }
+    }
+
+    /// The widest instance this host runs (the standard library caches
+    /// the CPUID probe, so this is a few loads).
+    pub fn host() -> Isa {
+        let widest_first = [
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2,
+        ];
+        widest_first
+            .into_iter()
+            .find(|&isa| Isa::runs_here(isa))
+            .unwrap_or(Isa::Generic)
+    }
+}
+
+/// A runtime lane count, and the vector unit its kernels run on. The
+/// fields are private so that no `Wide` names an instance its host cannot
+/// run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wide {
+    n: usize,
+    isa: Isa,
+}
+
+impl Wide {
+    /// `n` lanes whose kernels run on `isa`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this host cannot run `isa`.
+    pub fn new(n: usize, isa: Isa) -> Wide {
+        assert!(isa.runs_here(), "{isa:?} kernels on a host without them");
+        Wide { n, isa }
+    }
+
+    #[cfg(test)]
+    pub fn isa(self) -> Isa {
+        self.isa
+    }
+}
+
+impl Lanes for Wide {
     type Fire = (u32, TaskFire);
     #[inline(always)]
     fn n(self) -> usize {
-        self
+        self.n
     }
     fn fire(lane: usize, fire: TaskFire) -> (u32, TaskFire) {
         (lane as u32, fire)
+    }
+    #[inline]
+    unsafe fn exec(
+        self,
+        ins: &Instr,
+        slots: &[Slot],
+        mems: &[MemLayout],
+        arena: *mut u64,
+        mem: *const u64,
+    ) -> u32 {
+        // SAFETY: `Wide::new` admits only an instance this host runs; the
+        // arena contract is the caller's.
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => exec_lanes_avx512(ins, slots, mems, arena, mem, self),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => exec_lanes_avx2(ins, slots, mems, arena, mem, self),
+            Isa::Generic => exec_lanes_generic(ins, slots, mems, arena, mem, self),
+        }
     }
 }
 
@@ -771,7 +891,8 @@ impl Program {
             // Evaluate the instruction with the per-cycle kernels, one
             // lane per root value (one lane when every operand is
             // constant), in a scratch arena: operand `j` in word `j`, the
-            // result in the word after the last operand.
+            // result in the word after the last operand. The generic
+            // instance runs it, so no program depends on its host's ISA.
             let net = items[idx].1 .0 as usize;
             let lanes = root.map_or(1, |ro| 1usize << slots[off2net[ro as usize] as usize].width);
             let mut probe = items[idx].2.clone();
@@ -804,13 +925,12 @@ impl Program {
             // memory reads and wide kernels were filtered above, so the
             // empty layouts and memory arena are never touched.
             unsafe {
-                exec_lanes(
+                Wide::new(lanes, Isa::Generic).exec(
                     &probe,
                     &[],
                     &[],
                     probe_arena.as_mut_ptr(),
                     std::ptr::null(),
-                    lanes,
                 );
             }
             let out = &probe_arena[ops.len() * lanes..];
@@ -1475,13 +1595,12 @@ impl<W: Lanes> State<W> {
         // dense loop, both bounded by `prog.instrs.len()`; both arenas
         // hold `lanes` words per program word (see `State::new`).
         unsafe {
-            exec_lanes(
+            self.lanes.exec(
                 prog.instrs.get_unchecked(i as usize),
                 &prog.slots,
                 &prog.mems,
                 self.arena.as_mut_ptr(),
                 self.mem_arena.as_ptr(),
-                self.lanes,
             )
         }
     }
@@ -1767,9 +1886,10 @@ impl<W: Lanes> State<W> {
     }
 
     /// Executes one edge of the given clock domain across every live
-    /// lane: samples task triggers and register/memory inputs at their
-    /// pre-edge values, commits them, and repropagates. A no-op once every
-    /// lane has finished.
+    /// lane: settles, samples task triggers and register/memory inputs at
+    /// their pre-edge values, and commits them. The commit's fan-out is
+    /// left queued, not propagated: the next edge's settle, or a reader's,
+    /// consumes it. A no-op once every lane has finished.
     pub fn step_clock(&mut self, nl: &Netlist, prog: &Program, clock_index: u32) {
         if self.all_finished {
             return;
@@ -1781,7 +1901,6 @@ impl<W: Lanes> State<W> {
         // same boundary the event-driven simulator observes.
         self.commit_domain(prog, clock_index as usize, true);
         self.bump_cycles();
-        self.settle_auto(prog);
     }
 
     /// Runs up to `n` edges of clock domain 0, stopping early when every
@@ -1885,6 +2004,18 @@ impl<W: Lanes> State<W> {
     }
 }
 
+#[cfg(test)]
+impl<W: Lanes> State<W> {
+    pub fn width(&self) -> W {
+        self.lanes
+    }
+
+    /// The net and memory arenas, word for word.
+    pub fn arenas(&self) -> (&[u64], &[u64]) {
+        (&self.arena, &self.mem_arena)
+    }
+}
+
 /// Writes one register word's sampled lanes `src & topmask` into `dst`,
 /// leaving the lanes flagged in `skip` alone. With `mark`, returns whether
 /// any lane changed; without it, `false`.
@@ -1914,7 +2045,10 @@ fn write_back(
 // matches the kernel once and runs the loop over all lanes: logic ops
 // vectorize trivially, and the arithmetic/compare/select/Lookup loops are
 // simple enough for the compiler to auto-vectorize. At `One` lane the loop
-// bound is the constant 1 and the loop is the scalar evaluator.
+// bound is the constant 1 and the loop is the scalar evaluator. A `Wide`
+// state runs one of three compiled copies of the same dispatcher (see
+// `Isa`): only the lane loops gain from a wider vector unit, so nothing
+// else is compiled more than once.
 
 /// Per-lane unary kernel loop. Returns the number of lanes whose output
 /// word changed.
@@ -2079,7 +2213,8 @@ unsafe fn write_slot_lane(
 /// `arena` must hold `lanes` words per arena word the instruction reads
 /// or writes and `mem` `lanes` words per memory word, both lane-major; the
 /// caller must guarantee exclusive access to the destination slot.
-pub(crate) unsafe fn exec_lanes<W: Lanes>(
+#[inline(always)]
+unsafe fn exec_lanes<W: Lanes>(
     ins: &Instr,
     slots: &[Slot],
     mems: &[MemLayout],
@@ -2335,6 +2470,55 @@ pub(crate) unsafe fn exec_lanes<W: Lanes>(
             exec_lanes_wide(ins, slots, mems, arena, mem, lanes)
         }
     }
+}
+
+/// [`exec_lanes`] at a runtime width, compiled for the target's baseline.
+/// Never inlined, so every caller shares one copy of the body.
+#[inline(never)]
+unsafe fn exec_lanes_generic(
+    ins: &Instr,
+    slots: &[Slot],
+    mems: &[MemLayout],
+    arena: *mut u64,
+    mem: *const u64,
+    lanes: Wide,
+) -> u32 {
+    exec_lanes(ins, slots, mems, arena, mem, lanes)
+}
+
+/// [`exec_lanes`] at a runtime width, compiled for AVX2.
+///
+/// # Safety
+/// As [`exec_lanes`], on a host that has AVX2 ([`Isa::runs_here`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn exec_lanes_avx2(
+    ins: &Instr,
+    slots: &[Slot],
+    mems: &[MemLayout],
+    arena: *mut u64,
+    mem: *const u64,
+    lanes: Wide,
+) -> u32 {
+    exec_lanes(ins, slots, mems, arena, mem, lanes)
+}
+
+/// [`exec_lanes`] at a runtime width, compiled for AVX-512.
+///
+/// # Safety
+/// As [`exec_lanes`], on a host that has AVX-512 F/BW/VL/DQ
+/// ([`Isa::runs_here`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+unsafe fn exec_lanes_avx512(
+    ins: &Instr,
+    slots: &[Slot],
+    mems: &[MemLayout],
+    arena: *mut u64,
+    mem: *const u64,
+    lanes: Wide,
+) -> u32 {
+    exec_lanes(ins, slots, mems, arena, mem, lanes)
 }
 
 /// The multi-word fallback lane of [`exec_lanes`]: materialize each lane's

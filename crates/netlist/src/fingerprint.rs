@@ -161,19 +161,6 @@ pub fn fingerprint(nl: &Netlist) -> u64 {
     h.0
 }
 
-/// The modeled configuration-readback CRC for a programmed fabric.
-///
-/// A real FPGA's scrubber reads the configuration frames back and compares
-/// their CRC against the golden programming-time image; here the netlist's
-/// structural fingerprint stands in for the frame CRC, and `upset_mask`
-/// accumulates the configuration disturbance from injected single-event
-/// upsets. An undisturbed fabric (`upset_mask == 0`) reads back exactly
-/// [`fingerprint`]`(nl)`; any upset makes the CRC mismatch the golden
-/// value, which is precisely the detection signal scrubbing relies on.
-pub fn readback_crc(nl: &Netlist, upset_mask: u64) -> u64 {
-    fingerprint(nl) ^ upset_mask
-}
-
 fn cell(h: &mut Fnv, c: &Cell) {
     h.byte(match c.op {
         CellOp::Not => 0,

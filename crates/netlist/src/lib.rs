@@ -50,7 +50,7 @@ pub mod stats;
 pub use batch::{BatchHarness, MAX_BATCH_LANES};
 pub use eval::{clock_edge, eval_cell, NetlistSim, NlProfileReport, TaskFire};
 pub use exec::ProgramStats;
-pub use fingerprint::{fingerprint, readback_crc};
+pub use fingerprint::fingerprint;
 pub use interp::ReferenceSim;
 pub use ir::{
     Cell, CellOp, ClockId, Def, MemId, Memory, NetId, NetInfo, Netlist, RegId, Register, TaskCell,
