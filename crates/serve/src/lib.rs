@@ -21,6 +21,14 @@
 //!   sheds the oldest work, and a shared content-hash bitstream cache, so
 //!   a re-promoted tenant pays ~1 modeled second, not a full synthesis.
 //!
+//! Modules: `protocol`, `json` and `frame` (the wire), `client`, `server`
+//! (TCP), and `session` — [`Server`] and the session table — whose
+//! children each own one block of server state: `session::sched` (shards,
+//! workers, sweeper), `session::execute` (commands, teardown, output),
+//! `session::journal` (write-ahead journal, recovery, replay),
+//! `session::dormant` (hibernation), `session::meter` (bills, phases,
+//! the counter table) and `session::subscribe` (telemetry streams).
+//!
 //! ```no_run
 //! use cascade_serve::{InProcClient, ServeConfig, Server};
 //!

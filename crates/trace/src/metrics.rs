@@ -332,41 +332,64 @@ pub enum SnapValue {
 /// Merges `from` into `into` by name: counters and histogram buckets add,
 /// gauges add too (a summed gauge across sessions reads as a fleet-wide
 /// level, e.g. total leases held). Histograms with mismatched bounds keep
-/// the first set and add only `sum`/`count`.
-pub fn merge(into: &mut Vec<MetricSnapshot>, from: Vec<MetricSnapshot>) {
-    for snap in from {
-        match into.iter_mut().find(|m| m.name == snap.name) {
-            None => into.push(snap),
-            Some(existing) => match (&mut existing.value, snap.value) {
-                (SnapValue::Counter(a), SnapValue::Counter(b)) => *a += b,
-                (SnapValue::Gauge(a), SnapValue::Gauge(b)) => *a += b,
-                (
-                    SnapValue::Histogram {
-                        bounds: ab,
-                        counts: ac,
-                        sum: asum,
-                        count: acount,
-                    },
-                    SnapValue::Histogram {
-                        bounds: bb,
-                        counts: bc,
-                        sum: bsum,
-                        count: bcount,
-                    },
-                ) => {
-                    if *ab == bb && ac.len() == bc.len() {
-                        for (a, b) in ac.iter_mut().zip(bc) {
-                            *a += b;
-                        }
-                    }
-                    *asum += bsum;
-                    *acount += bcount;
-                }
-                _ => {} // kind mismatch across registries: keep the first
-            },
+/// the first set and add only `sum`/`count`; a kind mismatch keeps the
+/// first snapshot. `into` comes back sorted by name.
+///
+/// Both sides are put in name order and walked once, so merging `m`
+/// series into `n` costs O(n + m log m): a server merging one labelled
+/// series per session does not search the whole set per series.
+pub fn merge(into: &mut Vec<MetricSnapshot>, mut from: Vec<MetricSnapshot>) {
+    // Stable sorts, and `into` wins ties: the first snapshot of a name
+    // stays first, whichever side it came from.
+    into.sort_by(|a, b| a.name.cmp(&b.name));
+    from.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut old = std::mem::take(into).into_iter().peekable();
+    let mut new = from.into_iter().peekable();
+    into.reserve(old.len() + new.len());
+    loop {
+        let next = match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if b.name < a.name => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
+        };
+        let Some(snap) = next else {
+            return;
+        };
+        match into.last_mut() {
+            Some(last) if last.name == snap.name => add_into(&mut last.value, snap.value),
+            _ => into.push(snap),
         }
     }
-    into.sort_by(|a, b| a.name.cmp(&b.name));
+}
+
+fn add_into(into: &mut SnapValue, from: SnapValue) {
+    match (into, from) {
+        (SnapValue::Counter(a), SnapValue::Counter(b)) => *a += b,
+        (SnapValue::Gauge(a), SnapValue::Gauge(b)) => *a += b,
+        (
+            SnapValue::Histogram {
+                bounds: ab,
+                counts: ac,
+                sum: asum,
+                count: acount,
+            },
+            SnapValue::Histogram {
+                bounds: bb,
+                counts: bc,
+                sum: bsum,
+                count: bcount,
+            },
+        ) => {
+            if *ab == bb && ac.len() == bc.len() {
+                for (a, b) in ac.iter_mut().zip(bc) {
+                    *a += b;
+                }
+            }
+            *asum += bsum;
+            *acount += bcount;
+        }
+        _ => {} // kind mismatch across registries: keep the first
+    }
 }
 
 fn fmt_bound(b: f64) -> String {
@@ -511,6 +534,74 @@ mod tests {
         assert_eq!(find("ticks_total"), SnapValue::Counter(15));
         assert_eq!(find("only_in_two_total"), SnapValue::Counter(1));
         assert_eq!(find("lease_held"), SnapValue::Gauge(2.0));
+    }
+
+    /// The sorted walk agrees with a search of `into` per series followed
+    /// by a sort, on inputs with shared names, repeats within one side,
+    /// labelled series and a kind mismatch.
+    #[test]
+    fn merge_matches_a_search_per_series() {
+        fn reference(into: &mut Vec<MetricSnapshot>, from: Vec<MetricSnapshot>) {
+            for snap in from {
+                match into.iter_mut().find(|m| m.name == snap.name) {
+                    None => into.push(snap),
+                    Some(existing) => add_into(&mut existing.value, snap.value),
+                }
+            }
+            into.sort_by(|a, b| a.name.cmp(&b.name));
+        }
+        let snap = |name: &str, value: SnapValue| MetricSnapshot {
+            name: name.to_string(),
+            help: format!("help {name}"),
+            value,
+        };
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for _ in 0..200 {
+            let mut batches: Vec<Vec<MetricSnapshot>> = Vec::new();
+            for _ in 0..4 {
+                let n = next() % 12;
+                batches.push(
+                    (0..n)
+                        .map(|_| {
+                            let k = next() % 9;
+                            match k {
+                                0..=3 => {
+                                    snap(&format!("c{k}_total"), SnapValue::Counter(next() % 5))
+                                }
+                                4 | 5 => snap(
+                                    &format!("s_total{{session=\"{}\"}}", next() % 4),
+                                    SnapValue::Counter(1),
+                                ),
+                                6 => snap("g", SnapValue::Gauge((next() % 3) as f64)),
+                                7 => snap("c0_total", SnapValue::Gauge(1.0)),
+                                _ => snap(
+                                    "h_seconds",
+                                    SnapValue::Histogram {
+                                        bounds: vec![1.0],
+                                        counts: vec![1, next() % 2],
+                                        sum: 1.0,
+                                        count: 2,
+                                    },
+                                ),
+                            }
+                        })
+                        .collect(),
+                );
+            }
+            let (mut fast, mut slow) = (Vec::new(), Vec::new());
+            for batch in batches {
+                merge(&mut fast, batch.clone());
+                reference(&mut slow, batch);
+            }
+            assert_eq!(fast, slow);
+            assert_eq!(expose(&fast), expose(&slow));
+        }
     }
 
     #[test]

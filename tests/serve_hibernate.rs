@@ -419,3 +419,44 @@ fn ten_thousand_tenant_drain_and_restart_soak() {
     assert_eq!(stat_u64(&stats, "wake_failures"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Times one server-wide `metrics` read and one `drain` against ten
+/// thousand dormant tenants. Both walk every session (one labelled
+/// `serve_session_output_dropped_total` series each), so a merge that is
+/// quadratic in the series count shows here. Ignored by default; run it
+/// optimised:
+///
+/// `cargo test --release -p cascade-xtests --test serve_hibernate
+/// metrics_read_at_ten_thousand_tenants -- --ignored --nocapture`
+#[test]
+#[ignore]
+fn metrics_read_at_ten_thousand_tenants() {
+    const SESSIONS: usize = 10_000;
+    let dir = std::env::temp_dir().join(format!("cascade-metrics-10k-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = ServeConfig::quick();
+    config.durable_dir = Some(dir.to_string_lossy().into_owned());
+    let server = Server::new(config);
+    let mut client = InProcClient::connect(&server);
+    for _ in 0..SESSIONS {
+        client.open().expect("open");
+    }
+    let mut best = Duration::MAX;
+    let mut families = 0;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        let text = client.server_metrics().expect("metrics");
+        best = best.min(t0.elapsed());
+        families = text.lines().filter(|l| l.starts_with("# TYPE")).count();
+    }
+    let t0 = Instant::now();
+    client.drain_server().expect("drain");
+    let drain = t0.elapsed();
+    println!(
+        "metrics at {SESSIONS} tenants: {:.1} ms (best of 5, {families} families); drain {:.1} ms",
+        best.as_secs_f64() * 1e3,
+        drain.as_secs_f64() * 1e3,
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

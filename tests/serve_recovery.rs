@@ -418,3 +418,87 @@ fn closed_sessions_do_not_come_back_after_recovery() {
         .expect("resume the open one");
     assert_eq!(client.probe("cnt").expect("probe"), Some(5));
 }
+
+/// One tenant's meter row from `server-top`: `(ticks, journal_bytes,
+/// output_bytes)`.
+fn meters(client: &mut InProcClient, id: u64) -> (u64, u64, u64) {
+    let (_, tenants) = client.server_top(100).expect("server top");
+    let row = tenants
+        .iter()
+        .find(|t| stat_u64(t, "session") == id)
+        .expect("tenant row");
+    (
+        stat_u64(row, "ticks"),
+        stat_u64(row, "journal_bytes"),
+        stat_u64(row, "output_bytes"),
+    )
+}
+
+/// A crash between checkpoints leaves acknowledged commands only in the
+/// journal suffix. Replaying them at the first wake must bill the tenant
+/// what the old server billed: the replayed run's ticks and the suffix
+/// records' journal bytes, no more and no less.
+#[test]
+fn replayed_suffix_bills_its_ticks_and_journal_bytes() {
+    let dir = scratch("bill-suffix");
+    let server = Server::new(durable_config(&dir));
+    let mut client = InProcClient::connect(&server);
+    let id = client.open().expect("open");
+    let token = client.token().expect("token");
+    client.eval_all(COUNTER).expect("eval");
+    assert_eq!(client.run(100).expect("run").ticks, 100);
+    let before = meters(&mut client, id);
+    assert_eq!(before.0, 100);
+    assert!(before.1 > 0, "the suffix was journaled");
+    drop(client);
+    drop(server); // no drain: the journal is the open record plus a suffix
+
+    let recovered = Server::recover(durable_config(&dir));
+    let mut client = InProcClient::connect(&recovered);
+    client.resume(id, token).expect("resume");
+    assert_eq!(client.probe("cnt").expect("probe wakes"), Some(100));
+    assert_eq!(
+        meters(&mut client, id),
+        before,
+        "ticks, journal and output bytes"
+    );
+    let stats = client.server_stats().expect("stats");
+    assert_eq!(
+        stat_u64(&stats, "ticks"),
+        0,
+        "replayed ticks stay out of the server's tick counter"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint's undrained output was billed when it was produced, and
+/// the checkpoint's meter block carries that bill. Restoring the output
+/// at the first wake must not bill it again.
+#[test]
+fn checkpointed_output_is_billed_once() {
+    let dir = scratch("bill-ckpt");
+    let server = Server::new(durable_config(&dir));
+    let mut client = InProcClient::connect(&server);
+    let id = client.open().expect("open");
+    let token = client.token().expect("token");
+    client.eval_all(COUNTER).expect("eval");
+    assert_eq!(client.run(100).expect("run").ticks, 100);
+    client.drain_server().expect("drain server");
+    let before = meters(&mut client, id);
+    assert!(before.2 > 0, "the run produced output");
+    drop(client);
+    drop(server);
+
+    let recovered = Server::recover(durable_config(&dir));
+    let mut client = InProcClient::connect(&recovered);
+    client.resume(id, token).expect("resume");
+    assert_eq!(client.probe("cnt").expect("probe wakes"), Some(100));
+    assert_eq!(
+        meters(&mut client, id),
+        before,
+        "ticks, journal and output bytes"
+    );
+    let (lines, _) = client.drain().expect("drain");
+    assert_eq!(lines.len(), 12, "the checkpointed output is delivered once");
+    let _ = std::fs::remove_dir_all(&dir);
+}
