@@ -35,14 +35,22 @@ impl NativeEngine {
                 "native mode supports a single clock domain".to_string(),
             ));
         }
-        let peripherals = ForwardTable::new(peripherals, |port| netlist.net_by_name(port));
         let sim = NetlistSim::new(netlist)
             .map_err(|e| EngineError::Internal(format!("levelization failed: {e}")))?;
-        Ok(NativeEngine {
+        let mut engine = NativeEngine {
             sim,
-            peripherals,
+            peripherals: ForwardTable::default(),
             last_cycles: 0,
-        })
+        };
+        engine.forward(peripherals);
+        Ok(engine)
+    }
+
+    /// Connects standard-library components straight to the netlist's
+    /// nets, replacing any connected before.
+    pub fn forward(&mut self, peripherals: Vec<Forwarded>) {
+        let netlist = self.sim.netlist();
+        self.peripherals = ForwardTable::new(peripherals, |port| netlist.net_by_name(port));
     }
 
     /// The net behind a handle (`None` for [`PortId::NONE`]).

@@ -12,15 +12,15 @@
 //! holding ten thousand mostly-idle tenants keeps one image per dormant
 //! session and rebuilds a `Runtime` only when the next command arrives.
 //!
-//! The codec is a hand-rolled little-endian format (the workspace is
-//! deliberately dependency-free, so no serde): a magic/version header,
-//! then length-prefixed fields. It round-trips exactly — see the tests —
-//! and `from_bytes` is bounds-checked so a truncated or corrupt image
-//! surfaces as an error, never a panic.
+//! The format is a magic/version header, then length-prefixed
+//! little-endian fields written and read through `cascade_durable::codec`,
+//! the one byte codec every durable format shares. It round-trips exactly
+//! — see the tests — and `from_bytes` is bounds-checked so a truncated or
+//! corrupt image surfaces as an error, never a panic.
 
 use std::collections::BTreeMap;
 
-use cascade_bits::Bits;
+use cascade_durable::codec;
 
 use crate::engine::EngineState;
 
@@ -66,25 +66,25 @@ impl HibernateImage {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Vec::with_capacity(64 + self.source.len());
         w.extend_from_slice(MAGIC);
-        put_u32(&mut w, VERSION);
-        put_u64(&mut w, self.iterations);
-        w.push(self.finished as u8);
-        put_u64(&mut w, self.wall_seconds.to_bits());
-        put_str(&mut w, &self.source);
-        put_u64(&mut w, self.states.len() as u64);
+        codec::put_u32(&mut w, VERSION);
+        codec::put_u64(&mut w, self.iterations);
+        codec::put_u8(&mut w, self.finished as u8);
+        codec::put_f64(&mut w, self.wall_seconds);
+        codec::put_str(&mut w, &self.source);
+        codec::put_u64(&mut w, self.states.len() as u64);
         for (name, state) in &self.states {
-            put_str(&mut w, name);
-            put_u64(&mut w, state.regs.len() as u64);
+            codec::put_str(&mut w, name);
+            codec::put_u64(&mut w, state.regs.len() as u64);
             for (reg, bits) in &state.regs {
-                put_str(&mut w, reg);
-                put_bits(&mut w, bits);
+                codec::put_str(&mut w, reg);
+                codec::put_bits(&mut w, bits);
             }
-            put_u64(&mut w, state.mems.len() as u64);
+            codec::put_u64(&mut w, state.mems.len() as u64);
             for (mem, words) in &state.mems {
-                put_str(&mut w, mem);
-                put_u64(&mut w, words.len() as u64);
+                codec::put_str(&mut w, mem);
+                codec::put_u64(&mut w, words.len() as u64);
                 for b in words {
-                    put_bits(&mut w, b);
+                    codec::put_bits(&mut w, b);
                 }
             }
         }
@@ -96,39 +96,38 @@ impl HibernateImage {
     /// # Errors
     ///
     /// Returns a description of the first structural problem (bad magic,
-    /// unsupported version, truncation, invalid UTF-8).
+    /// unsupported version, truncation, invalid UTF-8, a bit vector whose
+    /// word count disagrees with its width).
     pub fn from_bytes(bytes: &[u8]) -> Result<HibernateImage, String> {
-        let mut r = Reader { buf: bytes, at: 0 };
-        let magic = r.take(4)?;
-        if magic != MAGIC {
-            return Err("hibernate image: bad magic".to_string());
+        Self::decode(&mut codec::Reader::new(bytes)).map_err(|e| format!("hibernate image: {e}"))
+    }
+
+    fn decode(r: &mut codec::Reader<'_>) -> Result<HibernateImage, String> {
+        if r.u32()? != u32::from_le_bytes(*MAGIC) {
+            return Err("bad magic".to_string());
         }
         let version = r.u32()?;
         if version != VERSION {
-            return Err(format!("hibernate image: unsupported version {version}"));
+            return Err(format!("unsupported version {version}"));
         }
         let iterations = r.u64()?;
         let finished = r.u8()? != 0;
-        let wall_seconds = f64::from_bits(r.u64()?);
+        let wall_seconds = r.f64()?;
         let source = r.string()?;
-        let n_states = r.len()?;
         let mut states = BTreeMap::new();
-        for _ in 0..n_states {
+        for _ in 0..r.len_prefix()? {
             let name = r.string()?;
             let mut regs = BTreeMap::new();
-            for _ in 0..r.len()? {
+            for _ in 0..r.len_prefix()? {
                 let reg = r.string()?;
-                let bits = r.bits()?;
-                regs.insert(reg, bits);
+                regs.insert(reg, r.bits()?);
             }
             let mut mems = BTreeMap::new();
-            for _ in 0..r.len()? {
+            for _ in 0..r.len_prefix()? {
                 let mem = r.string()?;
-                let n = r.len()?;
-                let mut words = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    words.push(r.bits()?);
-                }
+                let words = (0..r.len_prefix()?)
+                    .map(|_| r.bits())
+                    .collect::<Result<Vec<_>, _>>()?;
                 mems.insert(mem, words);
             }
             states.insert(name, EngineState { regs, mems });
@@ -143,96 +142,10 @@ impl HibernateImage {
     }
 }
 
-fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(w: &mut Vec<u8>, s: &str) {
-    put_u64(w, s.len() as u64);
-    w.extend_from_slice(s.as_bytes());
-}
-
-fn put_bits(w: &mut Vec<u8>, b: &Bits) {
-    put_u32(w, b.width());
-    let words = b.words();
-    put_u64(w, words.len() as u64);
-    for word in words {
-        put_u64(w, *word);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| "hibernate image: truncated".to_string())?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// A u64 length field, sanity-bounded by the remaining buffer so a
-    /// corrupt count cannot drive a huge allocation.
-    fn len(&mut self) -> Result<usize, String> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len().saturating_sub(self.at) {
-            return Err("hibernate image: length exceeds buffer".to_string());
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let n = self.len()?;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "hibernate image: invalid utf-8".to_string())
-    }
-
-    fn bits(&mut self) -> Result<Bits, String> {
-        let width = self.u32()?;
-        let n = self.u64()? as usize;
-        // A width-w value needs ceil(w/64) words; reject mismatches early.
-        let expect = (width as usize).div_ceil(64).max(1);
-        if n != expect {
-            return Err(format!(
-                "hibernate image: width {width} with {n} words (expected {expect})"
-            ));
-        }
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(self.u64()?);
-        }
-        Ok(Bits::from_words(width, &words))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascade_bits::Bits;
 
     fn sample() -> HibernateImage {
         let mut regs = BTreeMap::new();
@@ -286,6 +199,30 @@ mod tests {
                 "truncated at {cut} must fail"
             );
         }
+    }
+
+    /// A register claiming width `u32::MAX` with no words is refused, not
+    /// decoded into a 512 MB value.
+    #[test]
+    fn hostile_bit_vector_is_refused() {
+        let mut img = HibernateImage::empty();
+        let mut regs = BTreeMap::new();
+        regs.insert("r".to_string(), Bits::from_u64(8, 1));
+        img.states.insert(
+            "main".to_string(),
+            EngineState {
+                regs,
+                mems: BTreeMap::new(),
+            },
+        );
+        let mut bytes = img.to_bytes();
+        // The register's value is the last 16 bytes before its engine's
+        // (empty) memory count: width u32, word count u64, one word.
+        let at = bytes.len() - 8 - 8 - 8 - 4;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[at + 4..at + 12].copy_from_slice(&0u64.to_le_bytes());
+        let err = HibernateImage::from_bytes(&bytes).expect_err("refused");
+        assert!(err.contains("words"), "{err}");
     }
 
     #[test]

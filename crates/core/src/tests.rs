@@ -1059,3 +1059,90 @@ fn a_program_that_evals_has_a_hardware_form_that_elaborates() {
         "only {one_shot} one-shot lines were accepted"
     );
 }
+
+/// Drives a runtime's background compile until it promotes.
+fn promote(rt: &mut Runtime) {
+    for _ in 0..64 {
+        if matches!(rt.mode(), ExecMode::Hardware | ExecMode::HardwareForwarded) {
+            return;
+        }
+        rt.wait_for_compile_worker();
+        if let Some(at) = rt.compile_ready_at() {
+            rt.advance_wall((at - rt.wall_seconds()).max(0.0) + 1e-9);
+        }
+        rt.service().unwrap();
+    }
+    panic!("never promoted: {:?}", rt.stats());
+}
+
+const NATIVE_COUNTER: &str = "reg [7:0] cnt = 0;\n\
+    always @(posedge clk.val) cnt <= cnt + 1;\n\
+    assign led.val = cnt;";
+
+/// Native mode entered from a forwarding hardware engine keeps its
+/// peripherals: they go back on the plane before the native engine is
+/// built, so the LEDs count exactly as when native is entered from
+/// software (native mode restarts from initial values either way).
+#[test]
+fn native_entered_from_forwarded_hardware_drives_the_peripherals() {
+    let mut config = JitConfig::default();
+    config.toolchain.time_scale = 1e-6;
+    let (mut from_sw, sw_board) = runtime(JitConfig {
+        auto_compile: false,
+        ..config.clone()
+    });
+    from_sw.eval(NATIVE_COUNTER).unwrap();
+    from_sw.enter_native().unwrap();
+    from_sw.run_ticks(10).unwrap();
+
+    let (mut rt, board) = runtime(config);
+    rt.eval(NATIVE_COUNTER).unwrap();
+    promote(&mut rt);
+    assert_eq!(rt.mode(), ExecMode::HardwareForwarded);
+    rt.run_ticks(5).unwrap();
+    let before = board.leds().to_u64();
+    rt.enter_native().unwrap();
+    assert_eq!(rt.mode(), ExecMode::Native);
+    rt.run_ticks(10).unwrap();
+    assert_eq!(
+        board.leds().to_u64(),
+        sw_board.leds().to_u64(),
+        "native from hardware must drive the LEDs (they read {before} at entry)"
+    );
+}
+
+/// Entering native mode returns a held fleet lease: a hotter tenant then
+/// takes the fabric without revoking anyone, and the native program keeps
+/// running natively instead of being demoted to a software restart.
+#[test]
+fn native_entry_returns_the_fleet_lease() {
+    use cascade_fpga::{ArbiterConfig, Fleet};
+    let mut config = JitConfig::default();
+    config.toolchain.time_scale = 1e-6;
+    let fleet = Fleet::with_config(1, ArbiterConfig::eager());
+    let (mut rt, board) = runtime(config.clone());
+    rt.attach_fleet(fleet.clone(), 1);
+    rt.set_heat(1.0);
+    rt.eval(NATIVE_COUNTER).unwrap();
+    promote(&mut rt);
+    assert!(rt.lease_held());
+    rt.enter_native().unwrap();
+    assert!(!rt.lease_held(), "native entry returns the lease");
+    assert_eq!(fleet.stats().in_use, 0);
+    rt.run_ticks(4).unwrap();
+
+    let (mut hot, _) = runtime(config);
+    hot.attach_fleet(fleet.clone(), 2);
+    hot.set_heat(2.0);
+    hot.eval(NATIVE_COUNTER).unwrap();
+    promote(&mut hot);
+    assert!(hot.lease_held(), "the free fabric is granted outright");
+    assert_eq!(fleet.stats().revocations, 0);
+
+    let leds = board.leds().to_u64();
+    rt.run_ticks(3).unwrap();
+    assert_eq!(rt.mode(), ExecMode::Native);
+    let kinds: Vec<EngineKind> = rt.stats().engines.iter().map(|e| e.1).collect();
+    assert_eq!(kinds, [EngineKind::Clock, EngineKind::Native]);
+    assert_eq!(board.leds().to_u64(), leds + 3, "state survives the steal");
+}

@@ -1,8 +1,8 @@
 //! Tiny length-prefixed binary codec shared by every durable record
 //! type (journal records, checkpoint images, bitstream-store entries).
-//! Little-endian, explicit lengths, bounds-checked reads — the same
-//! discipline as the hibernation image codec in `cascade-core`, kept
-//! dependency-free.
+//! Little-endian, explicit lengths, bounds-checked reads, kept
+//! dependency-free. The hibernation image in `cascade-core` is encoded
+//! and decoded through it too, so every durable format has one reader.
 
 use cascade_bits::Bits;
 
@@ -122,10 +122,18 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
-    /// Reads a bit vector written by [`put_bits`].
+    /// Reads a bit vector written by [`put_bits`]. A width-`w` value is
+    /// exactly `ceil(w/64).max(1)` words; any other count is refused before
+    /// anything is allocated.
     pub fn bits(&mut self) -> Result<Bits, String> {
         let width = self.u32()?;
         let n = self.u64()?;
+        let expect = u64::from(width).div_ceil(64).max(1);
+        if n != expect {
+            return Err(format!(
+                "bits width {width} with {n} words (expected {expect})"
+            ));
+        }
         if n > (self.remaining() / 8) as u64 {
             return Err(format!("bits word count {n} exceeds remaining bytes"));
         }
@@ -169,6 +177,34 @@ mod tests {
         let b = r.bits().unwrap();
         assert_eq!((b.width(), b.to_u64()), (48, 0xabcd_1234_5678));
         r.finish().unwrap();
+    }
+
+    /// A bit vector's word count is fixed by its width. Hostile bytes
+    /// that disagree are refused before anything is allocated: 12 bytes
+    /// claiming width `u32::MAX` and no words must not decode into a
+    /// 512 MB zeroed value.
+    #[test]
+    fn bits_reject_a_word_count_that_does_not_match_the_width() {
+        for (width, words) in [(200u32, 1u64), (64, 2), (0, 0), (u32::MAX, 0)] {
+            let mut buf = Vec::new();
+            put_u32(&mut buf, width);
+            put_u64(&mut buf, words);
+            for _ in 0..words {
+                put_u64(&mut buf, 0);
+            }
+            assert!(
+                Reader::new(&buf).bits().is_err(),
+                "width {width} with {words} words must be refused"
+            );
+        }
+        for width in [0u32, 1, 64, 65, 200] {
+            let mut buf = Vec::new();
+            put_bits(&mut buf, &Bits::zero(width));
+            let b = Reader::new(&buf)
+                .bits()
+                .expect("a well-formed value decodes");
+            assert_eq!(b.width(), width);
+        }
     }
 
     #[test]
