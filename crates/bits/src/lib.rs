@@ -26,6 +26,7 @@ mod fmt;
 mod ops;
 mod parse;
 pub mod prng;
+pub mod word;
 
 pub use bv::Bits;
 pub use parse::ParseBitsError;

@@ -200,6 +200,47 @@ impl Bits {
         self.divmod_big(rhs).1.resize(w)
     }
 
+    /// Signed division (`a / b` with both operands signed), truncating
+    /// toward zero at the width of the wider operand. Division by zero
+    /// yields all-ones.
+    pub fn sdiv(&self, rhs: &Bits) -> Bits {
+        let w = self.width().max(rhs.width());
+        if !rhs.to_bool() {
+            return Bits::ones(w);
+        }
+        let q = self.magnitude().div(&rhs.magnitude());
+        if self.msb() ^ rhs.msb() {
+            q.neg()
+        } else {
+            q
+        }
+    }
+
+    /// Signed remainder (`a % b` with both operands signed), taking the
+    /// sign of the dividend. Modulo zero yields all-ones.
+    pub fn srem(&self, rhs: &Bits) -> Bits {
+        let w = self.width().max(rhs.width());
+        if !rhs.to_bool() {
+            return Bits::ones(w);
+        }
+        let m = self.magnitude().rem(&rhs.magnitude());
+        if self.msb() {
+            m.neg()
+        } else {
+            m
+        }
+    }
+
+    /// The absolute value of `self` read as two's complement (`MIN` stays
+    /// `MIN`, which is its magnitude read unsigned).
+    fn magnitude(&self) -> Bits {
+        if self.msb() {
+            self.neg()
+        } else {
+            self.clone()
+        }
+    }
+
     /// Schoolbook bit-serial division for wide operands.
     fn divmod_big(&self, rhs: &Bits) -> (Bits, Bits) {
         let w = self.width().max(rhs.width());

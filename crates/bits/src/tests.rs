@@ -333,3 +333,193 @@ fn word_helpers_match_bits_exhaustively() {
     assert_eq!(sext(1 << 62, 63), Bits::from_u64(63, 1 << 62).to_i64());
     assert_eq!(sext(u64::MAX, 64), -1);
 }
+
+/// The `Bits` meaning of a table binary operation on same-width operands.
+fn bits_binary(op: crate::word::NOp, a: &Bits, b: &Bits) -> Bits {
+    use crate::word::NOp;
+    let amount = |b: &Bits| b.to_u64().min(u64::from(u32::MAX)) as u32;
+    match op {
+        NOp::Add => a.add(b),
+        NOp::Sub => a.sub(b),
+        NOp::Mul => a.mul(b),
+        NOp::DivU => a.div(b),
+        NOp::RemU => a.rem(b),
+        NOp::And => a.and(b),
+        NOp::Or => a.or(b),
+        NOp::Xor => a.xor(b),
+        NOp::Xnor => a.xnor(b),
+        NOp::Shl => a.shl(amount(b)),
+        NOp::Shr => a.shr(amount(b)),
+        NOp::Pow => a.pow(b),
+    }
+}
+
+const SAME_WIDTH: [crate::word::NOp; 9] = {
+    use crate::word::NOp::*;
+    [Add, Sub, Mul, DivU, RemU, And, Or, Xor, Xnor]
+};
+
+/// Holds every table entry that reads `a` at width `aw` and `b` at width
+/// `bw` to its `Bits` operator, resized to the entry's result width.
+fn check_word_pair(a: u64, aw: u32, b: u64, bw: u32) {
+    use crate::word::{self, NOp};
+    let (ba, bb) = (Bits::from_u64(aw, a), Bits::from_u64(bw, b));
+    let w = aw.max(bw);
+    let at = |v: Bits| v.resize(w).to_u64();
+    let ctx = || format!("a={a:#x}/{aw} b={b:#x}/{bw}");
+    assert_eq!(
+        word::divs(a, aw, b, bw, w),
+        at(ba.sdiv(&bb)),
+        "divs {}",
+        ctx()
+    );
+    assert_eq!(
+        word::rems(a, aw, b, bw, w),
+        at(ba.srem(&bb)),
+        "rems {}",
+        ctx()
+    );
+    assert_eq!(
+        word::cmp_s(a, aw, b, bw),
+        ba.cmp_signed(&bb),
+        "cmp_s {}",
+        ctx()
+    );
+    assert_eq!(word::cmp_u(a, b), ba.cmp_unsigned(&bb), "cmp_u {}", ctx());
+    // The shifts and `**` keep the left operand's width; the right one is
+    // an amount or an exponent of any width.
+    for op in [NOp::Shl, NOp::Shr, NOp::Pow] {
+        let want = bits_binary(op, &ba, &bb).to_u64();
+        assert_eq!(op.eval(a, b, aw), want, "{op:?} {}", ctx());
+    }
+    let amount = b.min(u64::from(u32::MAX)) as u32;
+    assert_eq!(
+        word::ashr(a, b, aw),
+        ba.ashr(amount).to_u64(),
+        "ashr {}",
+        ctx()
+    );
+    if aw == bw {
+        for op in SAME_WIDTH {
+            let want = bits_binary(op, &ba, &bb).to_u64();
+            assert_eq!(op.eval(a, b, w), want, "{op:?} {}", ctx());
+        }
+    }
+}
+
+/// Holds the table's one-operand entries at width `w` to `Bits`.
+fn check_word_unary(a: u64, w: u32) {
+    use crate::word;
+    let ba = Bits::from_u64(w, a);
+    assert_eq!(word::neg(a, w), ba.neg().to_u64(), "neg {a:#x}/{w}");
+    assert_eq!(word::not(a, w), ba.not().to_u64(), "not {a:#x}/{w}");
+    assert_eq!(word::red_and(a, w), ba.reduce_and(), "red_and {a:#x}/{w}");
+    assert_eq!(word::red_or(a), ba.reduce_or(), "red_or {a:#x}/{w}");
+    assert_eq!(word::red_xor(a), ba.reduce_xor(), "red_xor {a:#x}/{w}");
+}
+
+/// The lane kernels call an entry at width 64 and mask the result to the
+/// instruction's width; on operands canonical at `w`, that must be the
+/// entry at `w`.
+fn check_word_at_64_narrows(a: u64, b: u64, w: u32) {
+    use crate::wmask;
+    use crate::word::{self, NOp};
+    let m = wmask(w);
+    for op in SAME_WIDTH.into_iter().chain([NOp::Shl, NOp::Shr, NOp::Pow]) {
+        assert_eq!(
+            op.eval(a, b, 64) & m,
+            op.eval(a, b, w),
+            "{op:?} {a:#x} {b:#x}/{w}"
+        );
+    }
+    assert_eq!(word::neg(a, 64) & m, word::neg(a, w), "neg {a:#x}/{w}");
+    assert_eq!(word::not(a, 64) & m, word::not(a, w), "not {a:#x}/{w}");
+    let (divs, rems) = (word::divs(a, w, b, w, 64), word::rems(a, w, b, w, 64));
+    assert_eq!(
+        divs & m,
+        word::divs(a, w, b, w, w),
+        "divs {a:#x} {b:#x}/{w}"
+    );
+    assert_eq!(
+        rems & m,
+        word::rems(a, w, b, w, w),
+        "rems {a:#x} {b:#x}/{w}"
+    );
+}
+
+/// Every entry of the narrow-word operator table equals its `Bits`
+/// operator: over all operand values at every width ≤ 8 (each pair of
+/// operand widths), and over boundary and seeded operands at 63 and 64
+/// bits. At 65 bits, the table's 64-bit ring operations equal the `Bits`
+/// ones truncated to 64.
+#[test]
+fn word_table_matches_bits_exhaustively() {
+    use crate::{wmask, word, Prng};
+    for aw in 0..=8u32 {
+        for a in 0..1u64 << aw {
+            check_word_unary(a, aw);
+            for bw in 0..=8u32 {
+                for b in 0..1u64 << bw {
+                    check_word_pair(a, aw, b, bw);
+                    if bw == aw {
+                        check_word_at_64_narrows(a, b, aw);
+                    }
+                }
+            }
+            // Amounts past any width, clamped like the engines' `u32` cast.
+            for amt in [64, 65, 1 << 32, u64::MAX] {
+                check_word_pair(a, aw, amt, 64);
+            }
+        }
+    }
+    let mut rng = Prng::new(0x5eed);
+    for w in [63u32, 64] {
+        let (max, min) = (wmask(w), 1u64 << (w - 1));
+        let mut operands = vec![0, 1, min, min - 1, max];
+        operands.extend((0..8).map(|_| rng.next_u64() & max));
+        for &a in &operands {
+            check_word_unary(a, w);
+            for &b in &operands {
+                check_word_pair(a, w, b, w);
+                check_word_pair(a, w, b & 0xff, 8);
+                check_word_pair(a & 0xff, 8, b, w);
+                check_word_at_64_narrows(a, b, w);
+            }
+            for amt in [w - 1, w, w + 1] {
+                check_word_pair(a, w, u64::from(amt), 8);
+            }
+        }
+    }
+    // At 65 bits, a random top bit must not reach the low 64 of a ring
+    // operation.
+    let mut operands = vec![0, 1, 1 << 63, (1 << 63) - 1, u64::MAX];
+    operands.extend((0..8).map(|_| rng.next_u64()));
+    let wide = |v: u64, rng: &mut Prng| Bits::from_words(65, &[v, rng.next_u64() & 1]);
+    for &a in &operands {
+        let ba = wide(a, &mut rng);
+        assert_eq!(word::neg(a, 64), ba.neg().resize(64).to_u64(), "neg {a:#x}");
+        assert_eq!(word::not(a, 64), ba.not().resize(64).to_u64(), "not {a:#x}");
+        for &b in &operands {
+            let bb = wide(b, &mut rng);
+            for op in SAME_WIDTH {
+                if matches!(op, word::NOp::DivU | word::NOp::RemU) {
+                    continue;
+                }
+                let want = bits_binary(op, &ba, &bb).resize(64).to_u64();
+                assert_eq!(op.eval(a, b, 64), want, "{op:?} {a:#x} {b:#x} at 65");
+            }
+        }
+    }
+}
+
+/// `$random` is xorshift64* from a fixed state; a seed selects an odd
+/// (hence nonzero) state.
+#[test]
+fn word_random_stream_is_pinned() {
+    use crate::word;
+    let mut state = word::RANDOM_SEED;
+    let draws: Vec<u64> = (0..3).map(|_| word::random_next(&mut state)).collect();
+    assert_eq!(draws, [0xad5d_b60b, 0xbeda_f65d, 0x0a1f_e02d]);
+    assert_eq!(word::random_seed(0), 1);
+    assert_eq!(word::random_seed(6), 7);
+}

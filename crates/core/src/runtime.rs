@@ -25,6 +25,7 @@ mod sched;
 use crate::compiler::{BackgroundCompiler, CompileQueue, CompilerMetrics, HwSource, RetryPolicy};
 use crate::config::JitConfig;
 use crate::engine::native::NativeEngine;
+use crate::engine::EngineState;
 use crate::error::{panic_message, CascadeError};
 use crate::plane::{Counts, Plan, ResolvedWire, Slot, SlotEngine};
 use crate::transform::transform_module;
@@ -37,6 +38,7 @@ use cascade_verilog::typecheck::{check_module, ModuleLibrary, ParamEnv};
 use lifecycle::{Action, Actions, Event, Lifecycle};
 use observe::Observe;
 use recovery::Recovery;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -342,6 +344,17 @@ impl Runtime {
     /// Returns [`CascadeError`] on parse/type errors; the program is left
     /// unchanged.
     pub fn eval(&mut self, src: &str) -> Result<(), CascadeError> {
+        self.eval_seeded(src, None)
+    }
+
+    /// [`Runtime::eval`], with the new version's engines seeded from
+    /// `states` when given instead of from the live engines. Seeded source
+    /// is a replay: its one-shot items ran before the states were taken.
+    fn eval_seeded(
+        &mut self,
+        src: &str,
+        states: Option<BTreeMap<String, EngineState>>,
+    ) -> Result<(), CascadeError> {
         let t0 = self.virt_ns();
         let h0 = self.obs.trace.host_ns();
         let src = cascade_verilog::preproc::preprocess(src, &cascade_verilog::preproc::NoIncludes)?;
@@ -377,7 +390,7 @@ impl Runtime {
                 Item::RootItem(mi) => {
                     staged_root.push(RootEntry {
                         item: mi,
-                        executed: false,
+                        executed: states.is_some(),
                     });
                 }
             }
@@ -398,7 +411,7 @@ impl Runtime {
         self.verify()?;
         let prev_lib = std::mem::replace(&mut self.lib, staged_lib);
         let prev_root = std::mem::replace(&mut self.root, staged_root);
-        match catch_unwind(AssertUnwindSafe(|| self.feed(Event::Eval))) {
+        match catch_unwind(AssertUnwindSafe(|| self.new_version(states))) {
             Ok(Ok(_)) => {
                 // Committed: the (preprocessed) text joins the hibernation
                 // replay log. Preprocessed form keeps `define scoping
@@ -438,6 +451,23 @@ impl Runtime {
                 Err(CascadeError::Internal(msg))
             }
         }
+    }
+
+    /// Steps in a new version. Its rebuild seeds the engines from `states`
+    /// when given, from the live engines otherwise.
+    fn new_version(
+        &mut self,
+        mut states: Option<BTreeMap<String, EngineState>>,
+    ) -> Result<(), CascadeError> {
+        let mut rebuilt = Ok(());
+        self.feed_with(Event::Eval, |rt, a| {
+            let seeded = a == Action::Rebuild && states.is_some();
+            if seeded {
+                rebuilt = rt.rebuild_from(states.take());
+            }
+            seeded
+        })?;
+        rebuilt
     }
 
     /// Restores the previous (known-good) program after a failed eval
@@ -596,6 +626,7 @@ impl Runtime {
             Action::Release => {
                 let q = std::mem::take(&mut self.recovery.quarantine);
                 self.output.extend(q);
+                self.vcd_release();
             }
             Action::TakeCheckpoint => self.take_checkpoint(),
             Action::Strike => return self.strike(),

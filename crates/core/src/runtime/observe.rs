@@ -123,8 +123,9 @@ pub(super) struct VcdTap {
     /// The sampled main-engine signals, by name and by handle in the
     /// current main engine. The clock is sampled ahead of them.
     ports: Vec<(String, PortId)>,
-    /// Sample buffer, reused every tick: the clock, then `ports`.
-    values: Vec<Option<Bits>>,
+    /// Samples not yet written, each the clock then `ports`: those taken
+    /// inside an unverified hardware window wait here for its readback.
+    held: Vec<Option<Bits>>,
     path: String,
 }
 
@@ -472,17 +473,16 @@ impl Runtime {
     /// Returns [`CascadeError::Unsupported`] when there is no user logic,
     /// a port is unknown, or the file cannot be created.
     pub fn vcd_start(&mut self, path: &str, ports: &[String]) -> Result<(), CascadeError> {
-        if self.main_idx.is_none() {
+        let Some(main_idx) = self.main_idx else {
             return Err(CascadeError::Unsupported(
                 "vcd: no user logic to dump".to_string(),
             ));
-        }
+        };
         let mut names: Vec<String> = if ports.is_empty() {
-            let main_idx = self.main_idx;
             let mut auto: Vec<String> = self
                 .wires
                 .iter()
-                .filter(|w| Some(w.from.slot) == main_idx)
+                .filter(|w| w.from.slot == main_idx)
                 .map(|w| w.from.name.clone())
                 .collect();
             auto.sort();
@@ -493,26 +493,26 @@ impl Runtime {
         };
         names.retain(|n| n != "clk");
         // Validate against the live engine (unknown ports fail fast) and
-        // take widths from live values.
+        // take widths from live values. Nothing here is verified: a width
+        // does not depend on the fabric, and the values are sampled below.
         let mut decls: Vec<(String, u32)> = vec![("clk".to_string(), 1)];
+        let main = &mut self.slots[main_idx].engine;
         for name in &names {
-            let unknown = || CascadeError::Unsupported(format!("vcd: unknown port `{name}`"));
-            let width = self.probe(name).ok_or_else(unknown)?.width();
-            let main = self.main_idx.ok_or_else(unknown)?;
-            if self.slots[main].engine.port(name) == PortId::NONE {
-                return Err(unknown());
+            let port = main.port(name);
+            if port == PortId::NONE {
+                return Err(CascadeError::Unsupported(format!(
+                    "vcd: unknown port `{name}`"
+                )));
             }
-            decls.push((name.clone(), width));
+            decls.push((name.clone(), main.output(port).width()));
         }
         let file = std::fs::File::create(path)
             .map_err(|e| CascadeError::Unsupported(format!("vcd: cannot create `{path}`: {e}")))?;
         let writer = PortVcd::new(std::io::BufWriter::new(file), ROOT, &decls)
             .map_err(|e| CascadeError::Unsupported(format!("vcd: write failed: {e}")))?;
-        // Handles are taken last: a probe above may have closed a corrupt
-        // speculation window, which replaces the engines.
         self.obs.vcd = Some(VcdTap {
             writer,
-            values: Vec::with_capacity(decls.len()),
+            held: Vec::with_capacity(decls.len()),
             ports: names.into_iter().map(|n| (n, PortId::NONE)).collect(),
             path: path.to_string(),
         });
@@ -529,6 +529,17 @@ impl Runtime {
 
     /// Stops the active VCD dump, flushing the file. Returns its path.
     pub fn vcd_stop(&mut self) -> Option<String> {
+        // Samples held by a window still open (after `tick`) are written
+        // once it verifies.
+        if self
+            .obs
+            .vcd
+            .as_ref()
+            .is_some_and(|tap| !tap.held.is_empty())
+            && self.verify().is_ok()
+        {
+            self.vcd_release();
+        }
         let mut tap = self.obs.vcd.take()?;
         if let Err(e) = tap.writer.finish() {
             self.warnings.push(format!("vcd: flush failed: {e}"));
@@ -536,37 +547,46 @@ impl Runtime {
         Some(tap.path)
     }
 
-    /// Appends one sample of every tracked port to the active dump. A
-    /// write failure stops the dump with a warning rather than killing
-    /// the session.
+    /// Appends one sample of every tracked port to the active dump. Like
+    /// `$display` output, a sample of an unverified hardware window is held
+    /// until a clean readback releases it ([`Runtime::vcd_release`]); a
+    /// rollback discards it, and the re-executed ticks sample again.
     pub(super) fn vcd_sample(&mut self) {
         let Some(tap) = &mut self.obs.vcd else {
             return;
         };
-        tap.values.clear();
-        tap.values
+        tap.held
             .push(Some(self.slots[self.clock_idx].engine.output(clock::VAL)));
-        for i in 0..tap.ports.len() {
-            // Verified like `probe`, signal by signal. A failed verify
-            // replaces the engines, which re-resolves the tap — so the
-            // handle is read only afterwards.
-            let verified = self.verify().is_ok();
-            let Some(tap) = &mut self.obs.vcd else {
-                return;
-            };
-            let value = match self.main_idx {
-                Some(idx) if verified => Some(self.slots[idx].engine.output(tap.ports[i].1)),
-                _ => None,
-            };
-            tap.values.push(value);
+        for &(_, port) in &tap.ports {
+            let value = self.main_idx.map(|idx| self.slots[idx].engine.output(port));
+            tap.held.push(value);
         }
+        // Nothing has run unverified since a readback at this iteration.
+        if !self.lc.speculating() || self.iterations == self.lc.last_scrub {
+            self.vcd_release();
+        }
+    }
+
+    /// Writes the held samples. A write failure stops the dump with a
+    /// warning rather than killing the session.
+    pub(super) fn vcd_release(&mut self) {
         let Some(tap) = &mut self.obs.vcd else {
             return;
         };
-        if let Err(e) = tap.writer.sample(&tap.values) {
+        let n = tap.ports.len() + 1;
+        let written = tap.held.chunks(n).try_for_each(|s| tap.writer.sample(s));
+        tap.held.clear();
+        if let Err(e) = written {
             self.warnings
                 .push(format!("vcd: write failed: {e}; dump stopped"));
             self.obs.vcd = None;
+        }
+    }
+
+    /// Drops the samples of a window that rolled back.
+    pub(super) fn vcd_discard(&mut self) {
+        if let Some(tap) = &mut self.obs.vcd {
+            tap.held.clear();
         }
     }
 

@@ -109,36 +109,33 @@ impl Runtime {
     }
 
     /// Resurrects a hibernated program on this (fresh) runtime: advances
-    /// the modeled wall clock to the image's, replays the append-only
-    /// source log to rebuild the library and root structure (replay
-    /// output is discarded — it already happened), then overwrites engine
-    /// state with the checkpointed snapshot exactly as a rollback would.
-    /// The restored state is re-armed as the recovery checkpoint, and the
-    /// replayed design re-enters the compile pipeline (hitting the
+    /// the modeled wall clock to the image's, then replays the append-only
+    /// source log to rebuild the library and root structure, seeding the
+    /// engines with the checkpointed snapshot exactly as a rollback would
+    /// (the replay's one-shot items and output already happened). The
+    /// restored state is re-armed as the recovery checkpoint, and the
+    /// replayed design enters the compile pipeline once (hitting the
     /// bitstream cache when the design was compiled before).
     ///
     /// # Errors
     ///
     /// Returns [`CascadeError`] if the source replay or the state rebuild
-    /// fails; the runtime is then in the replayed-but-unrestored state
-    /// and should be discarded.
+    /// fails; the runtime should then be discarded.
     pub fn restore_image(&mut self, image: &HibernateImage) -> Result<(), CascadeError> {
         let dt = image.wall_seconds - self.wall.seconds();
         if dt > 0.0 {
             self.advance_wall(dt);
         }
+        let armed = !image.states.is_empty();
         if !image.source.is_empty() {
-            self.eval(&image.source)?;
+            self.eval_seeded(&image.source, armed.then(|| image.states.clone()))?;
         }
-        // Replay re-ran the program's one-shot items; their output (and
-        // any staged warnings) belongs to the pre-hibernation transcript.
+        // An unarmed replay ran the one-shot items again; their output
+        // belongs to the pre-hibernation transcript.
         self.output.clear();
         self.iterations = image.iterations;
         self.finished = image.finished;
-        let armed = !image.states.is_empty();
         if armed {
-            self.rebuild_from(Some(image.states.clone()))?;
-            self.output.clear();
             // Arm the restored snapshot as the last known-good point so an
             // immediate post-wake fault can still roll back.
             self.recovery.snapshot = Some(Snapshot {
@@ -278,6 +275,7 @@ impl Runtime {
             None => self.rebuild()?,
             Some(cp) => {
                 self.recovery.quarantine.clear();
+                self.vcd_discard();
                 self.board.fifo_rewind();
                 let rewound = self.iterations.saturating_sub(cp.iterations) / 2;
                 self.iterations = cp.iterations;

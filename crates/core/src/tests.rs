@@ -1146,3 +1146,120 @@ fn native_entry_returns_the_fleet_lease() {
     assert_eq!(kinds, [EngineKind::Clock, EngineKind::Native]);
     assert_eq!(board.leds().to_u64(), leds + 3, "state survives the steal");
 }
+
+const THREE_COUNTERS: &str = "reg [7:0] a = 0;\n\
+    reg [7:0] b = 1;\n\
+    reg [7:0] c = 2;\n\
+    always @(posedge clk.val) begin a <= a + 1; b <= b + 2; c <= c + 3; end\n\
+    assign led.val = a ^ b ^ c;";
+
+/// Runs the three counters promoted, with a scrubbed hardware window and
+/// `faults`, tapping `ports` (none: no tap) while `drive` runs. Returns
+/// the dump and the runtime's stats.
+fn tapped_window(
+    faults: cascade_fpga::FaultPlan,
+    ports: &[&str],
+    drive: impl FnOnce(&mut Runtime),
+) -> (String, crate::RuntimeStats) {
+    static DUMPS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let mut config = JitConfig::default();
+    config.toolchain.time_scale = 1e-6;
+    config.scrub_interval_ticks = 8;
+    config.faults = faults;
+    let (mut rt, _) = runtime(config);
+    rt.eval(THREE_COUNTERS).unwrap();
+    promote(&mut rt);
+    let n = DUMPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("cascade-tap-{}-{n}.vcd", std::process::id()));
+    let path = path.to_str().unwrap();
+    let ports: Vec<String> = ports.iter().map(|p| p.to_string()).collect();
+    if !ports.is_empty() {
+        rt.vcd_start(path, &ports).unwrap();
+    }
+    drive(&mut rt);
+    rt.vcd_stop();
+    let dump = std::fs::read_to_string(path).unwrap_or_default();
+    let _ = std::fs::remove_file(path);
+    (dump, rt.stats())
+}
+
+const TAPPED: [&str; 3] = ["a", "b", "c"];
+
+fn run(ticks: u64) -> impl FnOnce(&mut Runtime) {
+    move |rt| {
+        rt.run_ticks(ticks).unwrap();
+    }
+}
+
+/// A waveform tap verifies nothing of its own: its samples wait for the
+/// window's readback like `$display` output does, so tapping three signals
+/// leaves a scrubbed hardware window's scrubs and checkpoints as they are
+/// untapped.
+#[test]
+fn a_waveform_tap_leaves_the_scrub_schedule_alone() {
+    let none = cascade_fpga::FaultPlan::none;
+    let (_, tapped) = tapped_window(none(), &TAPPED, run(16));
+    let (_, untapped) = tapped_window(none(), &[], run(16));
+    let counts = |s: &crate::RuntimeStats| (s.scrubs, s.checkpoints_taken);
+    assert_eq!(counts(&tapped), (2, 3));
+    assert_eq!(counts(&tapped), counts(&untapped));
+}
+
+/// A window that rolls back drops its held samples, and the re-executed
+/// ticks sample again: the dump reads as if no fault had struck. A dump
+/// stopped inside an open window (single `tick`s close none) keeps the
+/// samples the window held.
+#[test]
+fn a_waveform_dump_holds_only_verified_samples() {
+    let faults = cascade_fpga::FaultPlan::builder()
+        .scrub_soft_error(1, 0x3)
+        .build();
+    let (dump, stats) = tapped_window(faults, &TAPPED, run(32));
+    assert!(stats.checkpoints_restored >= 1, "no rollback: {stats:?}");
+    let none = cascade_fpga::FaultPlan::none;
+    let (clean, _) = tapped_window(none(), &TAPPED, run(32));
+    assert_eq!(dump, clean);
+    let (ticked, _) = tapped_window(none(), &TAPPED, |rt| {
+        for _ in 0..3 {
+            rt.tick().unwrap();
+        }
+    });
+    let (ran, _) = tapped_window(none(), &TAPPED, run(3));
+    assert_eq!(ticked, ran);
+}
+
+/// A woken runtime replays its source and rebuilds once, with the image's
+/// states, so it submits its design to the compiler once: every wake reads
+/// the same compile-cache counters.
+#[test]
+fn a_woken_runtime_submits_one_compile() {
+    let mut config = JitConfig::default();
+    config.toolchain.time_scale = 1e-6;
+    let (mut rt, board) = runtime(config.clone());
+    rt.eval(NATIVE_COUNTER).unwrap();
+    rt.run_ticks(5).unwrap();
+    let image = rt.hibernate_image().unwrap();
+    drop(rt);
+    let wake = || {
+        let trace = cascade_trace::TraceSink::ring(1 << 12);
+        let config = JitConfig {
+            trace: trace.clone(),
+            ..config.clone()
+        };
+        let mut woke = Runtime::new(board.clone(), config).unwrap();
+        woke.restore_image(&image).unwrap();
+        woke.wait_for_compile_worker();
+        let submits = trace
+            .snapshot()
+            .iter()
+            .filter(|e| e.name == "submit")
+            .count();
+        let s = woke.stats();
+        (submits, s.compile_cache_hits, s.compile_cache_misses)
+    };
+    let first = wake();
+    assert_eq!(first.0, 1, "submits");
+    for _ in 1..10 {
+        assert_eq!(wake(), first);
+    }
+}

@@ -380,8 +380,8 @@ pub(crate) fn eval_cell_refs(op: CellOp, inputs: &[&Bits], width: u32) -> Bits {
         Mul => a.expect("a").mul(b.expect("b")).resize(width),
         DivU => a.expect("a").div(b.expect("b")).resize(width),
         RemU => a.expect("a").rem(b.expect("b")).resize(width),
-        DivS => signed_div(a.expect("a"), b.expect("b")).resize(width),
-        RemS => signed_rem(a.expect("a"), b.expect("b")).resize(width),
+        DivS => a.expect("a").sdiv(b.expect("b")).resize(width),
+        RemS => a.expect("a").srem(b.expect("b")).resize(width),
         And => a.expect("a").and(b.expect("b")).resize(width),
         Or => a.expect("a").or(b.expect("b")).resize(width),
         Xor => a.expect("a").xor(b.expect("b")).resize(width),
@@ -426,72 +426,4 @@ pub(crate) fn eval_cell_refs(op: CellOp, inputs: &[&Bits], width: u32) -> Bits {
 
 fn shift_amount(b: &Bits) -> u32 {
     b.to_u64().min(u32::MAX as u64) as u32
-}
-
-fn signed_div(l: &Bits, r: &Bits) -> Bits {
-    let w = l.width().max(r.width());
-    if !r.to_bool() {
-        return Bits::ones(w);
-    }
-    if w <= 64 {
-        // Word fast path: no magnitude temporaries.
-        let q = l.to_i64().wrapping_div(r.to_i64());
-        return Bits::from_u64(w, q as u64);
-    }
-    let ln = l.msb();
-    let rn = r.msb();
-    // Negate into a temporary only for the negative operand; borrow the
-    // positive one directly.
-    let la;
-    let ra;
-    let lm = if ln {
-        la = l.neg();
-        &la
-    } else {
-        l
-    };
-    let rm = if rn {
-        ra = r.neg();
-        &ra
-    } else {
-        r
-    };
-    let q = lm.div(rm);
-    if ln ^ rn {
-        q.neg()
-    } else {
-        q
-    }
-}
-
-fn signed_rem(l: &Bits, r: &Bits) -> Bits {
-    let w = l.width().max(r.width());
-    if !r.to_bool() {
-        return Bits::ones(w);
-    }
-    if w <= 64 {
-        let m = l.to_i64().wrapping_rem(r.to_i64());
-        return Bits::from_u64(w, m as u64);
-    }
-    let ln = l.msb();
-    let la;
-    let ra;
-    let lm = if ln {
-        la = l.neg();
-        &la
-    } else {
-        l
-    };
-    let rm = if r.msb() {
-        ra = r.neg();
-        &ra
-    } else {
-        r
-    };
-    let m = lm.rem(rm);
-    if ln {
-        m.neg()
-    } else {
-        m
-    }
 }

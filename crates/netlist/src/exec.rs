@@ -30,7 +30,7 @@
 use crate::eval::{render_task, TaskFire};
 use crate::ir::*;
 use crate::level::{levelize, levels, LevelError};
-use cascade_bits::{sext, wmask, Bits};
+use cascade_bits::{wmask, word, Bits};
 
 /// One net's run of words in the arena.
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +53,7 @@ pub(crate) enum Kernel {
     },
     RedAnd {
         a: u32,
-        full: u64,
+        aw: u32,
     },
     RedOr {
         a: u32,
@@ -115,12 +115,10 @@ pub(crate) enum Kernel {
     Shl {
         a: u32,
         b: u32,
-        aw: u32,
     },
     Shr {
         a: u32,
         b: u32,
-        aw: u32,
     },
     AShr {
         a: u32,
@@ -1337,13 +1335,7 @@ fn compile_net(nl: &Netlist, slots: &[Slot], mems: &[MemLayout], net: NetId) -> 
             let (kernel, mask) = match cell.op {
                 C::Not => (Kernel::Not { a: o(0) }, wmask(w(0)) & outmask),
                 C::Neg => (Kernel::Neg { a: o(0) }, wmask(w(0)) & outmask),
-                C::RedAnd => (
-                    Kernel::RedAnd {
-                        a: o(0),
-                        full: wmask(w(0)),
-                    },
-                    outmask,
-                ),
+                C::RedAnd => (Kernel::RedAnd { a: o(0), aw: w(0) }, outmask),
                 C::RedOr => (Kernel::RedOr { a: o(0) }, outmask),
                 C::RedXor => (Kernel::RedXor { a: o(0) }, outmask),
                 C::LogNot => (Kernel::LogNot { a: o(0) }, outmask),
@@ -1374,22 +1366,8 @@ fn compile_net(nl: &Netlist, slots: &[Slot], mems: &[MemLayout], net: NetId) -> 
                 C::Or => (Kernel::Or { a: o(0), b: o(1) }, binop_mask(0, 1)),
                 C::Xor => (Kernel::Xor { a: o(0), b: o(1) }, binop_mask(0, 1)),
                 C::Xnor => (Kernel::Xnor { a: o(0), b: o(1) }, binop_mask(0, 1)),
-                C::Shl => (
-                    Kernel::Shl {
-                        a: o(0),
-                        b: o(1),
-                        aw: w(0),
-                    },
-                    wmask(w(0)) & outmask,
-                ),
-                C::Shr => (
-                    Kernel::Shr {
-                        a: o(0),
-                        b: o(1),
-                        aw: w(0),
-                    },
-                    outmask,
-                ),
+                C::Shl => (Kernel::Shl { a: o(0), b: o(1) }, wmask(w(0)) & outmask),
+                C::Shr => (Kernel::Shr { a: o(0), b: o(1) }, outmask),
                 C::AShr => (
                     Kernel::AShr {
                         a: o(0),
@@ -2226,93 +2204,72 @@ unsafe fn exec_lanes<W: Lanes>(
     let dst = ins.dst;
     let m = ins.mask;
     use Kernel as K;
+    // Operators compute through the narrow-word table. A kernel that
+    // carries no width calls its operation at width 64, and the result
+    // mask `m` narrows it exactly (`cascade_bits::word` says why).
     match &ins.kernel {
-        K::Not { a } => lanes1(arena, lanes, dst, m, *a, |x| !x),
-        K::Neg { a } => lanes1(arena, lanes, dst, m, *a, |x| x.wrapping_neg()),
-        K::RedAnd { a, full } => {
-            let full = *full;
-            lanes1(arena, lanes, dst, m, *a, move |x| (x == full) as u64)
+        K::Not { a } => lanes1(arena, lanes, dst, m, *a, |x| word::not(x, 64)),
+        K::Neg { a } => lanes1(arena, lanes, dst, m, *a, |x| word::neg(x, 64)),
+        K::RedAnd { a, aw } => {
+            let aw = *aw;
+            lanes1(arena, lanes, dst, m, *a, move |x| {
+                word::red_and(x, aw) as u64
+            })
         }
-        K::RedOr { a } => lanes1(arena, lanes, dst, m, *a, |x| (x != 0) as u64),
-        K::RedXor { a } => lanes1(arena, lanes, dst, m, *a, |x| (x.count_ones() & 1) as u64),
-        K::LogNot { a } => lanes1(arena, lanes, dst, m, *a, |x| (x == 0) as u64),
-        K::Add { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| x.wrapping_add(y)),
-        K::Sub { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| x.wrapping_sub(y)),
-        K::Mul { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| x.wrapping_mul(y)),
-        K::DivU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| {
-            x.checked_div(y).unwrap_or(u64::MAX)
-        }),
-        K::RemU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| {
-            x.checked_rem(y).unwrap_or(u64::MAX)
-        }),
+        K::RedOr { a } => lanes1(arena, lanes, dst, m, *a, |x| word::red_or(x) as u64),
+        K::RedXor { a } => lanes1(arena, lanes, dst, m, *a, |x| word::red_xor(x) as u64),
+        K::LogNot { a } => lanes1(arena, lanes, dst, m, *a, |x| !word::red_or(x) as u64),
+        K::Add { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::add(x, y, 64)),
+        K::Sub { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::sub(x, y, 64)),
+        K::Mul { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::mul(x, y, 64)),
+        K::DivU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::divu(x, y, 64)),
+        K::RemU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::remu(x, y, 64)),
         K::DivS { a, b, aw, bw } => {
             let (aw, bw) = (*aw, *bw);
             lanes2(arena, lanes, dst, m, *a, *b, move |x, y| {
-                if y == 0 {
-                    u64::MAX
-                } else {
-                    sext(x, aw).wrapping_div(sext(y, bw)) as u64
-                }
+                word::divs(x, aw, y, bw, 64)
             })
         }
         K::RemS { a, b, aw, bw } => {
             let (aw, bw) = (*aw, *bw);
             lanes2(arena, lanes, dst, m, *a, *b, move |x, y| {
-                if y == 0 {
-                    u64::MAX
-                } else {
-                    sext(x, aw).wrapping_rem(sext(y, bw)) as u64
-                }
+                word::rems(x, aw, y, bw, 64)
             })
         }
         K::And { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| x & y),
         K::Or { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| x | y),
         K::Xor { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| x ^ y),
-        K::Xnor { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| !(x ^ y)),
-        K::Shl { a, b, aw } => {
-            let aw = *aw as u64;
-            lanes2(arena, lanes, dst, m, *a, *b, move |x, y| {
-                if y >= aw {
-                    0
-                } else {
-                    x << y
-                }
-            })
-        }
-        K::Shr { a, b, aw } => {
-            let aw = *aw as u64;
-            lanes2(arena, lanes, dst, m, *a, *b, move |x, y| {
-                if y >= aw {
-                    0
-                } else {
-                    x >> y
-                }
-            })
-        }
+        K::Xnor { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::xnor(x, y, 64)),
+        K::Shl { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::shl(x, y, 64)),
+        K::Shr { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| word::shr(x, y, 64)),
         K::AShr { a, b, aw } => {
             let aw = *aw;
             lanes2(arena, lanes, dst, m, *a, *b, move |x, y| {
-                if aw == 0 {
-                    0
-                } else {
-                    (sext(x, aw) >> y.min(63) as u32) as u64
-                }
+                word::ashr(x, y, aw)
             })
         }
-        K::Eq { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| (x == y) as u64),
-        K::Ne { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| (x != y) as u64),
-        K::LtU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| (x < y) as u64),
-        K::LeU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| (x <= y) as u64),
+        K::Eq { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| {
+            word::cmp_u(x, y).is_eq() as u64
+        }),
+        K::Ne { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| {
+            word::cmp_u(x, y).is_ne() as u64
+        }),
+        K::LtU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| {
+            word::cmp_u(x, y).is_lt() as u64
+        }),
+        K::LeU { a, b } => lanes2(arena, lanes, dst, m, *a, *b, |x, y| {
+            word::cmp_u(x, y).is_le() as u64
+        }),
         K::LtS { a, b, aw, bw } => {
             let (aw, bw) = (*aw, *bw);
             lanes2(arena, lanes, dst, m, *a, *b, move |x, y| {
-                (sext(x, aw) < sext(y, bw)) as u64
+                word::cmp_s(x, aw, y, bw).is_lt() as u64
             })
         }
         K::LeS { a, b, aw, bw } => {
             let (aw, bw) = (*aw, *bw);
             lanes2(arena, lanes, dst, m, *a, *b, move |x, y| {
-                (sext(x, aw) <= sext(y, bw)) as u64
+                word::cmp_s(x, aw, y, bw).is_le() as u64
             })
         }
         K::Mux { s, t, e } => lanes3(
@@ -2332,28 +2289,28 @@ unsafe fn exec_lanes<W: Lanes>(
             },
         ),
         K::MuxEq { a, b, t, e } => lanes4(arena, lanes, dst, m, *a, *b, *t, *e, |x, y, t, e| {
-            if x == y {
+            if word::cmp_u(x, y).is_eq() {
                 t
             } else {
                 e
             }
         }),
         K::MuxNe { a, b, t, e } => lanes4(arena, lanes, dst, m, *a, *b, *t, *e, |x, y, t, e| {
-            if x != y {
+            if word::cmp_u(x, y).is_ne() {
                 t
             } else {
                 e
             }
         }),
         K::MuxLtU { a, b, t, e } => lanes4(arena, lanes, dst, m, *a, *b, *t, *e, |x, y, t, e| {
-            if x < y {
+            if word::cmp_u(x, y).is_lt() {
                 t
             } else {
                 e
             }
         }),
         K::MuxLeU { a, b, t, e } => lanes4(arena, lanes, dst, m, *a, *b, *t, *e, |x, y, t, e| {
-            if x <= y {
+            if word::cmp_u(x, y).is_le() {
                 t
             } else {
                 e

@@ -58,7 +58,7 @@ pub use ir::{
 };
 pub use level::{levelize, levels, logic_depth, LevelError};
 pub use lower::{collect_writes, synthesize, synthesize_raw, SynthError};
-pub use opt::{balance_case_chains, const_fold, dedupe_clocks, optimize, prune_dead, specialize};
+pub use opt::{balance_case_chains, dedupe_clocks, optimize, prune_dead};
 pub use stats::{
     cell_delay_ns, critical_path_ns, estimate_area, estimate_timing, level_population,
     AreaEstimate, TimingEstimate,

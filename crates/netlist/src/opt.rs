@@ -81,77 +81,6 @@ pub fn dedupe_clocks(nl: &mut Netlist) {
     }
 }
 
-/// Constant-folds cells whose inputs are all constants, in place. The
-/// synthesizer folds during construction; this post-hoc pass exists for
-/// rewrites that introduce new constants afterwards (specialization).
-pub fn const_fold(nl: &mut Netlist) {
-    // Topological order guarantees inputs fold before their users.
-    let Ok(order) = crate::level::levelize(nl) else {
-        return;
-    };
-    for net in order {
-        let i = net.0 as usize;
-        // Muxes with constant selectors collapse to one arm even when the
-        // arms are not constants.
-        if let Def::Cell(cell) = &nl.nets[i].def {
-            if cell.op == CellOp::Mux {
-                if let Def::Const(sel) = &nl.nets[cell.inputs[0].0 as usize].def {
-                    let arm = if sel.to_bool() {
-                        cell.inputs[1]
-                    } else {
-                        cell.inputs[2]
-                    };
-                    nl.nets[i].def = Def::Cell(Cell {
-                        op: CellOp::ZExt,
-                        inputs: vec![arm],
-                    });
-                }
-            }
-        }
-        let (value, width) = match &nl.nets[i].def {
-            Def::Cell(cell) => {
-                let consts: Option<Vec<Bits>> = cell
-                    .inputs
-                    .iter()
-                    .map(|inp| match &nl.nets[inp.0 as usize].def {
-                        Def::Const(c) => Some(c.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                match consts {
-                    Some(cs) => {
-                        let w = nl.nets[i].width;
-                        (crate::eval::eval_cell(cell.op, &cs, w), w)
-                    }
-                    None => continue,
-                }
-            }
-            _ => continue,
-        };
-        nl.nets[i].def = Def::Const(value.resize(width));
-    }
-}
-
-/// The paper's future-work "dynamic optimization" (Sec. 9): specializes a
-/// netlist to input values observed at runtime. Each `(input net, value)`
-/// pin becomes a constant; folding and pruning then shrink the design —
-/// the JIT could compile this smaller, faster bitstream in the background
-/// and fall back to the general one when the pinned input changes.
-pub fn specialize(nl: &Netlist, pins: &[(NetId, Bits)]) -> Netlist {
-    let mut out = nl.clone();
-    for (net, value) in pins {
-        let i = net.0 as usize;
-        if matches!(out.nets[i].def, Def::Input) {
-            let w = out.nets[i].width;
-            out.nets[i].def = Def::Const(value.resize(w));
-        }
-        out.inputs.retain(|inp| inp != net);
-    }
-    const_fold(&mut out);
-    prune_dead(&mut out);
-    out
-}
-
 /// One detected chain link: `Mux(Eq(scr, const), value, next)`.
 struct Link {
     constant: Bits,

@@ -496,60 +496,6 @@ fn generate_blocks_synthesize_and_match() {
 }
 
 #[test]
-fn specialization_shrinks_and_preserves_behaviour() {
-    // The paper's future-work dynamic optimization (Sec. 9): pin an input
-    // to its observed runtime value and the design gets smaller while
-    // behaving identically for that value.
-    let design = design_of(
-        "module T(input wire clk, input wire mode, input wire [15:0] x, output wire [15:0] o);\n\
-         reg [15:0] acc = 0;\n\
-         always @(posedge clk)\n\
-           if (mode) acc <= acc * x + 16'h1234;\n\
-           else acc <= acc + x;\n\
-         assign o = acc;\nendmodule",
-        "T",
-    );
-    let nl = Arc::new(synthesize(&design).unwrap());
-    let mode_net = nl.net_by_name("mode").unwrap();
-    let spec = crate::specialize(&nl, &[(mode_net, Bits::from_u64(1, 0))]);
-    let full_area = estimate_area(&nl).logic_elements;
-    let spec_area = estimate_area(&spec).logic_elements;
-    assert!(
-        spec_area < full_area / 2,
-        "specializing away the multiplier path should shrink: {spec_area} vs {full_area}"
-    );
-    // Behaviour matches the general netlist with mode pinned low.
-    let mut general = NetlistSim::new(Arc::clone(&nl)).unwrap();
-    general.set_by_name("mode", Bits::from_u64(1, 0));
-    let mut special = NetlistSim::new(Arc::new(spec)).unwrap();
-    for step in 0..6u64 {
-        let x = Bits::from_u64(16, 31 * step + 7);
-        general.set_by_name("x", x.clone());
-        special.set_by_name("x", x);
-        general.step_clock(0);
-        special.step_clock(0);
-        assert_eq!(
-            general.get_by_name("o").unwrap(),
-            special.get_by_name("o").unwrap(),
-            "step {step}"
-        );
-    }
-}
-
-#[test]
-fn const_fold_pass_is_idempotent() {
-    let design = design_of(
-        "module T(input wire [7:0] a, output wire [7:0] o);\n\
-         assign o = a + 8'd3 + 8'd4;\nendmodule",
-        "T",
-    );
-    let mut nl = synthesize(&design).unwrap();
-    let before = nl.cell_count();
-    crate::const_fold(&mut nl);
-    assert_eq!(nl.cell_count(), before, "builder already folded");
-}
-
-#[test]
 fn fingerprint_is_stable_and_structure_sensitive() {
     let src = "module T(input wire clk, output wire [7:0] o);\n\
          reg [7:0] c = 0;\n\

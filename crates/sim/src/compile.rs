@@ -18,6 +18,7 @@
 
 use crate::elaborate::{collect_reads, Design};
 use crate::rir::*;
+use cascade_bits::word::NOp;
 use cascade_bits::{sext, Bits};
 use cascade_verilog::ast::{BinaryOp, CaseKind, Edge, SystemTask, UnaryOp};
 
@@ -25,23 +26,6 @@ use cascade_verilog::ast::{BinaryOp, CaseKind, Edge, SystemTask, UnaryOp};
 pub(crate) type Reg = u16;
 /// Index of a wide (`Bits`) scratch register.
 pub(crate) type WReg = u16;
-
-/// Narrow ALU operations (operands and result are canonical `u64`s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NOp {
-    Add,
-    Sub,
-    Mul,
-    DivU,
-    RemU,
-    And,
-    Or,
-    Xor,
-    Xnor,
-    Shl,
-    Shr,
-    Pow,
-}
 
 /// Comparison conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1974,7 +1958,7 @@ impl<'a> Compiler<'a> {
                     // Constant-fold / immediate forms.
                     if let (Val::C { v: a, .. }, Val::C { v: b, .. }) = (l, r) {
                         return Val::C {
-                            v: nbin_const(nop, a, b, target, lw, rw),
+                            v: nop.eval(a, b, target),
                             w: target,
                         };
                     }
@@ -3115,13 +3099,6 @@ impl<'a> Compiler<'a> {
             }
         }
     }
-}
-
-/// Compile-time constant evaluation of a narrow binary op (used for
-/// folding); delegates to the executor's `nbin` so folding and runtime
-/// evaluation cannot diverge.
-fn nbin_const(op: NOp, a: u64, b: u64, w: u32, _lw: u32, _rw: u32) -> u64 {
-    crate::exec::nbin(op, a, b, w)
 }
 
 pub(crate) use crate::sim::extend;

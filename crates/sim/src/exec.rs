@@ -17,11 +17,11 @@
 //! only the profiling `statements` counter (which feeds the modeled cost
 //! clock) differs microscopically on the final activation.
 
-use crate::compile::{op_name, ArgV, NOp, Op, RedKind, SwProgram, TaskOp, VStore};
+use crate::compile::{op_name, ArgV, Op, RedKind, SwProgram, TaskOp, VStore};
 use crate::elaborate::Design;
 use crate::rir::{ProcId, VarId};
-use crate::sim::{extend, format_verilog, signed_div, signed_rem, SimError, SimEvent};
-use cascade_bits::{sext, wmask, Bits};
+use crate::sim::{extend, format_verilog, SimError, SimEvent};
+use cascade_bits::{sext, wmask, word, Bits};
 use cascade_verilog::ast::{BinaryOp, Edge, SystemTask};
 use std::collections::VecDeque;
 use std::fmt;
@@ -169,7 +169,7 @@ impl CompiledSim {
             events: Vec::new(),
             finished: false,
             time: 0,
-            rng: 0x2545F4914F6CDD1D,
+            rng: word::RANDOM_SEED,
             loop_limit: DEFAULT_LOOP_LIMIT,
             activation_limit: DEFAULT_ACTIVATION_LIMIT,
             monitors: Vec::new(),
@@ -292,7 +292,7 @@ impl CompiledSim {
 
     /// Seeds `$random`.
     pub fn seed_random(&mut self, seed: u64) {
-        self.rng = seed | 1;
+        self.rng = word::random_seed(seed);
     }
 
     /// Drains accumulated side-effect events.
@@ -855,11 +855,11 @@ impl CompiledSim {
                 }
                 Op::Bin { op, dst, a, b, w } => {
                     let (a, b) = (self.r(a), self.r(b));
-                    self.set_r(dst, nbin(op, a, b, w));
+                    self.set_r(dst, op.eval(a, b, w));
                 }
                 Op::BinImm { op, dst, a, imm, w } => {
                     let a = self.r(a);
-                    self.set_r(dst, nbin(op, a, imm, w));
+                    self.set_r(dst, op.eval(a, imm, w));
                 }
                 Op::DivS {
                     dst,
@@ -869,13 +869,7 @@ impl CompiledSim {
                     rw,
                     w,
                 } => {
-                    let la = sext(self.r(a), lw) as i128;
-                    let rb = sext(self.r(b), rw) as i128;
-                    let v = if rb == 0 {
-                        wmask(w)
-                    } else {
-                        ((la / rb) as u64) & wmask(w)
-                    };
+                    let v = word::divs(self.r(a), lw, self.r(b), rw, w);
                     self.set_r(dst, v);
                 }
                 Op::RemS {
@@ -886,28 +880,22 @@ impl CompiledSim {
                     rw,
                     w,
                 } => {
-                    let la = sext(self.r(a), lw) as i128;
-                    let rb = sext(self.r(b), rw) as i128;
-                    let v = if rb == 0 {
-                        wmask(w)
-                    } else {
-                        ((la % rb) as u64) & wmask(w)
-                    };
+                    let v = word::rems(self.r(a), lw, self.r(b), rw, w);
                     self.set_r(dst, v);
                 }
                 Op::AShr { dst, a, amt, w } => {
                     let amt = self.r(amt);
-                    self.set_r(dst, nashr(self.r(a), amt, w));
+                    self.set_r(dst, word::ashr(self.r(a), amt, w));
                 }
                 Op::AShrImm { dst, a, amt, w } => {
-                    self.set_r(dst, nashr(self.r(a), amt, w));
+                    self.set_r(dst, word::ashr(self.r(a), amt, w));
                 }
                 Op::CmpU { cc, dst, a, b } => {
-                    let ord = self.r(a).cmp(&self.r(b));
+                    let ord = word::cmp_u(self.r(a), self.r(b));
                     self.set_r(dst, cc.test(ord) as u64);
                 }
                 Op::CmpUI { cc, dst, a, imm } => {
-                    let ord = self.r(a).cmp(&imm);
+                    let ord = word::cmp_u(self.r(a), imm);
                     self.set_r(dst, cc.test(ord) as u64);
                 }
                 Op::CmpRange { dst, a, lo, hi } => {
@@ -915,31 +903,31 @@ impl CompiledSim {
                     self.set_r(dst, (lo <= v && v <= hi) as u64);
                 }
                 Op::CmpS { cc, dst, a, b, w } => {
-                    let ord = sext(self.r(a), w).cmp(&sext(self.r(b), w));
+                    let ord = word::cmp_s(self.r(a), w, self.r(b), w);
                     self.set_r(dst, cc.test(ord) as u64);
                 }
                 Op::CmpSI { cc, dst, a, imm, w } => {
-                    let ord = sext(self.r(a), w).cmp(&imm);
+                    // `imm` is sign-extended already: compare it at 64 bits.
+                    let ord = word::cmp_s(self.r(a), w, imm as u64, 64);
                     self.set_r(dst, cc.test(ord) as u64);
                 }
                 Op::Not { dst, a, w } => {
-                    self.set_r(dst, !self.r(a) & wmask(w));
+                    self.set_r(dst, word::not(self.r(a), w));
                 }
                 Op::Neg { dst, a, w } => {
-                    self.set_r(dst, self.r(a).wrapping_neg() & wmask(w));
+                    self.set_r(dst, word::neg(self.r(a), w));
                 }
                 Op::Red { kind, dst, a, w } => {
                     let v = self.r(a);
                     let r = match kind {
-                        RedKind::And => (v == wmask(w)) as u64,
-                        RedKind::Or => (v != 0) as u64,
-                        RedKind::Xor => (v.count_ones() & 1) as u64,
-                        RedKind::Nand => (v != wmask(w)) as u64,
-                        RedKind::Nor => (v == 0) as u64,
-                        RedKind::Xnor => ((v.count_ones() & 1) ^ 1) as u64,
-                        RedKind::LogNot => (v == 0) as u64,
+                        RedKind::And => word::red_and(v, w),
+                        RedKind::Or => word::red_or(v),
+                        RedKind::Xor => word::red_xor(v),
+                        RedKind::Nand => !word::red_and(v, w),
+                        RedKind::Nor | RedKind::LogNot => !word::red_or(v),
+                        RedKind::Xnor => !word::red_xor(v),
                     };
-                    self.set_r(dst, r);
+                    self.set_r(dst, r as u64);
                 }
                 Op::Bool(d, a) => {
                     self.set_r(d, (self.r(a) != 0) as u64);
@@ -984,21 +972,17 @@ impl CompiledSim {
                     f,
                 } => {
                     let ord = if signed {
-                        sext(self.r(a), w).cmp(&sext(self.r(b), w))
+                        word::cmp_s(self.r(a), w, self.r(b), w)
                     } else {
-                        self.r(a).cmp(&self.r(b))
+                        word::cmp_u(self.r(a), self.r(b))
                     };
                     let v = if cc.test(ord) { self.r(t) } else { self.r(f) };
                     self.set_r(dst, v);
                 }
                 Op::Time(d) => self.set_r(d, self.time),
                 Op::Random(d) => {
-                    let mut x = self.rng;
-                    x ^= x >> 12;
-                    x ^= x << 25;
-                    x ^= x >> 27;
-                    self.rng = x;
-                    self.set_r(d, x.wrapping_mul(0x2545F4914F6CDD1D) >> 32);
+                    let v = word::random_next(&mut self.rng);
+                    self.set_r(d, v);
                 }
                 Op::WMovC(d, ref b) => self.wregs[d as usize] = (**b).clone(),
                 Op::WLd { dst, var } => {
@@ -1077,9 +1061,9 @@ impl CompiledSim {
                     let l = &self.wregs[a as usize];
                     let r = &self.wregs[b as usize];
                     let v = if sdiv && op == BinaryOp::Div {
-                        signed_div(l, r)
+                        l.sdiv(r)
                     } else if sdiv && op == BinaryOp::Rem {
-                        signed_rem(l, r)
+                        l.srem(r)
                     } else {
                         cascade_verilog::typecheck::apply_binary(op, l, r)
                     };
@@ -1346,64 +1330,4 @@ impl CompiledSim {
                 .expect("pure task-argument fragment cannot fail");
         }
     }
-}
-
-/// Narrow binary ALU evaluation: operands are canonical `w`-bit values, the
-/// result is canonical at `w`. Mirrors `Bits` arithmetic exactly for widths
-/// ≤ 64 (wrapping ring ops commute with truncation; division/remainder act
-/// on the canonical values; x/0 and x%0 yield all-ones like `Bits::div`).
-pub(crate) fn nbin(op: NOp, a: u64, b: u64, w: u32) -> u64 {
-    let m = wmask(w);
-    match op {
-        NOp::Add => a.wrapping_add(b) & m,
-        NOp::Sub => a.wrapping_sub(b) & m,
-        NOp::Mul => a.wrapping_mul(b) & m,
-        NOp::DivU => a.checked_div(b).unwrap_or(m),
-        NOp::RemU => a.checked_rem(b).unwrap_or(m),
-        NOp::And => a & b,
-        NOp::Or => a | b,
-        NOp::Xor => a ^ b,
-        NOp::Xnor => !(a ^ b) & m,
-        NOp::Shl => {
-            if b >= w as u64 {
-                0
-            } else {
-                (a << b) & m
-            }
-        }
-        NOp::Shr => {
-            if b >= 64 {
-                0
-            } else {
-                a >> b
-            }
-        }
-        NOp::Pow => npow(a, b, w),
-    }
-}
-
-/// `base ** exp` wrapping at width `w` (binary exponentiation mod 2^64,
-/// then masked — multiplication mod 2^w is a quotient ring of mod 2^64, so
-/// this equals `Bits::pow`'s per-step wrap at the base width).
-fn npow(mut base: u64, mut exp: u64, w: u32) -> u64 {
-    let mut acc: u64 = 1;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = acc.wrapping_mul(base);
-        }
-        base = base.wrapping_mul(base);
-        exp >>= 1;
-    }
-    acc & wmask(w)
-}
-
-/// Arithmetic shift right of the canonical `w`-bit value `a` by `amt`,
-/// masked back to `w` (mirrors `Bits::ashr` incl. the ≥width saturation).
-fn nashr(a: u64, amt: u64, w: u32) -> u64 {
-    if w == 0 {
-        return 0;
-    }
-    let s = sext(a, w);
-    let shift = amt.min(63) as u32;
-    ((s >> shift) as u64) & wmask(w)
 }

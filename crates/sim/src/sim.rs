@@ -3,7 +3,7 @@
 
 use crate::elaborate::{collect_reads, Design};
 use crate::rir::*;
-use cascade_bits::Bits;
+use cascade_bits::{word, Bits};
 use cascade_verilog::ast::{BinaryOp, CaseKind, Edge, SystemTask, UnaryOp};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -167,7 +167,7 @@ impl Simulator {
             events: Vec::new(),
             finished: false,
             time: 0,
-            rng: 0x2545F4914F6CDD1D,
+            rng: word::RANDOM_SEED,
             loop_limit: DEFAULT_LOOP_LIMIT,
             activation_limit: DEFAULT_ACTIVATION_LIMIT,
             monitors: Vec::new(),
@@ -208,7 +208,7 @@ impl Simulator {
 
     /// Seeds `$random`.
     pub fn seed_random(&mut self, seed: u64) {
-        self.rng = seed | 1;
+        self.rng = word::random_seed(seed);
     }
 
     /// Runs all `initial` blocks and continuous assignments to a fixed point
@@ -832,23 +832,6 @@ impl Simulator {
                 extend(&v, target, false)
             }
             RExprKind::Unary { op, operand } => {
-                // Narrow fast path for the width-preserving shapes: skip
-                // the apply-then-extend allocation pair (`from_u64`
-                // re-masks to `target`).
-                if target > 0 && target <= 64 {
-                    match op {
-                        UnaryOp::Plus => return self.eval(operand, target),
-                        UnaryOp::Neg => {
-                            let v = self.eval(operand, target).to_u64();
-                            return Bits::from_u64(target, v.wrapping_neg());
-                        }
-                        UnaryOp::BitNot => {
-                            let v = self.eval(operand, target).to_u64();
-                            return Bits::from_u64(target, !v);
-                        }
-                        _ => {}
-                    }
-                }
                 let v = match op {
                     UnaryOp::Plus | UnaryOp::Neg | UnaryOp::BitNot => self.eval(operand, target),
                     _ => self.eval(operand, 0),
@@ -882,13 +865,7 @@ impl Simulator {
             }
             RExprKind::Time => extend(&Bits::from_u64(64, self.time), target, false),
             RExprKind::Random => {
-                // xorshift64*
-                let mut x = self.rng;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng = x;
-                let v = x.wrapping_mul(0x2545F4914F6CDD1D) >> 32;
+                let v = word::random_next(&mut self.rng);
                 extend(&Bits::from_u64(32, v), target, false)
             }
         }
@@ -901,31 +878,10 @@ impl Simulator {
                 let l = self.eval(lhs, target);
                 let r = self.eval(rhs, target);
                 let signed = lhs.signed && rhs.signed;
-                // Narrow fast path: wrapping word arithmetic with one
-                // result allocation instead of the compute-then-resize
-                // pair. `from_u64` re-masks to `target`, and division by
-                // zero yields all-ones either way.
-                if target > 0 && target <= 64 && !(signed && matches!(op, Div | Rem)) {
-                    let a = l.to_u64();
-                    let b = r.to_u64();
-                    let v = match op {
-                        Add => a.wrapping_add(b),
-                        Sub => a.wrapping_sub(b),
-                        Mul => a.wrapping_mul(b),
-                        Div => a.checked_div(b).unwrap_or(u64::MAX),
-                        Rem => a.checked_rem(b).unwrap_or(u64::MAX),
-                        And => a & b,
-                        Or => a | b,
-                        Xor => a ^ b,
-                        Xnor => !(a ^ b),
-                        _ => unreachable!(),
-                    };
-                    return Bits::from_u64(target, v);
-                }
                 let v = if op == Div && signed {
-                    signed_div(&l, &r)
+                    l.sdiv(&r)
                 } else if op == Rem && signed {
-                    signed_rem(&l, &r)
+                    l.srem(&r)
                 } else {
                     cascade_verilog::typecheck::apply_binary(op, &l, &r)
                 };
@@ -1024,39 +980,6 @@ pub(crate) fn extend(v: &Bits, target: u32, signed: bool) -> Bits {
         v.resize_signed(target)
     } else {
         v.resize(target)
-    }
-}
-
-pub(crate) fn signed_div(l: &Bits, r: &Bits) -> Bits {
-    let w = l.width().max(r.width());
-    if !r.to_bool() {
-        return Bits::ones(w);
-    }
-    let ln = l.msb();
-    let rn = r.msb();
-    let la = if ln { l.neg() } else { l.clone() };
-    let ra = if rn { r.neg() } else { r.clone() };
-    let q = la.div(&ra);
-    if ln ^ rn {
-        q.neg()
-    } else {
-        q
-    }
-}
-
-pub(crate) fn signed_rem(l: &Bits, r: &Bits) -> Bits {
-    let w = l.width().max(r.width());
-    if !r.to_bool() {
-        return Bits::ones(w);
-    }
-    let ln = l.msb();
-    let la = if ln { l.neg() } else { l.clone() };
-    let ra = if r.msb() { r.neg() } else { r.clone() };
-    let m = la.rem(&ra);
-    if ln {
-        m.neg()
-    } else {
-        m
     }
 }
 

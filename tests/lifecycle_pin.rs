@@ -266,10 +266,8 @@ fn hibernate_and_restore() -> String {
     let bytes = image.to_bytes();
     rec.lines.push(format!("image {} bytes", bytes.len()));
     drop(rt);
-    // Waking submits the replayed design twice (the replay's eval, then
-    // the state restore's rebuild); whether the worker starts the first
-    // before the second supersedes it is up to the host, so the woken
-    // runtime compiles nothing.
+    // The woken runtime compiles nothing: its record is the software
+    // path's alone.
     config.auto_compile = false;
     let mut woke = Runtime::new(board, config).expect("runtime");
     woke.restore_image(&cascade_core::HibernateImage::from_bytes(&bytes).expect("decode"))
@@ -312,7 +310,7 @@ const PINS: &[(&str, usize, u64)] = &[
     ("fabric_loss", 6172, 0x3f86d2b41f691060),
     ("compile_failures", 4234, 0x7b349e0a36a885ad),
     ("checkpoint_and_restore", 1273, 0xeae4b85c2bd36784),
-    ("hibernate_and_restore", 4153, 0xdc9fc891838b7086),
+    ("hibernate_and_restore", 4041, 0x9189de603dd8a6cb),
     ("native_from_software", 1438, 0x318667c32d6786fc),
 ];
 
