@@ -8,12 +8,7 @@
 //! schema header. All campaigns are fixed-seed, so run-to-run deltas are
 //! host speed, not workload drift.
 
-use cascade_bits::Prng;
-use cascade_netlist::{synthesize, synthesize_raw};
-use cascade_sim::{elaborate, library_from_source};
-use cascade_verify::{
-    check_equiv, run_soak, BmcResult, DesignSpec, FuzzConfig, Fuzzer, SoakConfig,
-};
+use cascade_verify::{campaign, run_soak, Bmc, Campaign, FuzzConfig, Fuzzer, SoakConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -40,36 +35,11 @@ fn main() {
     );
 
     // BMC: raw-vs-optimized proofs over generated designs.
-    let mut proved = 0u32;
-    let mut gates = 0u64;
-    let mut conflicts = 0u64;
-    let mut salt = 0u64;
+    let mut bmc = Bmc::new(0xB11C, BMC_DESIGNS, BMC_K);
     let t0 = Instant::now();
-    while proved < BMC_DESIGNS && salt < BMC_DESIGNS as u64 * 4 {
-        salt += 1;
-        let mut rng = Prng::new(0xB11C_u64.wrapping_add(salt.wrapping_mul(0x9e37_79b9)));
-        let spec = DesignSpec::generate(&mut rng);
-        let Ok(lib) = library_from_source(&spec.render()) else {
-            continue;
-        };
-        let Ok(design) = elaborate("T", &lib, &Default::default()) else {
-            continue;
-        };
-        let (Ok(raw), Ok(opt)) = (synthesize_raw(&design), synthesize(&design)) else {
-            continue;
-        };
-        match check_equiv(&raw, &opt, BMC_K) {
-            BmcResult::Equivalent(stats) => {
-                proved += 1;
-                gates += stats.gates;
-                conflicts += stats.conflicts;
-            }
-            BmcResult::Counterexample { frame, .. } => {
-                panic!("optimizer miscompile at frame {frame}:\n{}", spec.render())
-            }
-            BmcResult::Unsupported(_) => {}
-        }
-    }
+    campaign::run(&mut bmc);
+    assert_eq!(bmc.refuted, 0, "optimizer miscompile:\n{}", bmc.report(0.0));
+    let (proved, gates, conflicts) = (bmc.proved, bmc.gates, bmc.conflicts);
     let bmc_dt = t0.elapsed().as_secs_f64();
     let unrolled = proved as u64 * BMC_K as u64;
     let cycles_per_s = unrolled as f64 / bmc_dt.max(1e-9);

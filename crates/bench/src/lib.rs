@@ -77,23 +77,6 @@ pub fn fmt_rate(rate: f64) -> String {
     }
 }
 
-/// Runs a Cascade runtime, sampling `(wall seconds, ticks)` until the wall
-/// passes `horizon_s` or the program finishes. `tick_batch` ticks are
-/// executed between samples.
-pub fn sample_runtime(
-    rt: &mut Runtime,
-    horizon_s: f64,
-    tick_batch: u64,
-    curve: &mut Curve,
-) -> Result<(), cascade_core::CascadeError> {
-    curve.push(rt.wall_seconds(), rt.ticks());
-    while rt.wall_seconds() < horizon_s && !rt.is_finished() {
-        rt.run_ticks(tick_batch)?;
-        curve.push(rt.wall_seconds(), rt.ticks());
-    }
-    Ok(())
-}
-
 /// Builds a runtime on a fresh board.
 pub fn fresh_runtime(config: JitConfig) -> (Runtime, Board) {
     let board = Board::new();

@@ -192,12 +192,6 @@ impl Bits {
         }
     }
 
-    /// The value as a `usize`, truncating high bits.
-    #[inline]
-    pub fn to_usize(&self) -> usize {
-        self.to_u64() as usize
-    }
-
     /// Whether any bit is set (Verilog truthiness).
     #[inline]
     pub fn to_bool(&self) -> bool {

@@ -43,11 +43,6 @@ impl Repl {
         &mut self.runtime
     }
 
-    /// Consumes the REPL, returning the runtime.
-    pub fn into_runtime(self) -> Runtime {
-        self.runtime
-    }
-
     /// Feeds one line of input.
     ///
     /// A completed buffer may hold several items (a multi-item paste, or

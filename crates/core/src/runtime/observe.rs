@@ -395,11 +395,6 @@ impl Runtime {
         self.reattach_compiler_telemetry();
     }
 
-    /// The trace track id stamped on this runtime's events.
-    pub fn trace_track(&self) -> u64 {
-        self.obs.track
-    }
-
     /// Enters (or leaves, with `None`) a request's causal context: until
     /// changed, every trace event this runtime emits joins that request's
     /// span tree, and compile submissions carry the context into the

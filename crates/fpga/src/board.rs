@@ -158,16 +158,6 @@ impl Board {
         v
     }
 
-    /// Engine peeks the head token without consuming it.
-    pub fn fifo_peek(&self) -> Option<Bits> {
-        self.inner
-            .lock()
-            .expect("board mutex")
-            .fifo_in
-            .front()
-            .cloned()
-    }
-
     /// Snapshot of the unconsumed host-FIFO tokens, oldest first. The
     /// durability layer checkpoints this residue so queued-but-unpopped
     /// tokens survive a server restart.

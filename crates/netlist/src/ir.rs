@@ -193,14 +193,6 @@ impl Netlist {
             .map(|i| NetId(i as u32))
     }
 
-    /// Looks up a named memory.
-    pub fn mem_by_name(&self, name: &str) -> Option<MemId> {
-        self.mems
-            .iter()
-            .position(|m| m.name.as_deref() == Some(name))
-            .map(|i| MemId(i as u32))
-    }
-
     /// Number of combinational cells.
     pub fn cell_count(&self) -> usize {
         self.nets

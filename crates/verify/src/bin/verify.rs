@@ -4,214 +4,38 @@
 //! verify fuzz   [--iters N] [--seed S] [--corpus DIR]
 //! verify bmc    [--designs N] [--k K] [--seed S]
 //! verify soak   [--sessions N] [--seed S]
+//! verify crash  [--seeds N] [--seed S] [--tenants T] [--bursts B] [--max-points K]
 //! verify replay FILE [FILE...]
 //! ```
 //!
-//! Exit status is nonzero whenever a divergence, counterexample, or
-//! invariant violation was found — the CI fuzz-smoke job is just this
-//! binary with bounded arguments.
+//! Each campaign is an instance of the one engine
+//! ([`cascade_verify::campaign`]); this binary parses flags and picks
+//! one. Exit status is nonzero whenever a divergence, counterexample or
+//! invariant violation was found, or when a campaign decided nothing —
+//! the CI fuzz-smoke and crash-smoke jobs are this binary with bounded
+//! arguments.
 
-use cascade_bits::Prng;
-use cascade_netlist::{synthesize, synthesize_raw};
-use cascade_sim::{elaborate, library_from_source};
+use cascade_verify::fuzz::replay_repro;
 use cascade_verify::{
-    check_equiv, BmcResult, CrashConfig, DesignSpec, DiffConfig, DiffOutcome, FuzzConfig, Fuzzer,
+    campaign, Bmc, Crash, CrashConfig, DiffConfig, DiffOutcome, FuzzConfig, Fuzzer, Soak,
     SoakConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+    let at = args.iter().position(|a| a == flag)?;
+    args.get(at + 1).cloned()
 }
 
 fn parse_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    parse_flag(args, flag)
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value for {flag}: {v}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(default)
-}
-
-fn cmd_fuzz(args: &[String]) -> ExitCode {
-    let iters = parse_u64(args, "--iters", 1000) as u32;
-    let seed = parse_u64(args, "--seed", 1);
-    let corpus = parse_flag(args, "--corpus").map(PathBuf::from);
-    let mut fuzzer = Fuzzer::new(FuzzConfig {
-        seed,
-        iterations: iters,
-        corpus_dir: corpus,
-        ..FuzzConfig::default()
-    });
-    let start = std::time::Instant::now();
-    let stats = fuzzer.run();
-    let dt = start.elapsed().as_secs_f64();
-    println!(
-        "fuzz: {} designs in {dt:.2}s ({:.1}/s) | agreed {} skipped {} diverged {}",
-        stats.executed,
-        stats.executed as f64 / dt.max(1e-9),
-        stats.agreed,
-        stats.skipped,
-        stats.diverged
-    );
-    println!(
-        "coverage: {} keys, {} bucketed points | {} cycles simulated | corpus {}",
-        stats.coverage_keys, stats.coverage_points, stats.cycles_total, stats.corpus_len
-    );
-    for repro in fuzzer.repros() {
-        let d = &repro.divergence;
-        println!(
-            "  DIVERGENCE engine={} kind={:?} cycle={} detail={}{}",
-            d.engine.name(),
-            d.kind,
-            d.cycle,
-            d.detail,
-            repro
-                .path
-                .as_ref()
-                .map(|p| format!(" -> {}", p.display()))
-                .unwrap_or_default()
-        );
-    }
-    if stats.diverged > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn cmd_bmc(args: &[String]) -> ExitCode {
-    let designs = parse_u64(args, "--designs", 20) as u32;
-    let k = parse_u64(args, "--k", 16) as u32;
-    let seed = parse_u64(args, "--seed", 1);
-    let mut proved = 0u32;
-    let mut refuted = 0u32;
-    let mut unsupported = 0u32;
-    let mut attempts = 0u32;
-    let mut gates = 0u64;
-    let mut conflicts = 0u64;
-    let start = std::time::Instant::now();
-    let mut salt = 0u64;
-    while proved + refuted < designs && attempts < designs * 4 {
-        attempts += 1;
-        salt += 1;
-        let mut rng = Prng::new(seed.wrapping_add(salt.wrapping_mul(0x9e37_79b9)));
-        let spec = DesignSpec::generate(&mut rng);
-        let Ok(lib) = library_from_source(&spec.render()) else {
-            continue;
-        };
-        let Ok(design) = elaborate("T", &lib, &Default::default()) else {
-            continue;
-        };
-        let (Ok(raw), Ok(opt)) = (synthesize_raw(&design), synthesize(&design)) else {
-            continue;
-        };
-        match check_equiv(&raw, &opt, k) {
-            BmcResult::Equivalent(stats) => {
-                proved += 1;
-                gates += stats.gates;
-                conflicts += stats.conflicts;
-            }
-            BmcResult::Counterexample { frame, inputs, .. } => {
-                refuted += 1;
-                eprintln!(
-                    "COUNTEREXAMPLE at frame {frame}: inputs {inputs:?}\n{}",
-                    spec.render()
-                );
-            }
-            BmcResult::Unsupported(_) => unsupported += 1,
-        }
-    }
-    let dt = start.elapsed().as_secs_f64();
-    let cycles = (proved + refuted) as u64 * k as u64;
-    println!(
-        "bmc: {proved} proved, {refuted} refuted, {unsupported} out of fragment at K={k} \
-         in {dt:.2}s ({:.1} unrolled cycles/s) | {gates} gates, {conflicts} conflicts",
-        cycles as f64 / dt.max(1e-9)
-    );
-    if refuted > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn cmd_soak(args: &[String]) -> ExitCode {
-    let sessions = parse_u64(args, "--sessions", 1000) as u32;
-    let seed = parse_u64(args, "--seed", 1);
-    let cfg = SoakConfig {
-        seed,
-        sessions,
-        ..SoakConfig::default()
+    let Some(v) = parse_flag(args, flag) else {
+        return default;
     };
-    let start = std::time::Instant::now();
-    let report = cascade_verify::run_soak(&cfg);
-    let dt = start.elapsed().as_secs_f64();
-    println!(
-        "soak: {} sessions / {} batches in {dt:.2}s ({:.1}/s) | {} ticks, {} display lines, \
-         {} hibernates, {} faults injected, {} oracle ticks batched",
-        report.sessions,
-        report.batches,
-        report.sessions as f64 / dt.max(1e-9),
-        report.ticks,
-        report.display_lines,
-        report.hibernates,
-        report.faults_injected,
-        report.batched_ticks
-    );
-    for v in &report.violations {
-        println!("  VIOLATION {v}");
-    }
-    // A display tenant's software phase is a software plane: none of it
-    // batched means the plane batch stopped being the path.
-    let unbatched = report.display_lines > 0 && report.batched_ticks == 0;
-    if unbatched {
-        println!("  no oracle tick ran inside the software engine");
-    }
-    if report.violations.is_empty() && !unbatched {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_crash(args: &[String]) -> ExitCode {
-    let defaults = CrashConfig::default();
-    let cfg = CrashConfig {
-        seed: parse_u64(args, "--seed", defaults.seed),
-        seeds: parse_u64(args, "--seeds", defaults.seeds as u64) as u32,
-        max_points: parse_u64(args, "--max-points", defaults.max_points as u64) as u32,
-        tenants: parse_u64(args, "--tenants", defaults.tenants as u64) as u32,
-        bursts: parse_u64(args, "--bursts", defaults.bursts as u64) as u32,
-    };
-    let start = std::time::Instant::now();
-    let report = cascade_verify::run_crash(&cfg);
-    let dt = start.elapsed().as_secs_f64();
-    println!(
-        "crash: {} crash points / {} write points across {} seeds in {dt:.2}s | \
-         {} recoveries, {} resumes, {} records replayed, {} quarantined, {} warm hits",
-        report.crash_points,
-        report.write_points,
-        cfg.seeds,
-        report.recoveries,
-        report.resumes,
-        report.replayed_records,
-        report.quarantined,
-        report.warm_hits
-    );
-    for v in &report.violations {
-        println!("  VIOLATION {v}");
-    }
-    if report.violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value for {flag}: {v}");
+        std::process::exit(2);
+    })
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {
@@ -220,53 +44,60 @@ fn cmd_replay(args: &[String]) -> ExitCode {
         eprintln!("replay: no files given");
         return ExitCode::from(2);
     }
-    let cfg = DiffConfig::default();
-    let mut bad = 0;
+    let mut bad = false;
     for file in files {
-        let Ok(text) = std::fs::read_to_string(file) else {
-            eprintln!("{file}: unreadable");
-            bad += 1;
-            continue;
-        };
-        match cascade_verify::fuzz::replay_repro(&text, &cfg) {
+        let text = std::fs::read_to_string(file).unwrap_or_default();
+        let why = match replay_repro(&text, &DiffConfig::default()) {
             Some(DiffOutcome::Agree { cycles_run, .. }) => {
                 println!("{file}: engines agree over {cycles_run} cycles (fixed)");
+                continue;
             }
-            Some(DiffOutcome::Diverged(d)) => {
-                println!(
-                    "{file}: STILL DIVERGES engine={} kind={:?} cycle={} detail={}",
-                    d.engine.name(),
-                    d.kind,
-                    d.cycle,
-                    d.detail
-                );
-                bad += 1;
-            }
-            Some(DiffOutcome::Skipped(why)) => {
-                println!("{file}: skipped ({why})");
-                bad += 1;
-            }
-            None => {
-                eprintln!("{file}: not a cascade-verify repro file");
-                bad += 1;
-            }
-        }
+            Some(DiffOutcome::Diverged(d)) => format!("STILL DIVERGES {d}"),
+            Some(DiffOutcome::Skipped(why)) => format!("skipped ({why})"),
+            None => "unreadable, or not a cascade-verify repro file".to_string(),
+        };
+        println!("{file}: {why}");
+        bad = true;
     }
-    if bad == 0 {
-        ExitCode::SUCCESS
-    } else {
+    if bad {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
+    let num = |flag, default| parse_u64(rest, flag, default);
+    let seed = num("--seed", 1);
     match args.first().map(String::as_str) {
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("bmc") => cmd_bmc(&args[1..]),
-        Some("soak") => cmd_soak(&args[1..]),
-        Some("crash") => cmd_crash(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
+        Some("fuzz") => campaign::main(&mut Fuzzer::new(FuzzConfig {
+            seed,
+            iterations: num("--iters", 1000) as u32,
+            corpus_dir: parse_flag(rest, "--corpus").map(PathBuf::from),
+            ..FuzzConfig::default()
+        })),
+        Some("bmc") => {
+            let (designs, k) = (num("--designs", 20) as u32, num("--k", 16) as u32);
+            campaign::main(&mut Bmc::new(seed, designs, k))
+        }
+        Some("soak") => campaign::main(&mut Soak::new(SoakConfig {
+            seed,
+            sessions: num("--sessions", 1000) as u32,
+            ..SoakConfig::default()
+        })),
+        Some("crash") => {
+            let d = CrashConfig::default();
+            campaign::main(&mut Crash::new(CrashConfig {
+                seed: num("--seed", d.seed),
+                seeds: num("--seeds", d.seeds.into()) as u32,
+                max_points: num("--max-points", d.max_points.into()) as u32,
+                tenants: num("--tenants", d.tenants.into()) as u32,
+                bursts: num("--bursts", d.bursts.into()) as u32,
+            }))
+        }
+        Some("replay") => cmd_replay(rest),
         _ => {
             eprintln!(
                 "usage: verify <fuzz|bmc|soak|crash|replay> [options]\n\

@@ -16,13 +16,17 @@
 //! Division/remainder cells are outside the fragment (`Unsupported`), as
 //! are netlists with more than one clock domain.
 //!
-//! The headline use: proving the post-synthesis optimization pipeline
-//! (`balance_case_chains` + `prune_dead`) preserved a design, by checking
-//! `synthesize_raw` output against `synthesize` output.
+//! The headline use, the [`Bmc`] campaign: proving the post-synthesis
+//! optimization pipeline (`balance_case_chains` + `prune_dead`) preserved
+//! each generated design, by checking `synthesize_raw` output against
+//! `synthesize` output.
 
+use crate::campaign::{Campaign, Outcome};
 use crate::sat::{Lit, SatResult, Solver};
-use cascade_bits::Bits;
-use cascade_netlist::{Cell, CellOp, Def, NetId, Netlist};
+use crate::spec::DesignSpec;
+use cascade_bits::{Bits, Prng};
+use cascade_netlist::{synthesize, synthesize_raw, Cell, CellOp, Def, NetId, Netlist};
+use cascade_sim::{elaborate, library_from_source};
 use std::collections::HashMap;
 
 /// Constant literals: variable 1 is pinned true by a unit clause.
@@ -635,11 +639,12 @@ fn frame_diff(
     Ok(diff)
 }
 
-/// Bounded equivalence check of two netlists over `k` cycles, with an
-/// explicit SAT conflict budget (`0` = unlimited).
+/// Bounded equivalence check of two netlists over `k` cycles, within a
+/// budget of two million SAT conflicts.
 ///
 /// See the module docs for the exact contract.
-pub fn check_equiv_budget(a: &Netlist, b: &Netlist, k: u32, max_conflicts: u64) -> BmcResult {
+pub fn check_equiv(a: &Netlist, b: &Netlist, k: u32) -> BmcResult {
+    let max_conflicts = 2_000_000;
     for nl in [a, b] {
         if nl.clocks.len() > 1 {
             return BmcResult::Unsupported("multiple clock domains".into());
@@ -745,9 +750,100 @@ pub fn check_equiv_budget(a: &Netlist, b: &Netlist, k: u32, max_conflicts: u64) 
     }
 }
 
-/// [`check_equiv_budget`] with the default conflict budget.
-pub fn check_equiv(a: &Netlist, b: &Netlist, k: u32) -> BmcResult {
-    check_equiv_budget(a, b, k, 2_000_000)
+/// The BMC campaign: generated designs, each synthesized raw and
+/// optimized, and the two netlists proved equivalent `k` cycles deep. It
+/// stops at `designs` decided designs or after four times as many
+/// attempts; a design outside the fragment is skipped.
+#[derive(Debug, Default)]
+pub struct Bmc {
+    seed: u64,
+    designs: u32,
+    k: u32,
+    pub proved: u32,
+    pub refuted: u32,
+    pub unsupported: u32,
+    pub gates: u64,
+    pub conflicts: u64,
+    counterexamples: Vec<String>,
+}
+
+impl Bmc {
+    pub fn new(seed: u64, designs: u32, k: u32) -> Bmc {
+        Bmc {
+            seed,
+            designs,
+            k,
+            ..Bmc::default()
+        }
+    }
+}
+
+impl Campaign for Bmc {
+    type Case = DesignSpec;
+    type Finding = String;
+
+    fn budget(&self) -> (u32, u32) {
+        (self.designs, self.designs.saturating_mul(4))
+    }
+
+    fn generate(&mut self, attempt: u32) -> DesignSpec {
+        let salt = u64::from(attempt) + 1;
+        let seed = self.seed.wrapping_add(salt.wrapping_mul(0x9e37_79b9));
+        DesignSpec::generate(&mut Prng::new(seed))
+    }
+
+    fn run(&mut self, spec: &DesignSpec, counted: bool) -> Outcome<Vec<String>> {
+        let lib = library_from_source(&spec.render()).ok();
+        let design = lib.and_then(|lib| elaborate("T", &lib, &Default::default()).ok());
+        let Some((Ok(raw), Ok(opt))) = design.map(|d| (synthesize_raw(&d), synthesize(&d))) else {
+            return Outcome::Skip;
+        };
+        let counted = u32::from(counted);
+        match check_equiv(&raw, &opt, self.k) {
+            BmcResult::Equivalent(stats) => {
+                self.proved += counted;
+                self.gates += u64::from(counted) * stats.gates;
+                self.conflicts += u64::from(counted) * stats.conflicts;
+                Outcome::Pass
+            }
+            BmcResult::Counterexample { frame, inputs, .. } => {
+                self.refuted += counted;
+                let found = format!("COUNTEREXAMPLE at frame {frame}: inputs {inputs:?}");
+                Outcome::Fail(vec![found])
+            }
+            BmcResult::Unsupported(_) => {
+                self.unsupported += counted;
+                Outcome::Skip
+            }
+        }
+    }
+
+    /// Any counterexample will do: its inputs change as the design shrinks.
+    fn same_failure(&self, _: &[String], _: &[String]) -> bool {
+        true
+    }
+
+    fn record(&mut self, spec: DesignSpec, findings: Vec<String>) {
+        let found = findings.join("\n");
+        self.counterexamples
+            .push(format!("{found}\n{}", spec.render()));
+    }
+
+    fn vacuous(&self) -> Option<&'static str> {
+        (self.proved == 0).then_some("no design was proved")
+    }
+
+    fn report(&self, secs: f64) -> String {
+        let (k, decided) = (self.k, u64::from(self.proved + self.refuted));
+        let rate = (decided * u64::from(k)) as f64 / secs.max(1e-9);
+        let mut out = format!(
+            "bmc: {} proved, {} refuted, {} out of fragment at K={k} in {secs:.2}s \
+             ({rate:.1} unrolled cycles/s) | {} gates, {} conflicts\n",
+            self.proved, self.refuted, self.unsupported, self.gates, self.conflicts
+        );
+        out.extend(self.counterexamples.iter().map(|c| format!("  {c}\n")));
+        out
+    }
 }
 
 #[cfg(test)]

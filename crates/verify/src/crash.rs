@@ -29,19 +29,25 @@
 //!   journal file; after an unacknowledged one, a session that is still
 //!   there holds the oracle's pre-close state.
 //!
-//! A separate graceful pass per seed checks **counter monotonicity**: a
-//! drain → recover restart must never make a `serve_*_total` counter go
-//! backwards (crash restarts only guarantee the journaled lower bound).
+//! One more restart per seed goes down gracefully instead (drain →
+//! recover) and passes the same checks, plus **counter monotonicity**:
+//! it must never make a `serve_*_total` counter go backwards (crash
+//! restarts only guarantee the journaled lower bound).
 //!
 //! The write-point count comes from a clean pass under an armed-but-
 //! never-firing plan ([`FaultPlan::durable_consults`]), so the sweep
 //! covers every durable write the script performs — no hand-maintained
 //! list to go stale.
 
+use crate::campaign::{self, Campaign, Outcome};
+use crate::script::{
+    acked, monotone_counters, monotone_violation, op_request, probe_cnt, run_ops, serve_config,
+    server_stat, tenant_source, Op, Script, TenantState,
+};
 use cascade_fpga::{DurableFault, FaultPlan};
 use cascade_serve::{InProcClient, Json, Request, ServeConfig, Server};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Crash campaign parameters.
 #[derive(Debug, Clone)]
@@ -93,170 +99,52 @@ pub struct CrashReport {
     pub violations: Vec<String>,
 }
 
-/// One scripted tenant command. Sequence numbers are assigned at
-/// generation time so a retry after recovery re-sends the original.
-#[derive(Debug, Clone)]
-enum Op {
-    Open,
-    Eval(String, u64),
-    Run(u64, u64),
-    Drain(u64),
-    Fifo(u64, Vec<u64>, u64),
-    Close,
-}
-
-/// The deterministic script: a flat interleaving of tenant ops.
-struct Script {
-    ops: Vec<(usize, Op)>,
-    tenants: usize,
-}
-
-fn tenant_source(step: u64) -> Vec<String> {
-    vec![
-        "reg [15:0] cnt = 0;".to_string(),
-        format!("always @(posedge clk.val) cnt <= cnt + 16'd{step};"),
-        "always @(posedge clk.val) if (cnt[2:0] == 3'd7) $display(\"c=%d\", cnt);".to_string(),
-        "assign led.val = cnt[7:0];".to_string(),
-    ]
-}
-
+/// The crash script: every tenant opens and loads a counter that prints,
+/// then rounds of sometimes-FIFO, run and sometimes-drain; tenant 0
+/// closes after its last drain.
 fn generate_script(seed: u64, tenants: u32, bursts: u32) -> Script {
     let mut rng = cascade_bits::Prng::new(seed ^ 0xC4A5);
     let tenants = tenants.max(1) as usize;
     let mut ops = Vec::new();
     let mut seqs = vec![0u64; tenants];
-    fn seq(seqs: &mut [u64], t: usize) -> u64 {
+    // Appends tenant `t`'s next sequenced op.
+    let mut push = |ops: &mut Vec<(usize, Op)>, t: usize, op: &dyn Fn(u64) -> Op| {
         seqs[t] += 1;
-        seqs[t]
-    }
+        ops.push((t, op(seqs[t])));
+    };
     for t in 0..tenants {
         ops.push((t, Op::Open));
         // Tenants count in ones so every display firing pattern shows up
         // in the transcript (same convention as the chaos soak).
-        for line in tenant_source(1) {
-            let s = seq(&mut seqs, t);
-            ops.push((t, Op::Eval(line, s)));
+        for line in tenant_source(1, true) {
+            push(&mut ops, t, &|s| Op::Eval(line.clone(), s));
         }
     }
     for round in 0..bursts.max(1) {
         for t in 0..tenants {
             if rng.chance(1, 3) {
                 let words: Vec<u64> = (0..3).map(|i| (t as u64) << 8 | i).collect();
-                let s = seq(&mut seqs, t);
-                ops.push((t, Op::Fifo(8, words, s)));
+                push(&mut ops, t, &|s| Op::Fifo(8, words.clone(), s));
             }
             let burst = 4 + rng.below(20);
-            let s = seq(&mut seqs, t);
-            ops.push((t, Op::Run(burst, s)));
+            push(&mut ops, t, &|s| Op::Run(burst, s));
             if round % 2 == 1 || rng.chance(1, 2) {
-                let s = seq(&mut seqs, t);
-                ops.push((t, Op::Drain(s)));
+                push(&mut ops, t, &Op::Drain);
             }
         }
     }
     for t in 0..tenants {
-        let s = seq(&mut seqs, t);
-        ops.push((t, Op::Drain(s)));
+        push(&mut ops, t, &Op::Drain);
         // The first tenant leaves once drained, before the others' last
         // drains, so crash points follow its close as well as precede it.
         if t == 0 {
             ops.push((t, Op::Close));
         }
     }
-    Script { ops, tenants }
-}
-
-/// Per-tenant progress within one execution pass.
-#[derive(Debug, Clone, Default)]
-struct TenantState {
-    session: Option<u64>,
-    token: u64,
-    lines: Vec<String>,
-    ticks: u64,
-    fifo_accepted: u64,
-    /// The tenant's close took effect.
-    closed: bool,
-    /// Last acknowledged sequenced op and its reply text (dedup check).
-    last_acked: Option<(Op, String)>,
-}
-
-fn op_request(session: u64, op: &Op) -> Request {
-    match op {
-        Op::Open => Request::Open,
-        Op::Eval(line, seq) => Request::Eval {
-            session,
-            line: line.clone(),
-            seq: *seq,
-        },
-        Op::Run(ticks, seq) => Request::Run {
-            session,
-            ticks: *ticks,
-            seq: *seq,
-        },
-        Op::Drain(seq) => Request::Drain { session, seq: *seq },
-        Op::Fifo(width, data, seq) => Request::Fifo {
-            session,
-            width: *width,
-            data: data.clone(),
-            seq: *seq,
-        },
-        Op::Close => Request::Close { session },
+    Script {
+        ops,
+        steps: vec![1; tenants],
     }
-}
-
-/// Applies an acknowledged reply to the tenant's accumulated state.
-fn absorb(state: &mut TenantState, op: &Op, reply: &Json) {
-    match op {
-        Op::Open => {
-            state.session = reply.get("session").and_then(Json::as_u64);
-            state.token = reply.get("token").and_then(Json::as_u64).unwrap_or(0);
-        }
-        Op::Run(..) => {
-            state.ticks += reply.get("ticks").and_then(Json::as_u64).unwrap_or(0);
-        }
-        Op::Drain(_) => {
-            if let Some(arr) = reply.get("lines").and_then(Json::as_arr) {
-                state
-                    .lines
-                    .extend(arr.iter().filter_map(|v| v.as_str().map(str::to_string)));
-            }
-        }
-        Op::Fifo(..) => {
-            state.fifo_accepted += reply.get("pushed").and_then(Json::as_u64).unwrap_or(0);
-        }
-        Op::Close => state.closed = true,
-        Op::Eval(..) => {}
-    }
-    if !matches!(op, Op::Open | Op::Close) {
-        state.last_acked = Some((op.clone(), reply.to_string()));
-    }
-}
-
-/// Runs script ops starting at `cursor` until completion or the first
-/// failed command (the crash point). Returns the index of the first op
-/// that was *not* acknowledged, or `ops.len()` on full completion.
-fn run_ops(
-    client: &mut InProcClient,
-    script: &Script,
-    states: &mut [TenantState],
-    cursor: usize,
-) -> usize {
-    for (i, (t, op)) in script.ops.iter().enumerate().skip(cursor) {
-        let state = &mut states[*t];
-        let session = state.session.unwrap_or(0);
-        let reply = match client.raw(&op_request(session, op)) {
-            Ok(r) => r,
-            Err(_) => return i,
-        };
-        // Eval replies carry `ok:false` for rejected items too; the
-        // script only sends valid Verilog, so any not-ok means the
-        // journal refused the ack (or the store is already crashed).
-        if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-            return i;
-        }
-        absorb(state, op, &reply);
-    }
-    script.ops.len()
 }
 
 /// Whether any journal generation of session `id` is on disk.
@@ -271,67 +159,31 @@ fn journal_left(dir: &Path, id: u64) -> bool {
     })
 }
 
+/// Asks to resume tenant `state`'s session `id`.
+fn resume(client: &mut InProcClient, id: u64, state: &TenantState) -> Result<Json, String> {
+    let token = state.token;
+    client.raw(&Request::Resume { session: id, token })
+}
+
 /// Checks that a closed tenant left nothing behind.
 fn assert_gone(
     client: &mut InProcClient,
     dir: &Path,
     t: usize,
     state: &TenantState,
-    report: &mut CrashReport,
-    here: &dyn Fn(&str) -> String,
+    flag: &mut dyn FnMut(String),
 ) {
     let Some(id) = state.session else { return };
-    let resumed = client
-        .raw(&Request::Resume {
-            session: id,
-            token: state.token,
-        })
-        .is_ok_and(|r| r.get("ok").and_then(Json::as_bool) == Some(true));
-    if resumed {
-        report
-            .violations
-            .push(here(&format!("tenant {t} resumed after its close")));
+    if resume(client, id, state).is_ok_and(|r| acked(&r)) {
+        flag(format!("tenant {t} resumed after its close"));
     }
     if journal_left(dir, id) {
-        report
-            .violations
-            .push(here(&format!("tenant {t} left a journal after its close")));
+        flag(format!("tenant {t} left a journal after its close"));
     }
 }
 
-fn server_stat(server: &Arc<Server>, key: &str) -> u64 {
-    let mut c = InProcClient::connect(server);
-    c.server_stats()
-        .ok()
-        .and_then(|s| s.get(key).and_then(Json::as_u64))
-        .unwrap_or(0)
-}
-
-/// Parses server-level `serve_*_total` counters out of an exposition.
-fn monotone_counters(text: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(name), Some(value)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        if !name.starts_with("serve_") || !name.ends_with("_total") || name.contains('{') {
-            continue;
-        }
-        if let Ok(v) = value.parse::<f64>() {
-            out.push((name.to_string(), v as u64));
-        }
-    }
-    out
-}
-
-fn durable_config(dir: &std::path::Path, faults: FaultPlan) -> ServeConfig {
-    let mut c = ServeConfig::quick();
-    c.fabrics = 1;
-    c.workers = 2;
+fn durable_config(dir: &Path, faults: FaultPlan) -> ServeConfig {
+    let mut c = serve_config(1, 2, faults);
     // Idle-driven hibernation off: the sweep needs a deterministic
     // durable-write sequence, and spills would add timing-dependent
     // write points. (Spill crash-safety has its own integration tests.)
@@ -339,12 +191,16 @@ fn durable_config(dir: &std::path::Path, faults: FaultPlan) -> ServeConfig {
     c.max_live_sessions = 0;
     c.idle_timeout_s = 3600.0;
     c.durable_dir = Some(dir.to_string_lossy().into_owned());
-    c.jit.faults = faults;
     c
 }
 
+/// A durable root of its own: the pid keeps processes apart and the
+/// counter keeps apart the sweeps that run on threads of one process.
 fn fresh_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("cascade-crash-{}-{tag}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let name = format!("cascade-crash-{}-{n}-{tag}", std::process::id());
+    let d = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -369,13 +225,12 @@ fn run_oracle(
         .build();
     let server = Server::new(durable_config(&dir, plan.clone()));
     let mut client = InProcClient::connect(&server);
-    let mut states = vec![TenantState::default(); script.tenants];
+    let mut states = vec![TenantState::default(); script.steps.len()];
     let done = run_ops(&mut client, script, &mut states, 0);
     let complete = done == script.ops.len();
     if !complete {
-        report
-            .violations
-            .push(here(&format!("oracle pass failed at op {done}")));
+        let v = here(&format!("oracle pass failed at op {done}"));
+        report.violations.push(v);
     }
     drop(server);
     let write_points = plan.durable_consults();
@@ -386,68 +241,84 @@ fn run_oracle(
     })
 }
 
-/// Sweeps one crash point: run until the fault kills the server, recover,
-/// resume, retry, finish, and compare against the oracle.
-fn sweep_point(
+/// Takes a durable server down mid-script and checks what recovery
+/// hands back. With `crash = Some((k, fault))` the fault fires at the
+/// `k`-th durable write; with `None` the whole script runs and the
+/// server drains gracefully. Either way a fresh server recovers from the
+/// same root, every tenant resumes by id + token, the unacknowledged
+/// command is retried and the script finished, and every tenant is
+/// compared with the never-crashed oracle.
+fn restart(
     script: &Script,
     oracle: &Oracle,
-    k: u64,
-    fault: DurableFault,
+    crash: Option<(u64, DurableFault)>,
     report: &mut CrashReport,
     here: &dyn Fn(&str) -> String,
 ) {
-    let dir = fresh_dir(&format!("k{k}"));
-    let plan = FaultPlan::builder().durable_fault(k, fault).build();
+    let at = crash.map_or("drain/recover".into(), |(k, fault)| {
+        format!("k={k} {fault:?}")
+    });
+    let mut found = Vec::new();
+    let mut flag = |s: String| found.push(here(&format!("{at}: {s}")));
+    let dir = fresh_dir(&crash.map_or("drain".into(), |(k, _)| format!("k{k}")));
+    let plan = crash.map_or_else(FaultPlan::none, |(k, fault)| {
+        FaultPlan::builder().durable_fault(k, fault).build()
+    });
     let server = Server::new(durable_config(&dir, plan));
     let mut client = InProcClient::connect(&server);
-    let mut states = vec![TenantState::default(); script.tenants];
+    let mut states = vec![TenantState::default(); script.steps.len()];
     let mut cursor = run_ops(&mut client, script, &mut states, 0);
+    let counters = |client: &mut InProcClient| {
+        let text = client.server_metrics().unwrap_or_default();
+        monotone_counters(&text)
+    };
+    // The graceful way down flushes every session durably; the counters
+    // it leaves must come back no lower (baselines in `server.meta`).
+    let before = if crash.is_some() {
+        Vec::new()
+    } else {
+        let before = counters(&mut client);
+        match client.drain_server() {
+            Ok((0, _)) => flag("drain flushed nothing".into()),
+            Ok(_) => {}
+            Err(e) => flag(format!("drain failed: {e}")),
+        }
+        before
+    };
     drop(client);
     drop(server);
 
     // Recover a fresh server from the same durable root, fault-free.
     let recovered = Server::recover(durable_config(&dir, FaultPlan::none()));
     report.recoveries += 1;
-    // Every injected fault latches the store into its crashed state, which
-    // fires the flight-recorder dump on the dying server. Recovery must
-    // surface a decodable dump that ends with the `dump` marker.
-    match recovered.last_crash_trace() {
-        Some(text) => {
-            let mut decoded = 0u64;
-            let mut last_name = String::new();
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                match Json::parse(line) {
-                    Ok(ev) => match ev.get("name").and_then(Json::as_str) {
-                        Some(name) => {
-                            decoded += 1;
-                            last_name = name.to_string();
-                        }
-                        None => report.violations.push(here(&format!(
-                            "k={k} {fault:?}: flight record without a name: {ev}"
-                        ))),
-                    },
-                    Err(e) => report.violations.push(here(&format!(
-                        "k={k} {fault:?}: undecodable flight record: {e}"
-                    ))),
-                }
-            }
-            if decoded == 0 {
-                report
-                    .violations
-                    .push(here(&format!("k={k} {fault:?}: flight dump was empty")));
-            } else if last_name != "dump" {
-                report.violations.push(here(&format!(
-                    "k={k} {fault:?}: flight dump tail is {last_name:?}, not the dump marker"
-                )));
-            }
-            report.flight_records += decoded;
-        }
-        None => report.violations.push(here(&format!(
-            "k={k} {fault:?}: no last-crash.trace.jsonl after injected crash"
-        ))),
-    }
     let mut client = InProcClient::connect(&recovered);
-    let here_k = |s: &str| here(&format!("k={k} {fault:?}: {s}"));
+    if crash.is_some() {
+        // Every injected fault latches the store into its crashed state,
+        // which fires the flight-recorder dump on the dying server.
+        // Recovery must surface a decodable dump that ends with the
+        // `dump` marker.
+        let text = recovered.last_crash_trace().unwrap_or_default();
+        let mut last_name = None;
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            match Json::parse(line) {
+                Ok(ev) => match ev.get("name").and_then(Json::as_str) {
+                    Some(name) => {
+                        report.flight_records += 1;
+                        last_name = Some(name.to_string());
+                    }
+                    None => flag(format!("flight record without a name: {ev}")),
+                },
+                Err(e) => flag(format!("undecodable flight record: {e}")),
+            }
+        }
+        match last_name.as_deref() {
+            None => flag("no flight records in last-crash.trace.jsonl".into()),
+            Some("dump") => {}
+            Some(tail) => flag(format!("flight dump tail is {tail:?}, not the dump marker")),
+        }
+    } else if let Some(v) = monotone_violation(&before, &counters(&mut client)) {
+        flag(v);
+    }
     // The tenant whose close the crash interrupted, if it did.
     let closing = match script.ops.get(cursor) {
         Some((t, Op::Close)) => Some(*t),
@@ -458,64 +329,43 @@ fn sweep_point(
             continue; // crashed before this tenant's open; retried below
         };
         if state.closed {
-            assert_gone(&mut client, &dir, t, state, report, &here_k);
+            assert_gone(&mut client, &dir, t, state, &mut flag);
             continue;
         }
-        match client.raw(&Request::Resume {
-            session: id,
-            token: state.token,
-        }) {
-            Ok(r) if r.get("ok").and_then(Json::as_bool) == Some(true) => {
-                report.resumes += 1;
-            }
+        match resume(&mut client, id, state) {
+            Ok(r) if acked(&r) => report.resumes += 1,
             // The unacknowledged close took effect before the crash: the
             // session is gone, so the script moves past the close.
             Ok(_) if closing == Some(t) => {
                 state.closed = true;
                 cursor += 1;
-                assert_gone(&mut client, &dir, t, state, report, &here_k);
+                assert_gone(&mut client, &dir, t, state, &mut flag);
                 continue;
             }
-            Ok(r) => report.violations.push(here(&format!(
-                "k={k} {fault:?}: tenant {t} resume rejected: {r}"
-            ))),
-            Err(e) => report.violations.push(here(&format!(
-                "k={k} {fault:?}: tenant {t} resume failed: {e}"
-            ))),
+            Ok(r) => flag(format!("tenant {t} resume rejected: {r}")),
+            Err(e) => flag(format!("tenant {t} resume failed: {e}")),
         }
         if closing == Some(t) {
             // Still here after an unacknowledged close: it must hold the
             // oracle's pre-close state (the close follows its last run).
-            let expected = oracle.states[t].ticks & 0xffff;
-            let got = client
-                .raw(&Request::Probe {
-                    session: id,
-                    port: "cnt".to_string(),
-                })
-                .ok()
-                .and_then(|r| r.get("value").and_then(Json::as_u64));
+            let expected = script.cnt(t, oracle.states[t].ticks);
+            let got = probe_cnt(&mut client, id);
             if got != Some(expected) {
-                report.violations.push(here_k(&format!(
+                flag(format!(
                     "tenant {t} holds cnt {got:?} after an unacknowledged close, \
                      not the pre-close {expected}"
-                )));
+                ));
             }
         }
         // Exactly-once dedup: re-sending the last acknowledged seq must
         // return the stored reply verbatim, not re-execute.
-        if let Some((op, acked_reply)) = state.last_acked.clone() {
-            match client.raw(&op_request(id, &op)) {
-                Ok(r) => {
-                    if r.to_string() != acked_reply {
-                        report.violations.push(here(&format!(
-                            "k={k} {fault:?}: tenant {t} dedup reply diverged:\n  \
-                             acked: {acked_reply}\n  retry: {r}"
-                        )));
-                    }
-                }
-                Err(e) => report.violations.push(here(&format!(
-                    "k={k} {fault:?}: tenant {t} dedup retry failed: {e}"
-                ))),
+        if let Some((op, acked_reply)) = &state.last_acked {
+            match client.raw(&op_request(id, op)) {
+                Ok(r) if r.to_string() != *acked_reply => flag(format!(
+                    "tenant {t} dedup reply diverged:\n  acked: {acked_reply}\n  retry: {r}"
+                )),
+                Ok(_) => {}
+                Err(e) => flag(format!("tenant {t} dedup retry failed: {e}")),
             }
         }
     }
@@ -524,157 +374,52 @@ fn sweep_point(
     // one that didn't is executed exactly once).
     let done = run_ops(&mut client, script, &mut states, cursor);
     if done != script.ops.len() {
-        report.violations.push(here(&format!(
-            "k={k} {fault:?}: recovered run failed at op {done}"
-        )));
+        flag(format!("recovered run failed at op {done}"));
     }
 
     // Compare every tenant against the never-crashed oracle.
     for (t, (state, want)) in states.iter().zip(&oracle.states).enumerate() {
-        if state.ticks != want.ticks {
-            report.violations.push(here(&format!(
-                "k={k} {fault:?}: tenant {t} acked ticks {} != oracle {}",
-                state.ticks, want.ticks
-            )));
+        let (ticks, lines) = (state.ticks, state.lines.len());
+        if ticks != want.ticks {
+            flag(format!(
+                "tenant {t} acked ticks {ticks} != oracle {}",
+                want.ticks
+            ));
         }
         if state.lines != want.lines {
-            report.violations.push(here(&format!(
-                "k={k} {fault:?}: tenant {t} transcript diverged after {} ticks \
-                 ({} lines vs oracle {})",
-                state.ticks,
-                state.lines.len(),
+            flag(format!(
+                "tenant {t} transcript diverged after {ticks} ticks ({lines} lines vs oracle {})",
                 want.lines.len()
-            )));
+            ));
         }
         if state.fifo_accepted != want.fifo_accepted {
-            report.violations.push(here(&format!(
-                "k={k} {fault:?}: tenant {t} fifo accepted {} != oracle {}",
+            flag(format!(
+                "tenant {t} fifo accepted {} != oracle {}",
                 state.fifo_accepted, want.fifo_accepted
-            )));
+            ));
         }
         let Some(id) = state.session else {
-            report
-                .violations
-                .push(here(&format!("k={k} {fault:?}: tenant {t} never opened")));
+            flag(format!("tenant {t} never opened"));
             continue;
         };
         if want.closed {
             if !state.closed {
-                report
-                    .violations
-                    .push(here_k(&format!("tenant {t} never closed")));
+                flag(format!("tenant {t} never closed"));
             }
-            assert_gone(&mut client, &dir, t, state, report, &here_k);
+            assert_gone(&mut client, &dir, t, state, &mut flag);
             continue;
         }
-        let expected = want.ticks & 0xffff; // step 1
-        match client.raw(&Request::Probe {
-            session: id,
-            port: "cnt".to_string(),
-        }) {
-            Ok(r) => {
-                let got = r.get("value").and_then(Json::as_u64);
-                if got != Some(expected) {
-                    report.violations.push(here(&format!(
-                        "k={k} {fault:?}: tenant {t} cnt {:?} != expected {expected}",
-                        got
-                    )));
-                }
-            }
-            Err(e) => report.violations.push(here(&format!(
-                "k={k} {fault:?}: tenant {t} probe failed: {e}"
-            ))),
-        }
-    }
-    report.replayed_records += server_stat(&recovered, "recovery_replayed");
-    report.quarantined += server_stat(&recovered, "recovery_quarantined");
-    report.warm_hits += server_stat(&recovered, "warm_bitstream_hits");
-    report.crash_points += 1;
-    drop(client);
-    drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The graceful half: drain → recover must keep `serve_*_total` counters
-/// monotone (baselines persisted in `server.meta`) and resume cleanly.
-fn graceful_pass(script: &Script, report: &mut CrashReport, here: &dyn Fn(&str) -> String) {
-    let dir = fresh_dir("drain");
-    let server = Server::new(durable_config(&dir, FaultPlan::none()));
-    let mut client = InProcClient::connect(&server);
-    let mut states = vec![TenantState::default(); script.tenants];
-    if run_ops(&mut client, script, &mut states, 0) != script.ops.len() {
-        report.violations.push(here("graceful pass failed"));
-        let _ = std::fs::remove_dir_all(&dir);
-        return;
-    }
-    let before = client
-        .server_metrics()
-        .map(|t| monotone_counters(&t))
-        .unwrap_or_default();
-    match client.drain_server() {
-        Ok((flushed, _)) => {
-            if flushed == 0 {
-                report.violations.push(here("drain flushed nothing"));
-            }
-        }
-        Err(e) => report.violations.push(here(&format!("drain failed: {e}"))),
-    }
-    drop(client);
-    drop(server);
-
-    let recovered = Server::recover(durable_config(&dir, FaultPlan::none()));
-    report.recoveries += 1;
-    let mut client = InProcClient::connect(&recovered);
-    let after = client
-        .server_metrics()
-        .map(|t| monotone_counters(&t))
-        .unwrap_or_default();
-    for (name, was) in &before {
-        match after.iter().find(|(n, _)| n == name) {
-            Some((_, now)) if now < was => report.violations.push(here(&format!(
-                "counter {name} went backwards across drain/recover: {was} -> {now}"
-            ))),
-            None => report.violations.push(here(&format!(
-                "counter {name} vanished across drain/recover"
-            ))),
-            _ => {}
-        }
-    }
-    // Every tenant must resume and still hold its acknowledged state.
-    for (t, state) in states.iter().enumerate() {
-        let Some(id) = state.session else { continue };
-        if state.closed {
-            assert_gone(&mut client, &dir, t, state, report, here);
-            continue;
-        }
-        let resumed = client
-            .raw(&Request::Resume {
-                session: id,
-                token: state.token,
-            })
-            .ok()
-            .and_then(|r| r.get("ok").and_then(Json::as_bool))
-            == Some(true);
-        if !resumed {
-            report
-                .violations
-                .push(here(&format!("tenant {t} failed to resume after drain")));
-            continue;
-        }
-        report.resumes += 1;
-        let expected = state.ticks & 0xffff;
-        let got = client
-            .raw(&Request::Probe {
-                session: id,
-                port: "cnt".to_string(),
-            })
-            .ok()
-            .and_then(|r| r.get("value").and_then(Json::as_u64));
+        let expected = script.cnt(t, want.ticks);
+        let got = probe_cnt(&mut client, id);
         if got != Some(expected) {
-            report.violations.push(here(&format!(
-                "tenant {t} cnt {got:?} != {expected} after drain/recover"
-            )));
+            flag(format!("tenant {t} cnt {got:?} != expected {expected}"));
         }
+    }
+    report.violations.append(&mut found);
+    if crash.is_some() {
+        report.replayed_records += server_stat(&recovered, "recovery_replayed");
+        report.quarantined += server_stat(&recovered, "recovery_quarantined");
+        report.crash_points += 1;
     }
     report.warm_hits += server_stat(&recovered, "warm_bitstream_hits");
     drop(client);
@@ -689,29 +434,99 @@ const FAULT_CYCLE: [DurableFault; 4] = [
     DurableFault::LostFsync,
 ];
 
+/// The crash campaign: one case is one seed's script, swept at every
+/// durable write point.
+pub struct Crash {
+    cfg: CrashConfig,
+    report: CrashReport,
+}
+
+impl Crash {
+    pub fn new(cfg: CrashConfig) -> Crash {
+        Crash {
+            cfg,
+            report: CrashReport::default(),
+        }
+    }
+}
+
+impl Campaign for Crash {
+    type Case = (u64, Script);
+    type Finding = String;
+    /// Each candidate would cost a sweep of every write point; the
+    /// findings name the seed and the point instead.
+    const SHRINK: bool = false;
+
+    fn budget(&self) -> (u32, u32) {
+        let seeds = self.cfg.seeds.max(1);
+        (seeds, seeds)
+    }
+
+    fn generate(&mut self, attempt: u32) -> (u64, Script) {
+        let seed = self.cfg.seed.wrapping_add(u64::from(attempt));
+        (
+            seed,
+            generate_script(seed, self.cfg.tenants, self.cfg.bursts),
+        )
+    }
+
+    /// Every run is counted: the crash campaign does not shrink.
+    fn run(&mut self, (seed, script): &(u64, Script), _: bool) -> Outcome<Vec<String>> {
+        let report = &mut self.report;
+        let before = report.violations.len();
+        let here = |s: &str| format!("seed {seed}: {s}");
+        if let Some(oracle) = run_oracle(script, report, &here) {
+            report.write_points += oracle.write_points;
+            let points = match self.cfg.max_points {
+                0 => oracle.write_points,
+                max => oracle.write_points.min(u64::from(max)),
+            };
+            for k in 1..=points {
+                let fault = FAULT_CYCLE[(k as usize - 1) % FAULT_CYCLE.len()];
+                restart(script, &oracle, Some((k, fault)), report, &here);
+            }
+            restart(script, &oracle, None, report, &here);
+        }
+        let found = report.violations.split_off(before);
+        if found.is_empty() {
+            Outcome::Pass
+        } else {
+            Outcome::Fail(found)
+        }
+    }
+
+    fn record(&mut self, _: (u64, Script), findings: Vec<String>) {
+        self.report.violations.extend(findings);
+    }
+
+    fn vacuous(&self) -> Option<&'static str> {
+        (self.report.crash_points == 0).then_some("no crash point was swept")
+    }
+
+    fn report(&self, secs: f64) -> String {
+        let r = &self.report;
+        let mut out = format!(
+            "crash: {} crash points / {} write points across {} seeds in {secs:.2}s | \
+             {} recoveries, {} resumes, {} records replayed, {} quarantined, {} warm hits\n",
+            r.crash_points,
+            r.write_points,
+            self.cfg.seeds,
+            r.recoveries,
+            r.resumes,
+            r.replayed_records,
+            r.quarantined,
+            r.warm_hits
+        );
+        out.extend(r.violations.iter().map(|v| format!("  VIOLATION {v}\n")));
+        out
+    }
+}
+
 /// Runs the full crash campaign described by `cfg`.
 pub fn run_crash(cfg: &CrashConfig) -> CrashReport {
-    let mut report = CrashReport::default();
-    for i in 0..cfg.seeds.max(1) {
-        let seed = cfg.seed.wrapping_add(i as u64);
-        let script = generate_script(seed, cfg.tenants, cfg.bursts);
-        let here = move |s: &str| format!("seed {seed}: {s}");
-        let Some(oracle) = run_oracle(&script, &mut report, &here) else {
-            continue;
-        };
-        report.write_points += oracle.write_points;
-        let points = if cfg.max_points == 0 {
-            oracle.write_points
-        } else {
-            oracle.write_points.min(cfg.max_points as u64)
-        };
-        for k in 1..=points {
-            let fault = FAULT_CYCLE[(k as usize - 1) % FAULT_CYCLE.len()];
-            sweep_point(&script, &oracle, k, fault, &mut report, &here);
-        }
-        graceful_pass(&script, &mut report, &here);
-    }
-    report
+    let mut crash = Crash::new(cfg.clone());
+    campaign::run(&mut crash);
+    crash.report
 }
 
 #[cfg(test)]

@@ -80,6 +80,14 @@ impl Divergence {
     }
 }
 
+impl std::fmt::Display for Divergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (engine, kind) = (self.engine.name(), self.kind);
+        write!(f, "engine={engine} kind={kind:?} cycle={} ", self.cycle)?;
+        write!(f, "detail={}", self.detail)
+    }
+}
+
 /// Differential-run configuration.
 #[derive(Debug, Clone)]
 pub struct DiffConfig {

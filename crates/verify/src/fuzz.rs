@@ -5,14 +5,14 @@
 //! light up new `(key, log2-bucket)` coverage pairs — kernel kinds and
 //! levels from the arena evaluator's profile, opcodes from the bytecode
 //! engine's, structural features of the spec itself. Divergences are
-//! shrunk on the spot ([`crate::shrink()`]) to a minimal design that still
+//! shrunk on the spot (by the [`campaign`] engine) to a minimal design that still
 //! reproduces the same `(engine, kind)` divergence class, and written as
 //! a self-contained `.v` repro the corpus replayer
 //! ([`replay_repro`]) can re-run without the spec.
 
+use crate::campaign::{self, Campaign, Outcome};
 use crate::coverage::CoverageMap;
 use crate::diff::{run_differential, run_differential_src, DiffConfig, DiffOutcome, Divergence};
-use crate::shrink::shrink;
 use crate::spec::DesignSpec;
 use cascade_bits::Prng;
 use std::path::PathBuf;
@@ -78,7 +78,6 @@ pub struct Fuzzer {
     corpus: Vec<DesignSpec>,
     stats: FuzzStats,
     repros: Vec<Repro>,
-    serial: u32,
 }
 
 impl Fuzzer {
@@ -91,12 +90,7 @@ impl Fuzzer {
             corpus: Vec::new(),
             stats: FuzzStats::default(),
             repros: Vec::new(),
-            serial: 0,
         }
-    }
-
-    pub fn stats(&self) -> &FuzzStats {
-        &self.stats
     }
 
     pub fn repros(&self) -> &[Repro] {
@@ -109,56 +103,32 @@ impl Fuzzer {
 
     /// Runs the configured number of iterations, returning final stats.
     pub fn run(&mut self) -> FuzzStats {
-        for _ in 0..self.cfg.iterations {
-            self.step();
-        }
+        campaign::run(self);
         self.stats.clone()
     }
 
     /// Executes one candidate: pick, run, feed back, shrink on failure.
     pub fn step(&mut self) -> Option<&Repro> {
-        let spec = self.next_candidate();
-        self.stats.executed += 1;
-        match run_differential(&spec, &self.cfg.diff) {
-            DiffOutcome::Agree {
-                cycles_run,
-                coverage,
-            } => {
-                self.stats.agreed += 1;
-                self.stats.cycles_total += u64::from(cycles_run);
-                let novel = self.coverage.record(&coverage);
-                if novel > 0 {
-                    self.corpus.push(spec);
-                    if self.corpus.len() > self.cfg.max_corpus {
-                        self.corpus.remove(0);
-                    }
-                }
-                self.sync_stats();
-                None
-            }
-            DiffOutcome::Skipped(_) => {
-                self.stats.skipped += 1;
-                self.sync_stats();
-                None
-            }
-            DiffOutcome::Diverged(div) => {
-                self.stats.diverged += 1;
-                let repro = self.shrink_and_record(spec, div);
-                self.repros.push(repro);
-                self.sync_stats();
-                self.repros.last()
-            }
+        match campaign::step(self, self.stats.executed) {
+            Outcome::Fail(()) => self.repros.last(),
+            _ => None,
         }
     }
+}
 
-    fn sync_stats(&mut self) {
-        self.stats.coverage_keys = self.coverage.keys();
-        self.stats.coverage_points = self.coverage.points();
-        self.stats.corpus_len = self.corpus.len();
+/// Fuzzing as a campaign: a case is a spec, the oracle is the
+/// differential engine stack, and a shrunk divergence becomes a `.v`
+/// repro in the corpus dir.
+impl Campaign for Fuzzer {
+    type Case = DesignSpec;
+    type Finding = Divergence;
+
+    fn budget(&self) -> (u32, u32) {
+        (self.cfg.iterations, self.cfg.iterations)
     }
 
     /// Fresh generation or corpus mutation, per config ratio.
-    fn next_candidate(&mut self) -> DesignSpec {
+    fn generate(&mut self, _: u32) -> DesignSpec {
         if self.corpus.is_empty() || self.rng.chance(self.cfg.fresh_in_4, 4) {
             DesignSpec::generate(&mut self.rng)
         } else {
@@ -171,44 +141,88 @@ impl Fuzzer {
         }
     }
 
-    /// Shrinks a diverging spec to the same `(engine, kind)` class and
-    /// writes the `.v` repro if a corpus dir is configured.
-    fn shrink_and_record(&mut self, spec: DesignSpec, div: Divergence) -> Repro {
-        let class = div.class();
-        let cfg = self.cfg.diff.clone();
-        let small = shrink(&spec, &mut |cand| {
-            matches!(
-                run_differential(cand, &cfg),
-                DiffOutcome::Diverged(d) if d.class() == class
-            )
-        });
-        // Re-run the shrunk spec for the divergence at its final shape.
-        let final_div = match run_differential(&small, &cfg) {
-            DiffOutcome::Diverged(d) => d,
-            _ => div,
-        };
-        let mut path = None;
-        if let Some(dir) = &self.cfg.corpus_dir {
-            let name = format!(
-                "div_{}_{:?}_{:04}.v",
-                final_div.engine.name(),
-                final_div.kind,
-                self.serial
-            )
-            .to_lowercase();
-            self.serial += 1;
-            let file = dir.join(name);
-            if std::fs::create_dir_all(dir).is_ok()
-                && std::fs::write(&file, render_repro(&small, &final_div)).is_ok()
-            {
-                path = Some(file);
+    /// Runs the engine stack; a counted agreement feeds the coverage map
+    /// and keeps a spec that lit up new points.
+    fn run(&mut self, spec: &DesignSpec, counted: bool) -> Outcome<Vec<Divergence>> {
+        let out = run_differential(spec, &self.cfg.diff);
+        if counted {
+            self.stats.executed += 1;
+            match &out {
+                DiffOutcome::Agree {
+                    cycles_run,
+                    coverage,
+                } => {
+                    self.stats.agreed += 1;
+                    self.stats.cycles_total += u64::from(*cycles_run);
+                    if self.coverage.record(coverage) > 0 {
+                        self.corpus.push(spec.clone());
+                        if self.corpus.len() > self.cfg.max_corpus {
+                            self.corpus.remove(0);
+                        }
+                    }
+                }
+                DiffOutcome::Skipped(_) => self.stats.skipped += 1,
+                DiffOutcome::Diverged(_) => self.stats.diverged += 1,
             }
+            self.stats.coverage_keys = self.coverage.keys();
+            self.stats.coverage_points = self.coverage.points();
+            self.stats.corpus_len = self.corpus.len();
         }
-        Repro {
-            divergence: final_div,
-            spec: small,
+        match out {
+            DiffOutcome::Agree { .. } => Outcome::Pass,
+            DiffOutcome::Skipped(_) => Outcome::Skip,
+            DiffOutcome::Diverged(d) => Outcome::Fail(vec![d]),
+        }
+    }
+
+    /// A shrunk spec must still diverge in the same `(engine, kind)` class.
+    fn same_failure(&self, first: &[Divergence], now: &[Divergence]) -> bool {
+        first[0].class() == now[0].class()
+    }
+
+    /// Writes the `.v` repro if a corpus dir is configured.
+    fn record(&mut self, spec: DesignSpec, mut findings: Vec<Divergence>) {
+        let divergence = findings.remove(0);
+        let (engine, kind, n) = (divergence.engine.name(), divergence.kind, self.repros.len());
+        let name = format!("div_{engine}_{kind:?}_{n:04}.v").to_lowercase();
+        let path = self.cfg.corpus_dir.as_ref().and_then(|dir| {
+            let file = dir.join(name);
+            let text = render_repro(&spec, &divergence);
+            let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&file, text));
+            written.is_ok().then_some(file)
+        });
+        self.repros.push(Repro {
+            divergence,
+            spec,
             path,
+        });
+    }
+
+    fn vacuous(&self) -> Option<&'static str> {
+        (self.stats.agreed == 0).then_some("no design ran on every engine")
+    }
+
+    fn report(&self, secs: f64) -> String {
+        let s = &self.stats;
+        let mut out = format!(
+            "fuzz: {} designs in {secs:.2}s ({:.1}/s) | agreed {} skipped {} diverged {}\n\
+             coverage: {} keys, {} bucketed points | {} cycles simulated | corpus {}\n",
+            s.executed,
+            s.executed as f64 / secs.max(1e-9),
+            s.agreed,
+            s.skipped,
+            s.diverged,
+            s.coverage_keys,
+            s.coverage_points,
+            s.cycles_total,
+            s.corpus_len
+        );
+        for repro in &self.repros {
+            let path = repro.path.as_ref().map(|p| format!(" -> {}", p.display()));
+            let path = path.unwrap_or_default();
+            out += &format!("  DIVERGENCE {}{path}\n", repro.divergence);
         }
+        out
     }
 }
 
@@ -221,13 +235,10 @@ impl Fuzzer {
 pub fn render_repro(spec: &DesignSpec, div: &Divergence) -> String {
     format!(
         "// cascade-verify regression\n\
-         // found: engine={} kind={:?} cycle={} detail={}\n\
+         // found: {}\n\
          // replay: outputs={} cycles={} stim_seed={:#018x}\n\
          {}\n",
-        div.engine.name(),
-        div.kind,
-        div.cycle,
-        div.detail.replace('\n', " "),
+        div.to_string().replace('\n', " "),
         spec.outputs().join(","),
         spec.cycles,
         spec.stim_seed,
@@ -249,27 +260,16 @@ pub fn parse_repro(text: &str) -> Option<ReproHeader> {
     let line = text
         .lines()
         .find_map(|l| l.trim().strip_prefix("// replay:"))?;
-    let mut outputs = Vec::new();
-    let mut cycles = None;
-    let mut stim_seed = None;
-    for field in line.split_whitespace() {
-        if let Some(v) = field.strip_prefix("outputs=") {
-            outputs = v
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-        } else if let Some(v) = field.strip_prefix("cycles=") {
-            cycles = v.parse().ok();
-        } else if let Some(v) = field.strip_prefix("stim_seed=") {
-            let v = v.strip_prefix("0x").unwrap_or(v);
-            stim_seed = u64::from_str_radix(v, 16).ok();
-        }
-    }
+    let field = |key: &str| line.split_whitespace().find_map(|f| f.strip_prefix(key));
+    let outputs = field("outputs=").unwrap_or_default().split(',');
+    let stim_seed = field("stim_seed=")?;
     Some(ReproHeader {
-        outputs,
-        cycles: cycles?,
-        stim_seed: stim_seed?,
+        outputs: outputs
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect(),
+        cycles: field("cycles=")?.parse().ok()?,
+        stim_seed: u64::from_str_radix(stim_seed.trim_start_matches("0x"), 16).ok()?,
     })
 }
 

@@ -1,57 +1,49 @@
 //! `cascade-verify` — the correctness-tooling layer of Cascade-rs.
 //!
-//! The repo's rare asset is redundancy: four execution engines (the
-//! tree-walking event simulator, the bytecode-compiled software engine,
-//! the interpretive netlist walker, and the compiled word-arena evaluator)
-//! plus the batch variant must all agree cycle-by-cycle on
-//! every synthesizable design. This crate industrializes that oracle into
-//! three pillars:
+//! Four execution engines (the tree-walking event simulator, the
+//! bytecode-compiled software engine, the interpretive netlist walker and
+//! the compiled word-arena evaluator) plus the batch variant must agree
+//! cycle by cycle on every synthesizable design, and the serving stack
+//! must keep that promise across faults and crashes. Four campaigns
+//! check it, each an instance of one engine ([`campaign`]: generate →
+//! run → check → shrink):
 //!
-//! 1. **Coverage-guided differential fuzzing** ([`fuzz`]): a seeded
-//!    [`spec::DesignSpec`] generator with mutation operators, driven by a
-//!    feedback loop over the per-kernel / per-opcode profile histograms
-//!    ([`coverage`]); every candidate runs across all engines
-//!    ([`diff`]) and any divergence is delta-debugged to a minimal
-//!    reproducing `.v` file ([`shrink()`]).
-//! 2. **Bounded sequential equivalence checking** ([`bmc`]): two
-//!    synthesized netlists are unrolled K cycles into CNF and proven
-//!    equivalent (or a counterexample extracted) by an in-tree CDCL SAT
-//!    core — turning the post-synthesis optimizer from "property-tested"
-//!    into "checked per design".
-//! 3. **Chaos soak testing** ([`soak`]): thousands of generated
-//!    serve-session scripts replay under [`FaultPlan::random`] across
-//!    scheduler/fleet/hibernation configs, asserting trace-derived
-//!    invariants — no lost ticks, transcript byte-identity against a
-//!    never-faulted solo oracle, monotone metrics counters, lease
-//!    accounting sanity.
-//! 4. **Crash-point fuzzing** ([`crash`]): a deterministic serve script
-//!    is crashed and recovered at *every* durable write point (torn
-//!    write, partial write, lost fsync, die-before-write), asserting no
-//!    acknowledged tick is lost, transcripts stay byte-identical to a
-//!    never-crashed oracle, retried commands execute exactly once, and
-//!    graceful drain/restart keeps counters monotone.
+//! 1. **Differential fuzzing** ([`fuzz`]): coverage-guided ([`coverage`])
+//!    [`spec::DesignSpec`]s run across every engine ([`diff`]); a
+//!    divergence shrinks ([`shrink`](mod@shrink)) to a minimal `.v` repro.
+//! 2. **Bounded equivalence checking** ([`bmc`]): each design's raw and
+//!    optimized netlists, unrolled K cycles and proven equivalent by an
+//!    in-tree CDCL core ([`sat`]).
+//! 3. **Chaos soak** ([`soak`]): tenant scripts ([`script`]) replayed
+//!    under [`FaultPlan::random`] across scheduler/fleet/hibernation
+//!    configs against a solo oracle; a failing batch shrinks to a short
+//!    script.
+//! 4. **Crash-point fuzzing** ([`crash`]): a tenant script crashed and
+//!    recovered at every durable write point against a never-crashed
+//!    oracle.
 //!
-//! The `verify` binary exposes all four (`verify fuzz`, `verify bmc`,
-//! `verify soak`, `verify crash`, `verify replay`); see the README's
-//! "Proving it correct" quickstart.
+//! The `verify` binary runs each, plus `verify replay` of the corpus; see
+//! the README's "Proving it correct" quickstart.
 //!
 //! [`FaultPlan::random`]: cascade_fpga::FaultPlan::random
 
 pub mod bmc;
+pub mod campaign;
 pub mod coverage;
 pub mod crash;
 pub mod diff;
 pub mod fuzz;
 pub mod sat;
+pub mod script;
 pub mod shrink;
 pub mod soak;
 pub mod spec;
 
-pub use bmc::{check_equiv, check_equiv_budget, BmcResult, BmcStats};
+pub use bmc::{check_equiv, Bmc, BmcResult, BmcStats};
+pub use campaign::{shrink, Campaign};
 pub use coverage::CoverageMap;
-pub use crash::{run_crash, CrashConfig, CrashReport};
+pub use crash::{run_crash, Crash, CrashConfig, CrashReport};
 pub use diff::{run_differential, DiffConfig, DiffOutcome, Divergence, EngineId};
 pub use fuzz::{FuzzConfig, FuzzStats, Fuzzer};
-pub use shrink::shrink;
-pub use soak::{run_soak, SoakConfig, SoakReport};
+pub use soak::{run_soak, Soak, SoakConfig, SoakReport};
 pub use spec::DesignSpec;

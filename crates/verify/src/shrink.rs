@@ -1,131 +1,40 @@
-//! Delta-debugging shrinker: reduce a diverging [`DesignSpec`] to a
-//! minimal reproducing design.
+//! Delta-debugging candidates for a diverging [`DesignSpec`].
 //!
-//! The shrinker is greedy over a strictly-decreasing complexity metric:
-//! each round it enumerates candidate reductions from biggest win to
-//! smallest (drop the memory/FIFO/display, clear wires, delete statements,
-//! flatten `if`/`case` bodies into their parents, hoist subexpressions,
-//! collapse subtrees to literals, halve the cycle count), accepts the
-//! first candidate the caller's predicate still confirms, and restarts.
-//! Because every accepted step lowers the metric, termination is
-//! structural — no fuel counter needed, though one bounds pathological
-//! predicates anyway.
+//! [`campaign::shrink`] accepts the first candidate the caller's
+//! predicate still confirms and restarts from it. A spec's candidates run
+//! from biggest win to smallest: drop the memory/FIFO/display, clear
+//! wires, delete statements, flatten `if`/`case` bodies into their
+//! parents, hoist subexpressions, collapse subtrees to literals, halve
+//! the cycle count. Each one lowers the spec's complexity, so shrinking
+//! terminates structurally.
 //!
 //! The predicate is a black box. The fuzzer passes "still diverges with
-//! the same engine and divergence kind", but the same machinery shrinks
-//! any property (e.g. "still fails to synthesize").
+//! the same engine and divergence kind", BMC "is still refuted", but the
+//! same candidates shrink any property (e.g. "still fails to
+//! synthesize").
+//!
+//! [`campaign::shrink`]: crate::campaign::shrink
 
-use crate::spec::{count_stmts, DesignSpec, Expr, Finish, Leaf, Stmt};
-
-/// Scalar complexity: strictly decreases on every accepted shrink step.
-fn complexity(spec: &DesignSpec) -> u64 {
-    let mut nodes: u64 = 0;
-    let mut probe = spec.clone();
-    probe.for_each_expr_mut(&mut |_| nodes += 1);
-    let mut c = u64::from(count_stmts(&spec.body)) * 1_000;
-    c += nodes * 10;
-    c += spec.wires.len() as u64 * 500;
-    c += spec.nregs as u64 * 200;
-    if spec.mem {
-        c += 2_000;
-    }
-    if spec.fifo {
-        c += 4_000;
-    }
-    if spec.display.is_some() {
-        c += 800;
-    }
-    if spec.finish != Finish::Never {
-        c += 400;
-    }
-    c += u64::from(spec.cycles);
-    c
-}
+use crate::campaign::Shrink;
+use crate::spec::{count_stmts, edit_stmt_at, DesignSpec, Expr, Finish, Leaf, Stmt};
 
 /// Deletes the `target`-th statement (preorder) from a body tree.
 fn remove_stmt_at(body: &mut Vec<Stmt>, target: &mut usize) -> bool {
-    let mut i = 0;
-    while i < body.len() {
-        if *target == 0 {
-            body.remove(i);
-            return true;
-        }
-        *target -= 1;
-        let done = match &mut body[i] {
-            Stmt::If { then_, else_, .. } => {
-                remove_stmt_at(then_, target) || remove_stmt_at(else_, target)
-            }
-            Stmt::Case {
-                arm0,
-                arm1,
-                default,
-                ..
-            } => {
-                remove_stmt_at(arm0, target)
-                    || remove_stmt_at(arm1, target)
-                    || remove_stmt_at(default, target)
-            }
-            _ => false,
-        };
-        if done {
-            return true;
-        }
-        i += 1;
-    }
-    false
+    edit_stmt_at(body, target, &mut |list, i| {
+        list.remove(i);
+    })
 }
 
 /// Replaces the `target`-th statement, if it is an `if`/`case`, with the
 /// concatenation of its child statements (dropping the condition).
 fn flatten_stmt_at(body: &mut Vec<Stmt>, target: &mut usize) -> bool {
-    let mut i = 0;
-    while i < body.len() {
-        if *target == 0 {
-            let kids = match &mut body[i] {
-                Stmt::If { then_, else_, .. } => {
-                    let mut k = std::mem::take(then_);
-                    k.append(else_);
-                    k
-                }
-                Stmt::Case {
-                    arm0,
-                    arm1,
-                    default,
-                    ..
-                } => {
-                    let mut k = std::mem::take(arm0);
-                    k.append(arm1);
-                    k.append(default);
-                    k
-                }
-                _ => return true, // leaf statement: nothing to flatten
-            };
-            body.splice(i..=i, kids);
-            return true;
+    edit_stmt_at(body, target, &mut |list, i| {
+        let kids = list[i].bodies_mut().into_iter().flat_map(std::mem::take);
+        let kids: Vec<Stmt> = kids.collect();
+        if !list[i].bodies().is_empty() {
+            list.splice(i..=i, kids);
         }
-        *target -= 1;
-        let done = match &mut body[i] {
-            Stmt::If { then_, else_, .. } => {
-                flatten_stmt_at(then_, target) || flatten_stmt_at(else_, target)
-            }
-            Stmt::Case {
-                arm0,
-                arm1,
-                default,
-                ..
-            } => {
-                flatten_stmt_at(arm0, target)
-                    || flatten_stmt_at(arm1, target)
-                    || flatten_stmt_at(default, target)
-            }
-            _ => false,
-        };
-        if done {
-            return true;
-        }
-        i += 1;
-    }
-    false
+    })
 }
 
 /// Rewrites the `target`-th expression site with `make(old)`.
@@ -141,149 +50,138 @@ fn rewrite_expr_at(spec: &mut DesignSpec, target: usize, make: impl Fn(&Expr) ->
     });
 }
 
-/// Candidate reductions of `spec`, biggest wins first. Every candidate is
-/// already sanitized.
-fn candidates(spec: &DesignSpec) -> Vec<DesignSpec> {
-    let mut out = Vec::new();
-    let mut push = |mut c: DesignSpec| {
-        c.sanitize();
-        out.push(c);
-    };
+impl Shrink for DesignSpec {
+    /// Scalar complexity: every candidate lowers it.
+    fn size(&self) -> u64 {
+        let features = [
+            (self.mem, 2_000),
+            (self.fifo, 4_000),
+            (self.display.is_some(), 800),
+            (self.finish != Finish::Never, 400),
+        ];
+        let features: u64 = features.iter().filter(|f| f.0).map(|f| f.1).sum();
+        u64::from(count_stmts(&self.body)) * 1_000
+            + self.count_exprs() as u64 * 10
+            + self.wires.len() as u64 * 500
+            + self.nregs as u64 * 200
+            + features
+            + u64::from(self.cycles)
+    }
 
-    // Structural drops: whole features at a time.
-    if spec.fifo {
-        let mut c = spec.clone();
-        c.fifo = false;
-        c.fifo_din = Expr::Leaf(Leaf::InputA);
-        push(c);
-    }
-    if spec.mem {
-        let mut c = spec.clone();
-        c.mem = false;
-        push(c);
-    }
-    if !spec.wires.is_empty() {
-        let mut c = spec.clone();
-        c.wires.clear();
-        push(c);
-        for i in (0..spec.wires.len()).rev() {
+    /// Candidate reductions, biggest wins first. Every candidate is
+    /// already sanitized.
+    fn candidates(&self) -> Vec<DesignSpec> {
+        let spec = self;
+        let mut out = Vec::new();
+        let mut push = |mut c: DesignSpec| {
+            c.sanitize();
+            out.push(c);
+        };
+
+        // Structural drops: whole features at a time.
+        if spec.fifo {
             let mut c = spec.clone();
-            c.wires.remove(i);
+            c.fifo = false;
+            c.fifo_din = Expr::Leaf(Leaf::InputA);
             push(c);
         }
-    }
-    if spec.display.is_some() {
-        let mut c = spec.clone();
-        c.display = None;
-        push(c);
-    }
-    if spec.finish != Finish::Never {
-        let mut c = spec.clone();
-        c.finish = Finish::Never;
-        push(c);
-    }
-    if spec.nregs > 1 {
-        let mut c = spec.clone();
-        c.nregs -= 1;
-        push(c);
-    }
-
-    // Statement deletion (last first: later statements often shadow
-    // earlier ones, so dropping from the tail keeps more runs alive).
-    let nstmts = count_stmts(&spec.body) as usize;
-    for i in (0..nstmts).rev() {
-        let mut c = spec.clone();
-        let mut target = i;
-        remove_stmt_at(&mut c.body, &mut target);
-        push(c);
-    }
-    // Flatten compound statements into their parents.
-    for i in 0..nstmts {
-        let mut c = spec.clone();
-        let mut target = i;
-        if flatten_stmt_at(&mut c.body, &mut target) {
-            push(c);
-        }
-    }
-
-    // Expression hoists: replace a node with each of its children, or —
-    // for non-trivial subtrees — with a literal zero.
-    let nexprs = spec.count_exprs();
-    for i in 0..nexprs {
-        // Probe the site's child count without mutating.
-        let mut arity = 0usize;
-        {
-            let mut idx = 0usize;
-            let mut probe = spec.clone();
-            probe.for_each_expr_mut(&mut |e| {
-                if idx == i {
-                    arity = e.children().len();
-                }
-                idx += 1;
-            });
-        }
-        for k in 0..arity {
+        if spec.mem {
             let mut c = spec.clone();
-            rewrite_expr_at(&mut c, i, |e| e.children().get(k).map(|c| (*c).clone()));
+            c.mem = false;
             push(c);
         }
-        if arity > 0 {
+        if !spec.wires.is_empty() {
             let mut c = spec.clone();
-            rewrite_expr_at(&mut c, i, |_| {
-                Some(Expr::Lit {
-                    width: 16,
-                    value: 0,
-                })
-            });
+            c.wires.clear();
             push(c);
-        }
-    }
-
-    // Shorten the run.
-    if spec.cycles > 2 {
-        let mut c = spec.clone();
-        c.cycles = (spec.cycles / 2).max(2);
-        push(c);
-    }
-
-    out
-}
-
-/// Greedily shrinks `spec` while `still_fails` keeps returning `true`.
-///
-/// Returns the smallest confirmed-failing spec found. The input spec is
-/// assumed to fail (callers verify before shrinking); if nothing smaller
-/// reproduces, the input is returned unchanged.
-pub fn shrink(spec: &DesignSpec, still_fails: &mut dyn FnMut(&DesignSpec) -> bool) -> DesignSpec {
-    let mut best = spec.clone();
-    let mut best_score = complexity(&best);
-    // Complexity strictly decreases on acceptance, so this terminates;
-    // the fuel bound just caps predicate invocations on huge specs.
-    let mut fuel: u32 = 4_000;
-    'outer: loop {
-        for cand in candidates(&best) {
-            if fuel == 0 {
-                break 'outer;
-            }
-            let score = complexity(&cand);
-            if score >= best_score {
-                continue;
-            }
-            fuel -= 1;
-            if still_fails(&cand) {
-                best = cand;
-                best_score = score;
-                continue 'outer;
+            for i in (0..spec.wires.len()).rev() {
+                let mut c = spec.clone();
+                c.wires.remove(i);
+                push(c);
             }
         }
-        break;
+        if spec.display.is_some() {
+            let mut c = spec.clone();
+            c.display = None;
+            push(c);
+        }
+        if spec.finish != Finish::Never {
+            let mut c = spec.clone();
+            c.finish = Finish::Never;
+            push(c);
+        }
+        if spec.nregs > 1 {
+            let mut c = spec.clone();
+            c.nregs -= 1;
+            push(c);
+        }
+
+        // Statement deletion (last first: later statements often shadow
+        // earlier ones, so dropping from the tail keeps more runs alive).
+        let nstmts = count_stmts(&spec.body) as usize;
+        for i in (0..nstmts).rev() {
+            let mut c = spec.clone();
+            let mut target = i;
+            remove_stmt_at(&mut c.body, &mut target);
+            push(c);
+        }
+        // Flatten compound statements into their parents.
+        for i in 0..nstmts {
+            let mut c = spec.clone();
+            let mut target = i;
+            if flatten_stmt_at(&mut c.body, &mut target) {
+                push(c);
+            }
+        }
+
+        // Expression hoists: replace a node with each of its children, or —
+        // for non-trivial subtrees — with a literal zero.
+        let nexprs = spec.count_exprs();
+        for i in 0..nexprs {
+            // Probe the site's child count without mutating.
+            let mut arity = 0usize;
+            {
+                let mut idx = 0usize;
+                let mut probe = spec.clone();
+                probe.for_each_expr_mut(&mut |e| {
+                    if idx == i {
+                        arity = e.children().len();
+                    }
+                    idx += 1;
+                });
+            }
+            for k in 0..arity {
+                let mut c = spec.clone();
+                rewrite_expr_at(&mut c, i, |e| e.children().get(k).map(|c| (*c).clone()));
+                push(c);
+            }
+            if arity > 0 {
+                let mut c = spec.clone();
+                rewrite_expr_at(&mut c, i, |_| {
+                    Some(Expr::Lit {
+                        width: 16,
+                        value: 0,
+                    })
+                });
+                push(c);
+            }
+        }
+
+        // Shorten the run.
+        if spec.cycles > 2 {
+            let mut c = spec.clone();
+            c.cycles = (spec.cycles / 2).max(2);
+            push(c);
+        }
+
+        out
     }
-    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::shrink;
     use cascade_bits::Prng;
 
     /// Shrinking against an always-true predicate collapses any generated

@@ -20,12 +20,19 @@
 //!   lines anywhere in the run.
 //!
 //! Violations are collected, not panicked, so one bad batch reports every
-//! broken invariant at once.
+//! broken invariant at once; the [`campaign`] engine then shrinks the
+//! batch's script to the shortest one that still breaks the first of
+//! them, and reports that script as the repro.
 
+use crate::campaign::{self, Campaign, Outcome};
+use crate::script::{
+    monotone_counters, monotone_violation, probe_cnt, send, serve_config, server_stat,
+    tenant_source, Op, Script, TenantState,
+};
 use cascade_bits::Prng;
 use cascade_core::{JitConfig, Runtime};
 use cascade_fpga::{ArbiterConfig, Board, FaultPlan};
-use cascade_serve::{InProcClient, ServeConfig, Server};
+use cascade_serve::{InProcClient, Json, ServeConfig, Server};
 
 /// Soak campaign parameters.
 #[derive(Debug, Clone)]
@@ -87,65 +94,23 @@ struct MatrixPoint {
 /// Eight canonical corners: software-only through contended two-fabric
 /// fleets, single-shard through four-shard schedulers, both arbiters,
 /// and all three hibernation modes.
+#[rustfmt::skip]
 const MATRIX: [MatrixPoint; 8] = [
-    MatrixPoint {
-        fabrics: 0,
-        workers: 1,
-        eager: false,
-        hibernate: Some(false),
-    },
-    MatrixPoint {
-        fabrics: 1,
-        workers: 2,
-        eager: true,
-        hibernate: Some(false),
-    },
-    MatrixPoint {
-        fabrics: 2,
-        workers: 4,
-        eager: false,
-        hibernate: Some(true),
-    },
-    MatrixPoint {
-        fabrics: 1,
-        workers: 1,
-        eager: true,
-        hibernate: None,
-    },
-    MatrixPoint {
-        fabrics: 0,
-        workers: 4,
-        eager: false,
-        hibernate: Some(true),
-    },
-    MatrixPoint {
-        fabrics: 2,
-        workers: 2,
-        eager: true,
-        hibernate: Some(false),
-    },
-    MatrixPoint {
-        fabrics: 1,
-        workers: 4,
-        eager: false,
-        hibernate: Some(false),
-    },
-    MatrixPoint {
-        fabrics: 2,
-        workers: 1,
-        eager: false,
-        hibernate: None,
-    },
+    MatrixPoint { fabrics: 0, workers: 1, eager: false, hibernate: Some(false) },
+    MatrixPoint { fabrics: 1, workers: 2, eager: true, hibernate: Some(false) },
+    MatrixPoint { fabrics: 2, workers: 4, eager: false, hibernate: Some(true) },
+    MatrixPoint { fabrics: 1, workers: 1, eager: true, hibernate: None },
+    MatrixPoint { fabrics: 0, workers: 4, eager: false, hibernate: Some(true) },
+    MatrixPoint { fabrics: 2, workers: 2, eager: true, hibernate: Some(false) },
+    MatrixPoint { fabrics: 1, workers: 4, eager: false, hibernate: Some(false) },
+    MatrixPoint { fabrics: 2, workers: 1, eager: false, hibernate: None },
 ];
 
 fn server_config(point: MatrixPoint, faults: FaultPlan) -> ServeConfig {
-    let mut c = ServeConfig::quick();
-    c.fabrics = point.fabrics;
-    c.workers = point.workers;
+    let mut c = serve_config(point.fabrics, point.workers, faults);
     if point.eager {
         c.arbiter = ArbiterConfig::eager();
     }
-    c.jit.faults = faults;
     match point.hibernate {
         Some(true) => {
             c.hibernate_after_s = 0.05;
@@ -157,273 +122,233 @@ fn server_config(point: MatrixPoint, faults: FaultPlan) -> ServeConfig {
     c
 }
 
-/// One generated tenant script, partially executed.
-struct Tenant {
-    client: InProcClient,
-    rng: Prng,
-    step: u64,
-    display: bool,
-    src: String,
-    ticks: u64,
-    lines: Vec<String>,
-    bursts_left: u32,
-    explicit_hibernate: bool,
-}
-
-fn tenant_source(step: u64, display: bool) -> String {
-    let mut src =
-        format!("reg [15:0] cnt = 0;\nalways @(posedge clk.val) cnt <= cnt + 16'd{step};\n");
-    if display {
-        src.push_str("always @(posedge clk.val) if (cnt[2:0] == 3'd7) $display(\"c=%d\", cnt);\n");
-    }
-    src.push_str("assign led.val = cnt[7:0];");
-    src
-}
-
-/// Parses server-level monotone counters out of a Prometheus exposition.
-/// Only `serve_*_total` series qualify: session-registry sums may drop
-/// when a tenant hibernates or closes.
-fn monotone_counters(text: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(name), Some(value)) = (parts.next(), parts.next()) else {
-            continue;
+/// Generates batch `batch`'s script of `count` tenants. Each tenant opens
+/// and loads its counter; then the tenants take turns in rounds (run a
+/// burst, drain, and under explicit hibernation sometimes hibernate), so
+/// the shards, the compile pool and the arbiter all see real contention.
+fn generate_script(cfg: &SoakConfig, batch: u32, count: u32) -> Script {
+    let explicit_hibernate = MATRIX[batch as usize % MATRIX.len()].hibernate == Some(false);
+    let mut script = Script {
+        ops: Vec::new(),
+        steps: Vec::new(),
+    };
+    let mut turns = Vec::new();
+    for t in 0..count as usize {
+        let mut rng = Prng::new(cfg.seed ^ (u64::from(batch) << 32) ^ t as u64);
+        let step = 1 + rng.below(5);
+        let display = rng.chance(1, 2);
+        // Display tenants count in ones so the oracle transcript is
+        // exercised on the densest firing pattern.
+        let step = if display { 1 } else { step };
+        script.steps.push(step);
+        script.ops.push((t, Op::Open));
+        let src = tenant_source(step, display).into_iter();
+        script.ops.extend(src.map(|line| (t, Op::Eval(line, 0))));
+        let bursts = 2 + rng.below(4);
+        let turn = |_| {
+            let burst = 1 + rng.below(u64::from(cfg.max_burst) - 1);
+            (burst, explicit_hibernate && rng.chance(1, 3))
         };
-        if !name.starts_with("serve_") || !name.ends_with("_total") || name.contains('{') {
-            continue;
-        }
-        if let Ok(v) = value.parse::<f64>() {
-            out.push((name.to_string(), v as u64));
-        }
+        turns.push((0..bursts).map(turn).collect::<Vec<_>>());
     }
-    out
-}
-
-/// Returns a description of the first counter that went backwards.
-fn monotone_violation(prev: &[(String, u64)], cur: &[(String, u64)]) -> Option<String> {
-    for (name, was) in prev {
-        if let Some((_, now)) = cur.iter().find(|(n, _)| n == name) {
-            if now < was {
-                return Some(format!("counter {name} went backwards: {was} -> {now}"));
-            }
-        }
-    }
-    None
-}
-
-fn stat(server: &std::sync::Arc<Server>, key: &str) -> u64 {
-    let mut c = InProcClient::connect(server);
-    c.server_stats()
-        .ok()
-        .and_then(|s| s.get(key).and_then(cascade_serve::Json::as_u64))
-        .unwrap_or(0)
-}
-
-/// Replays one batch of tenants against a fresh server; appends findings
-/// to `report`.
-fn run_batch(cfg: &SoakConfig, batch_idx: u32, count: u32, report: &mut SoakReport) {
-    let point = MATRIX[batch_idx as usize % MATRIX.len()];
-    let faults = FaultPlan::random(cfg.seed ^ (0x50AC << 16) ^ batch_idx as u64);
-    let plan = faults.clone();
-    let server = Server::new(server_config(point, faults));
-    let here = |s: &str| format!("batch {batch_idx} ({point:?}): {s}");
-
-    // Spawn the tenants.
-    let mut tenants: Vec<Tenant> = (0..count)
-        .map(|t| {
-            let mut rng = Prng::new(cfg.seed ^ ((batch_idx as u64) << 32) ^ t as u64);
-            let step = 1 + rng.below(5);
-            let display = rng.chance(1, 2);
-            // Display tenants count in ones so the oracle transcript is
-            // exercised on the densest firing pattern.
-            let step = if display { 1 } else { step };
-            let src = tenant_source(step, display);
-            let bursts_left = 2 + rng.below(4) as u32;
-            let explicit_hibernate = point.hibernate == Some(false);
-            Tenant {
-                client: InProcClient::connect(&server),
-                rng,
-                step,
-                display,
-                src,
-                ticks: 0,
-                lines: Vec::new(),
-                bursts_left,
-                explicit_hibernate,
-            }
-        })
-        .collect();
-    for (t, tenant) in tenants.iter_mut().enumerate() {
-        if let Err(e) = tenant.client.open() {
-            report
-                .violations
-                .push(here(&format!("tenant {t}: open failed: {e}")));
-            tenant.bursts_left = 0;
-            continue;
-        }
-        if let Err(e) = tenant.client.eval_all(&tenant.src) {
-            report
-                .violations
-                .push(here(&format!("tenant {t}: eval failed: {e}")));
-            tenant.bursts_left = 0;
-        }
-    }
-
-    // Interleaved bursts: every round touches every live tenant, so the
-    // shards, the compile pool, and the arbiter all see real contention.
-    let mut metrics_client = InProcClient::connect(&server);
-    let mut prev_counters: Vec<(String, u64)> = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (t, tenant) in tenants.iter_mut().enumerate() {
-            if tenant.bursts_left == 0 {
+    for round in 0..turns.iter().map(Vec::len).max().unwrap_or(0) {
+        let mut last = 0;
+        for (t, turn) in turns.iter().enumerate() {
+            let Some(&(burst, hibernate)) = turn.get(round) else {
                 continue;
+            };
+            script.ops.push((t, Op::Run(burst, 0)));
+            script.ops.push((t, Op::Drain(0)));
+            if hibernate {
+                script.ops.push((t, Op::Hibernate));
             }
-            progressed = true;
-            tenant.bursts_left -= 1;
-            let burst = 1 + tenant.rng.below(cfg.max_burst as u64 - 1);
-            match tenant.client.run(burst) {
-                Ok(r) => {
-                    if r.ticks != burst {
-                        report.violations.push(here(&format!(
-                            "tenant {t}: lost ticks: asked {burst}, served {}",
-                            r.ticks
-                        )));
-                    }
-                    tenant.ticks += r.ticks;
-                }
-                Err(e) => {
-                    report
-                        .violations
-                        .push(here(&format!("tenant {t}: run failed: {e}")));
-                    tenant.bursts_left = 0;
-                    continue;
-                }
-            }
-            match tenant.client.drain() {
-                Ok((batch, dropped)) => {
-                    if dropped != 0 {
-                        report
-                            .violations
-                            .push(here(&format!("tenant {t}: dropped {dropped} output lines")));
-                    }
-                    tenant.lines.extend(batch);
-                }
-                Err(e) => {
-                    report
-                        .violations
-                        .push(here(&format!("tenant {t}: drain failed: {e}")));
-                }
-            }
-            if tenant.explicit_hibernate && tenant.rng.chance(1, 3) {
-                if let Err(e) = tenant.client.hibernate() {
-                    report
-                        .violations
-                        .push(here(&format!("tenant {t}: hibernate failed: {e}")));
-                }
-            }
+            last = t;
         }
-        match metrics_client.server_metrics() {
-            Ok(text) => {
-                let cur = monotone_counters(&text);
-                if let Some(v) = monotone_violation(&prev_counters, &cur) {
-                    report.violations.push(here(&v));
-                }
-                prev_counters = cur;
+        script.ops.push((last, Op::Metrics));
+    }
+    script
+}
+
+/// Replays batch `batch`'s script against a fresh server, adding its
+/// counts to `report`; returns every invariant it broke.
+fn run_batch(seed: u64, batch: u32, script: &Script, report: &mut SoakReport) -> Vec<String> {
+    let point = MATRIX[batch as usize % MATRIX.len()];
+    let faults = FaultPlan::random(seed ^ (0x50AC << 16) ^ u64::from(batch));
+    let server = Server::new(server_config(point, faults.clone()));
+    let mut found = Vec::new();
+    let mut flag = |s: String| found.push(format!("batch {batch} ({point:?}): {s}"));
+
+    // Every command is served in full and drops no output, and no
+    // server counter ever goes backwards between two metrics reads.
+    let mut client = InProcClient::connect(&server);
+    let mut states = vec![TenantState::default(); script.steps.len()];
+    let mut counters = Vec::new();
+    for (t, op) in &script.ops {
+        let reply = match send(&mut client, &mut states[*t], op) {
+            Ok(reply) => reply,
+            Err(e) => {
+                flag(format!("tenant {t}: {op:?} failed: {e}"));
+                break;
             }
-            Err(e) => report
-                .violations
-                .push(here(&format!("metrics failed: {e}"))),
-        }
-        if !progressed {
-            break;
+        };
+        let count = |key| reply.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let (served, dropped) = (count("ticks"), count("dropped"));
+        match op {
+            Op::Run(asked, _) if served != *asked => {
+                flag(format!(
+                    "tenant {t}: lost ticks: asked {asked}, served {served}"
+                ));
+            }
+            Op::Drain(_) if dropped != 0 => {
+                flag(format!("tenant {t}: dropped {dropped} output lines"));
+            }
+            Op::Metrics => {
+                let now = monotone_counters(reply.get("text").and_then(Json::as_str).unwrap_or(""));
+                if let Some(m) = monotone_violation(&counters, &now) {
+                    flag(m);
+                }
+                counters = now;
+            }
+            _ => {}
         }
     }
 
     // Per-tenant closing checks: architectural counter and transcript.
-    for (t, tenant) in tenants.iter_mut().enumerate() {
-        let expected = (tenant.ticks.wrapping_mul(tenant.step)) & 0xffff;
-        match tenant.client.probe("cnt") {
-            Ok(Some(cnt)) => {
-                if cnt != expected {
-                    report.violations.push(here(&format!(
-                        "tenant {t}: cnt invariant: {} ticks * step {} -> expected {expected}, got {cnt}",
-                        tenant.ticks, tenant.step
-                    )));
-                }
-            }
-            Ok(None) => report
-                .violations
-                .push(here(&format!("tenant {t}: cnt vanished"))),
-            Err(e) => report
-                .violations
-                .push(here(&format!("tenant {t}: probe failed: {e}"))),
+    for (t, state) in states.iter().enumerate() {
+        let (ticks, expected) = (state.ticks, script.cnt(t, state.ticks));
+        let cnt = state.session.and_then(|id| probe_cnt(&mut client, id));
+        if cnt != Some(expected) {
+            let step = script.steps[t];
+            flag(format!(
+                "tenant {t}: cnt invariant: {ticks} ticks * step {step} -> expected {expected}, got {cnt:?}"
+            ));
         }
-        if tenant.display {
+        let src = script.source(t);
+        if src.contains("$display") {
             let mut jit = JitConfig::default();
             jit.toolchain.time_scale = 1e-6;
             match Runtime::new(Board::new(), jit) {
                 Ok(mut oracle) => {
-                    let ok =
-                        oracle.eval(&tenant.src).is_ok() && oracle.run_ticks(tenant.ticks).is_ok();
+                    let ok = oracle.eval(&src).is_ok() && oracle.run_ticks(ticks).is_ok();
                     report.batched_ticks += oracle.data_plane_batched_ticks();
                     if !ok {
-                        report
-                            .violations
-                            .push(here(&format!("tenant {t}: oracle failed")));
-                    } else if tenant.lines != oracle.drain_output() {
-                        report.violations.push(here(&format!(
-                            "tenant {t}: transcript diverged from solo oracle after {} ticks",
-                            tenant.ticks
-                        )));
+                        flag(format!("tenant {t}: oracle failed"));
+                    } else if state.lines != oracle.drain_output() {
+                        flag(format!(
+                            "tenant {t}: transcript diverged from solo oracle after {ticks} ticks"
+                        ));
                     }
                 }
-                Err(e) => report
-                    .violations
-                    .push(here(&format!("tenant {t}: oracle: {e}"))),
+                Err(e) => flag(format!("tenant {t}: oracle: {e}")),
             }
         }
         report.sessions += 1;
-        report.ticks += tenant.ticks;
-        report.display_lines += tenant.lines.len() as u64;
+        report.ticks += ticks;
+        report.display_lines += state.lines.len() as u64;
     }
 
     // Server-wide accounting invariants.
-    if stat(&server, "wake_failures") != 0 {
-        report.violations.push(here("wake_failures != 0"));
+    let stat = |key| server_stat(&server, key);
+    for key in ["wake_failures", "output_dropped"] {
+        if stat(key) != 0 {
+            flag(format!("{key} != 0"));
+        }
     }
-    if stat(&server, "output_dropped") != 0 {
-        report.violations.push(here("output_dropped != 0"));
-    }
-    let grants = stat(&server, "fabric_grants");
-    let revocations = stat(&server, "fabric_revocations");
+    let (grants, revocations) = (stat("fabric_grants"), stat("fabric_revocations"));
     if revocations > grants {
-        report.violations.push(here(&format!(
+        flag(format!(
             "lease accounting: {revocations} revocations > {grants} grants"
-        )));
+        ));
     }
-    report.hibernates += stat(&server, "hibernates");
-    report.faults_injected += plan.injected();
+    report.hibernates += stat("hibernates");
+    report.faults_injected += faults.injected();
     report.batches += 1;
+    found
+}
+
+/// The soak campaign: one case is one batch of tenants on one server.
+pub struct Soak {
+    cfg: SoakConfig,
+    report: SoakReport,
+}
+
+impl Soak {
+    pub fn new(cfg: SoakConfig) -> Soak {
+        Soak {
+            cfg,
+            report: SoakReport::default(),
+        }
+    }
+}
+
+impl Campaign for Soak {
+    type Case = (u32, Script);
+    type Finding = String;
+
+    fn budget(&self) -> (u32, u32) {
+        let batches = self.cfg.sessions.div_ceil(self.cfg.batch.max(1));
+        (batches, batches)
+    }
+
+    fn generate(&mut self, batch: u32) -> (u32, Script) {
+        let size = self.cfg.batch.max(1);
+        let count = size.min(self.cfg.sessions - batch * size);
+        (batch, generate_script(&self.cfg, batch, count))
+    }
+
+    fn run(&mut self, (batch, script): &(u32, Script), counted: bool) -> Outcome<Vec<String>> {
+        let mut scratch = SoakReport::default();
+        let report = if counted {
+            &mut self.report
+        } else {
+            &mut scratch
+        };
+        let found = run_batch(self.cfg.seed, *batch, script, report);
+        if found.is_empty() {
+            Outcome::Pass
+        } else {
+            Outcome::Fail(found)
+        }
+    }
+
+    /// The shrunk script, printed in the report, is the repro.
+    fn record(&mut self, (batch, script): (u32, Script), findings: Vec<String>) {
+        self.report.violations.extend(findings);
+        let repro = format!("batch {batch} repro: {script}");
+        self.report.violations.push(repro);
+    }
+
+    /// A display tenant's software phase is a software plane: none of it
+    /// batched means the plane batch stopped being the path.
+    fn vacuous(&self) -> Option<&'static str> {
+        let none = self.report.batched_ticks == 0;
+        none.then_some("no oracle tick ran inside the software engine")
+    }
+
+    fn report(&self, secs: f64) -> String {
+        let r = &self.report;
+        let mut out = format!(
+            "soak: {} sessions / {} batches in {secs:.2}s ({:.1}/s) | {} ticks, \
+             {} display lines, {} hibernates, {} faults injected, {} oracle ticks batched\n",
+            r.sessions,
+            r.batches,
+            r.sessions as f64 / secs.max(1e-9),
+            r.ticks,
+            r.display_lines,
+            r.hibernates,
+            r.faults_injected,
+            r.batched_ticks
+        );
+        out.extend(r.violations.iter().map(|v| format!("  VIOLATION {v}\n")));
+        out
+    }
 }
 
 /// Runs the full soak campaign described by `cfg`.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
-    let mut report = SoakReport::default();
-    let batch = cfg.batch.max(1);
-    let mut remaining = cfg.sessions;
-    let mut batch_idx = 0;
-    while remaining > 0 {
-        let count = remaining.min(batch);
-        run_batch(cfg, batch_idx, count, &mut report);
-        remaining -= count;
-        batch_idx += 1;
-    }
-    report
+    let mut soak = Soak::new(cfg.clone());
+    campaign::run(&mut soak);
+    soak.report
 }
 
 #[cfg(test)]
@@ -450,6 +375,36 @@ mod tests {
         assert_eq!(report.batches, 3);
         assert!(report.ticks > 0);
         assert!(report.display_lines > 0, "no display tenant fired");
+    }
+
+    /// Mutation testing of the soak campaign: with the script runner
+    /// seeded to under-count a run that follows a hibernate, the campaign
+    /// fails, and the failing batch shrinks to the five commands the bug
+    /// needs (open, the counter's two lines, hibernate, run).
+    #[test]
+    fn seeded_runner_bug_is_found_and_shrunk_small() {
+        crate::script::SEEDED_BUG.set(true);
+        let mut soak = Soak::new(SoakConfig {
+            seed: 7,
+            sessions: 8,
+            batch: 8,
+            max_burst: 24,
+        });
+        let failed = campaign::run(&mut soak);
+        crate::script::SEEDED_BUG.set(false);
+        let found = &soak.report.violations;
+        assert_eq!(failed, 1, "{found:#?}");
+        let repro = found.last().expect("a repro");
+        let commands: usize = repro
+            .split("repro: ")
+            .nth(1)
+            .and_then(|r| r.split(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no repro line: {repro}"));
+        assert!(commands <= 5, "shrunk only to {repro}");
+        assert!(
+            repro.contains("Hibernate") && repro.contains("Run("),
+            "{repro}"
+        );
     }
 
     #[test]

@@ -221,6 +221,35 @@ pub enum Stmt {
 }
 
 impl Stmt {
+    /// The statement lists nested in this one (`if` arms, `case` arms),
+    /// in preorder.
+    pub fn bodies(&self) -> Vec<&Vec<Stmt>> {
+        match self {
+            Stmt::If { then_, else_, .. } => vec![then_, else_],
+            Stmt::Case {
+                arm0,
+                arm1,
+                default,
+                ..
+            } => vec![arm0, arm1, default],
+            _ => Vec::new(),
+        }
+    }
+
+    /// [`Self::bodies`], mutably.
+    pub fn bodies_mut(&mut self) -> Vec<&mut Vec<Stmt>> {
+        match self {
+            Stmt::If { then_, else_, .. } => vec![then_, else_],
+            Stmt::Case {
+                arm0,
+                arm1,
+                default,
+                ..
+            } => vec![arm0, arm1, default],
+            _ => Vec::new(),
+        }
+    }
+
     fn render(&self, out: &mut Vec<String>, indent: usize) {
         let pad = "  ".repeat(indent);
         match self {
@@ -509,7 +538,9 @@ impl DesignSpec {
                 if n > 0 {
                     let mut target = rng.below(n as u64) as usize;
                     let mut slot = Some(fresh);
-                    replace_stmt_at(&mut self.body, &mut target, &mut slot);
+                    edit_stmt_at(&mut self.body, &mut target, &mut |body, i| {
+                        body[i] = slot.take().expect("one target");
+                    });
                 }
             }
             // Insert a fresh statement at a random top-level position.
@@ -821,129 +852,81 @@ endmodule";
 
 fn fix_stmt_rec(s: &mut Stmt, fix_expr: &impl Fn(&mut Expr), nregs: usize, mem: bool) {
     match s {
-        Stmt::Assign { reg, rhs } => {
-            *reg %= nregs;
-            rhs.walk_mut(&mut |e| fix_expr(e));
+        Stmt::MemWrite { rhs, .. } if !mem => {
+            // Demote to a register assign so the statement stays legal.
+            let rhs = std::mem::replace(rhs, Expr::Leaf(Leaf::InputA));
+            *s = Stmt::Assign { reg: 0, rhs };
         }
-        Stmt::SliceAssign { reg, hi, lo, rhs } => {
-            *reg %= nregs;
+        Stmt::SliceAssign { hi, lo, .. } => {
             *hi = (*hi).min(15);
             *lo = (*lo).min(*hi);
-            rhs.walk_mut(&mut |e| fix_expr(e));
         }
-        Stmt::MemWrite { addr, rhs } => {
-            if !mem {
-                // Demote to a register assign so the statement stays legal.
-                let mut r = Expr::Leaf(Leaf::InputA);
-                std::mem::swap(&mut r, rhs);
-                *s = Stmt::Assign { reg: 0, rhs: r };
-                fix_stmt_rec(s, fix_expr, nregs, mem);
-                return;
-            }
-            if let Leaf::Reg(i) = addr {
-                *i %= nregs;
-            }
-            rhs.walk_mut(&mut |e| fix_expr(e));
+        _ => {}
+    }
+    match s {
+        Stmt::Assign { reg, .. } | Stmt::SliceAssign { reg, .. } => *reg %= nregs,
+        Stmt::MemWrite {
+            addr: Leaf::Reg(i), ..
         }
-        Stmt::If { cond, then_, else_ } => {
-            cond.walk_mut(&mut |e| fix_expr(e));
-            for st in then_.iter_mut().chain(else_.iter_mut()) {
-                fix_stmt_rec(st, fix_expr, nregs, mem);
-            }
+        | Stmt::Case {
+            scr: Leaf::Reg(i), ..
+        } => *i %= nregs,
+        _ => {}
+    }
+    walk_own_exprs(s, &mut |e| fix_expr(e));
+    for body in s.bodies_mut() {
+        for st in body {
+            fix_stmt_rec(st, fix_expr, nregs, mem);
         }
-        Stmt::Case {
-            scr,
-            arm0,
-            arm1,
-            default,
-        } => {
-            if let Leaf::Reg(i) = scr {
-                *i %= nregs;
-            }
-            for st in arm0
-                .iter_mut()
-                .chain(arm1.iter_mut())
-                .chain(default.iter_mut())
-            {
-                fix_stmt_rec(st, fix_expr, nregs, mem);
-            }
+    }
+}
+
+/// Visits the expressions of one statement, not of its nested bodies.
+fn walk_own_exprs(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+    match s {
+        Stmt::Assign { rhs, .. } | Stmt::SliceAssign { rhs, .. } | Stmt::MemWrite { rhs, .. } => {
+            rhs.walk_mut(f);
         }
+        Stmt::If { cond, .. } => cond.walk_mut(f),
+        Stmt::Case { .. } => {}
     }
 }
 
 /// Visits every expression in a statement tree.
 pub fn walk_stmt_exprs(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
-    match s {
-        Stmt::Assign { rhs, .. } | Stmt::SliceAssign { rhs, .. } | Stmt::MemWrite { rhs, .. } => {
-            rhs.walk_mut(f);
-        }
-        Stmt::If { cond, then_, else_ } => {
-            cond.walk_mut(f);
-            for st in then_.iter_mut().chain(else_.iter_mut()) {
-                walk_stmt_exprs(st, f);
-            }
-        }
-        Stmt::Case {
-            arm0,
-            arm1,
-            default,
-            ..
-        } => {
-            for st in arm0
-                .iter_mut()
-                .chain(arm1.iter_mut())
-                .chain(default.iter_mut())
-            {
-                walk_stmt_exprs(st, f);
-            }
+    walk_own_exprs(s, f);
+    for body in s.bodies_mut() {
+        for st in body {
+            walk_stmt_exprs(st, f);
         }
     }
 }
 
 /// Total statements in a body, recursively.
 pub fn count_stmts(body: &[Stmt]) -> u32 {
-    body.iter()
-        .map(|s| match s {
-            Stmt::If { then_, else_, .. } => 1 + count_stmts(then_) + count_stmts(else_),
-            Stmt::Case {
-                arm0,
-                arm1,
-                default,
-                ..
-            } => 1 + count_stmts(arm0) + count_stmts(arm1) + count_stmts(default),
-            _ => 1,
-        })
-        .sum()
+    let nested = |s: &Stmt| s.bodies().into_iter().map(|b| count_stmts(b)).sum::<u32>();
+    body.iter().map(|s| 1 + nested(s)).sum()
 }
 
-/// Replaces the `target`-th statement (preorder) with `fresh`. Returns
-/// whether the target was found.
-pub fn replace_stmt_at(body: &mut [Stmt], target: &mut usize, fresh: &mut Option<Stmt>) -> bool {
-    for s in body.iter_mut() {
+/// Hands `edit` the list holding the `target`-th statement (preorder) of
+/// a body tree, and its index there. Returns whether the target was
+/// found.
+pub fn edit_stmt_at(
+    body: &mut Vec<Stmt>,
+    target: &mut usize,
+    edit: &mut dyn FnMut(&mut Vec<Stmt>, usize),
+) -> bool {
+    for i in 0..body.len() {
         if *target == 0 {
-            if let Some(f) = fresh.take() {
-                *s = f;
-            }
+            edit(body, i);
             return true;
         }
         *target -= 1;
-        let found = match s {
-            Stmt::If { then_, else_, .. } => {
-                replace_stmt_at(then_, target, fresh) || replace_stmt_at(else_, target, fresh)
-            }
-            Stmt::Case {
-                arm0,
-                arm1,
-                default,
-                ..
-            } => {
-                replace_stmt_at(arm0, target, fresh)
-                    || replace_stmt_at(arm1, target, fresh)
-                    || replace_stmt_at(default, target, fresh)
-            }
-            _ => false,
-        };
-        if found {
+        if body[i]
+            .bodies_mut()
+            .into_iter()
+            .any(|b| edit_stmt_at(b, target, edit))
+        {
             return true;
         }
     }
